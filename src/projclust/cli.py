@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     cluster.add_argument("--learner", default="mom+em",
                          choices=("mom", "em", "mom+em"))
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--batch", type=int, default=8)
 
     bounds_p = sub.add_parser("bounds", help="bound calculators")
     bsub = bounds_p.add_subparsers(dest="bound", required=True)
@@ -185,7 +184,7 @@ def _cmd_cluster(args) -> int:
         budget = projections_budget_default(data.p, False, args.error)
     cfg = ClusterConfig(
         target_error=args.error, budget=budget, learner=args.learner,
-        seed=args.seed, parallel_batch=args.batch,
+        seed=args.seed,
     )
     outcome = cluster_gmm(data, cfg)
     payload = model.cluster_outcome_to_jsonable(outcome)

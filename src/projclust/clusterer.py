@@ -7,12 +7,13 @@ error estimate.  The first direction whose estimate beats the target
 wins; if the budget M is exhausted the best direction found is returned
 with ``achieved=False``.
 
-Direction generation is grouped in batches but every projection is one
-matrix-vector product, so results depend only on direction indices and
-the outcome is byte-identical for every batch size: the accepted
-direction is always the lowest-index passer, and the running separation
-estimate c_hat aggregates every scanned direction up to and including
-the winner, failed ones included.
+Directions are projected in fixed blocks of ``B``, one matrix product
+per block (block k holds indices kB+1..kB+B, the last cut at the
+budget), and fitted lazily, so the accepted direction is always the
+lowest-index passer and the running separation estimate c_hat aggregates
+every scanned direction up to and including the winner, failed ones
+included.  A rerun is byte-identical at a fixed BLAS thread count;
+across thread counts results agree to rounding.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ from .learner1d import (
 )
 from .mathkit import RngStream, q_inverse
 from .model import Boundary1D, ClusterOutcome, Dataset
-from .projection import sample_direction, separability_1d
+from .projection import project_block, sample_direction, separability_1d
 from . import bounds as _bounds
 
 BUDGET_SAFETY_FACTOR = 3
+
+# Directions per projection block: a block product costs under two
+# single-direction products, so an early stop wastes little.
+B = 8
 
 # Directions whose fit admits no decision threshold cannot cluster and are
 # recorded with this estimated error so they never win a scan.
@@ -50,7 +55,6 @@ class ClusterConfig:
     budget: int
     learner: str = "mom+em"
     seed: int = 0
-    parallel_batch: int = 8
     estimate_c: bool = True
 
     def __post_init__(self):
@@ -58,8 +62,6 @@ class ClusterConfig:
             raise DomainError("target_error must lie in (0, 0.5)")
         if self.budget < 1:
             raise DomainError("budget must be >= 1")
-        if self.parallel_batch < 1:
-            raise DomainError("parallel_batch must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,28 +84,21 @@ class DirectionScan:
 
 
 def scan_directions(data: Dataset, cfg: ClusterConfig):
-    """Yield DirectionScan for indices 1..budget in order.
-
-    Directions are generated ``parallel_batch`` at a time; per-direction
-    streams and per-direction products make the output independent of
-    the batching.
-    """
+    """Yield DirectionScan for indices 1..budget in order, drawing
+    direction i from ``RngStream(cfg.seed, i)`` and fitting it lazily."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
         raise DomainError("dataset has dimension 0")
     m = cfg.budget
-    batch = cfg.parallel_batch
-    for start in range(1, m + 1, batch):
-        indices = range(start, min(start + batch, m + 1))
+    for start in range(1, m + 1, B):
+        indices = range(start, min(start + B, m + 1))
         dirs = np.stack(
             [sample_direction(data.p, RngStream(cfg.seed, i)) for i in indices]
         )
-        norms = np.linalg.norm(dirs, axis=1)
-        for offset, index in enumerate(indices):
-            # One matrix-vector product per direction: identical rounding
-            # for every batch size, which keeps outcomes byte-identical.
-            vals = data.points @ (dirs[offset] / norms[offset])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        block = project_block(data, dirs)
+        for index, direction, vals in zip(indices, dirs, block):
             fit = fit_mixture(vals, cfg.learner)
             gamma_hat = separability_1d(fit.fitted)
             try:
@@ -114,7 +109,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
                 est_error = _NO_BOUNDARY_ERROR
             yield DirectionScan(
                 index=index,
-                direction=dirs[offset] / norms[offset],
+                direction=direction,
                 values=vals,
                 fit=fit,
                 gamma_hat=gamma_hat,
@@ -129,7 +124,7 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
 
     Returns the first passing direction, or the best one with
     ``achieved=False`` when the budget runs out.  Deterministic given
-    (data, cfg), whatever the batch size.
+    (data, cfg) and the BLAS thread count.
     """
     gammas = []
     best: DirectionScan | None = None
@@ -180,9 +175,7 @@ def classify_values(
 
 def classify(data: Dataset, boundary: Boundary1D) -> np.ndarray:
     """Project points onto the boundary direction and threshold them."""
-    if boundary.direction.size != data.p:
-        raise DimensionMismatchError("boundary dimension != data dimension")
-    values = data.points @ boundary.direction
+    values = project_block(data, boundary.direction[np.newaxis])[0]
     return classify_values(values, boundary.thresholds, boundary.orientation)
 
 

@@ -231,7 +231,7 @@ def read_dataset(path: str) -> Dataset:
     if seed is not None:
         provenance = Provenance(seed=int(seed), generator=header.get("generator") or "")
     return Dataset(
-        n=n, p=p, points=raw.reshape(n, p).astype(float),
+        n=n, p=p, points=raw.reshape(n, p).astype(float, copy=False),
         labels=labels, provenance=provenance,
     )
 

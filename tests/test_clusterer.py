@@ -1,6 +1,10 @@
 """Scan algorithm: determinism, budget semantics, classification rules."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +21,11 @@ from projclust.clusterer import (
     scan_directions,
 )
 from projclust.datagen import make_spherical_spec, sample_dataset
-from projclust.errors import DimensionMismatchError, DomainError
+from projclust.errors import DimensionMismatchError, DomainError, NoBoundaryError
+from projclust.learner1d import bayes_error, bayes_thresholds, fit_mixture
 from projclust.mathkit import RngStream, q_inverse
 from projclust.model import Boundary1D, Dataset, cluster_outcome_to_jsonable, to_json
+from projclust.projection import sample_direction
 
 
 def small_dataset(p=30, c=2.0, n=3000, seed=5):
@@ -27,23 +33,84 @@ def small_dataset(p=30, c=2.0, n=3000, seed=5):
     return sample_dataset(spec, n, RngStream(seed, 0)), spec
 
 
-class TestDeterminism:
-    def test_outcome_identical_across_batch_sizes(self):
-        data, _ = small_dataset()
-        outcomes = []
-        for batch in (1, 3, 7, 64):
-            cfg = ClusterConfig(
-                target_error=0.05, budget=20, seed=11, parallel_batch=batch
-            )
-            outcomes.append(to_json(cluster_outcome_to_jsonable(cluster_gmm(data, cfg))))
-        assert len(set(outcomes)) == 1
+def unit_direction(p, seed, index):
+    direction = sample_direction(p, RngStream(seed, index))
+    return direction / np.linalg.norm(direction)
 
+
+def reference_first_passer(data, cfg):
+    """Lowest passing index from one matrix-vector product per direction."""
+    for index in range(1, cfg.budget + 1):
+        values = data.points @ unit_direction(data.p, cfg.seed, index)
+        fit = fit_mixture(values, cfg.learner)
+        try:
+            bayes_thresholds(fit.fitted)
+        except NoBoundaryError:
+            continue
+        if bayes_error(fit.fitted) < cfg.target_error:
+            return index
+    return None
+
+
+THREAD_PROBE = """
+import json
+from projclust.clusterer import ClusterConfig, cluster_gmm
+from projclust.datagen import make_spherical_spec, sample_dataset
+from projclust.mathkit import RngStream
+data = sample_dataset(make_spherical_spec(500, 0.8), 20_000, RngStream(1, 0))
+out = cluster_gmm(data, ClusterConfig(target_error=0.1, budget=20, seed=1))
+print(json.dumps({"used": out.projections_used, "achieved": out.achieved,
+                  "thresholds": out.boundary.thresholds.tolist(),
+                  "error": out.estimated_error}))
+"""
+
+
+class TestDeterminism:
     def test_rerun_identical(self):
         data, _ = small_dataset()
         cfg = ClusterConfig(target_error=0.05, budget=20, seed=12)
         a = to_json(cluster_outcome_to_jsonable(cluster_gmm(data, cfg)))
         b = to_json(cluster_outcome_to_jsonable(cluster_gmm(data, cfg)))
         assert a == b
+
+    def test_block_rows_match_matrix_vector_products(self):
+        # Budget 19 leaves a cut last block (17..19); every row, from block
+        # starts, middles and ends, must match its own product to rounding
+        # on the scale |x_i| of each dot product.
+        data, _ = small_dataset()
+        cfg = ClusterConfig(target_error=1e-12, budget=19, seed=11)
+        scans = list(scan_directions(data, cfg))
+        assert [s.index for s in scans] == list(range(1, 20))
+        row_norms = np.linalg.norm(data.points, axis=1)
+        for scan in scans:
+            np.testing.assert_allclose(
+                scan.direction, unit_direction(data.p, cfg.seed, scan.index),
+                rtol=1e-15,
+            )
+            assert scan.values.flags["C_CONTIGUOUS"]
+            exact = data.points @ scan.direction
+            assert np.all(np.abs(scan.values - exact) <= 1e-12 * row_norms)
+
+    def test_same_outcome_at_one_and_two_blas_threads(self):
+        # At this shape the block product's bits differ between 1 and 2
+        # OpenBLAS threads; the winner (index 9, past the first block) and
+        # its estimates must agree to rounding.
+        outcomes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE], capture_output=True,
+                text=True, env=env, timeout=300, check=True,
+            )
+            outcomes.append(json.loads(proc.stdout))
+        one, two = outcomes
+        assert one["used"] == two["used"] == 9
+        assert one["achieved"] is two["achieved"] is True
+        np.testing.assert_allclose(two["thresholds"], one["thresholds"], rtol=1e-9)
+        assert two["error"] == pytest.approx(one["error"], rel=1e-9)
 
 
 class TestBudgetSemantics:
@@ -84,14 +151,33 @@ class TestBudgetSemantics:
 
     def test_first_passing_index_wins(self):
         data, _ = small_dataset(c=2.0)
-        cfg = ClusterConfig(target_error=0.05, budget=40, seed=17, parallel_batch=16)
+        cfg = ClusterConfig(target_error=0.05, budget=40, seed=17)
         out = cluster_gmm(data, cfg)
-        # recompute sequentially: the winner must be the lowest passing index
-        seq = ClusterConfig(target_error=0.05, budget=40, seed=17, parallel_batch=1)
-        for scan in scan_directions(data, seq):
-            if scan.estimated_error < 0.05:
-                assert scan.index == out.projections_used
-                break
+        assert out.achieved
+        assert out.projections_used == reference_first_passer(data, cfg)
+
+    @pytest.mark.parametrize("winner", [1, 8, 9])
+    def test_lowest_passer_wins_across_block_edges(self, winner):
+        # The clusters are split along directions `winner` and `winner + 1`
+        # only, so both pass and every other direction sees little
+        # separation.  Index 8 ends a block and 9 starts the next.
+        p, n, seed = 64, 4000, 23
+        axis = unit_direction(p, seed, winner) + unit_direction(p, seed, winner + 1)
+        axis /= np.linalg.norm(axis)
+        gen = RngStream(seed, 0).generator()
+        labels = gen.integers(0, 2, n)
+        points = gen.standard_normal((n, p)) + np.outer(6.0 * (2 * labels - 1), axis)
+        data = Dataset(n=n, p=p, points=points, labels=labels)
+        cfg = ClusterConfig(target_error=0.01, budget=20, seed=seed)
+        passers = [s.index for s in scan_directions(data, cfg)
+                   if s.estimated_error < cfg.target_error]
+        assert passers == [winner, winner + 1]
+        out = cluster_gmm(data, cfg)
+        assert out.achieved and out.projections_used == winner
+        assert reference_first_passer(data, cfg) == winner
+        np.testing.assert_allclose(
+            out.boundary.direction, unit_direction(p, seed, winner), rtol=1e-12
+        )
 
     def test_chat_uses_all_scanned_directions(self):
         data, _ = small_dataset(c=2.0)
@@ -254,5 +340,3 @@ class TestConfigValidation:
             ClusterConfig(target_error=0.5, budget=5)
         with pytest.raises(DomainError):
             ClusterConfig(target_error=0.1, budget=0)
-        with pytest.raises(DomainError):
-            ClusterConfig(target_error=0.1, budget=5, parallel_batch=0)
