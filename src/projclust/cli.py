@@ -153,16 +153,9 @@ def _cmd_gen(args) -> int:
         data = datagen.sample_dataset(spec, args.n, rng)
     else:
         data = datagen.sample_nongaussian_dataset(spec, args.shape, args.n, rng)
-    bin_path, json_path = datagen.write_dataset(data, args.out, k=spec.k)
-    if rank is not None:
-        with open(json_path, "r+", encoding="utf-8") as fh:
-            header = json.load(fh)
-            header["r"] = rank
-            header["zeta"] = args.zeta
-            fh.seek(0)
-            fh.truncate()
-            json.dump(header, fh, sort_keys=True)
-            fh.write("\n")
+    bin_path, json_path = datagen.write_dataset(
+        data, args.out, k=spec.k, r=rank, zeta=args.zeta
+    )
     if args.csv:
         datagen.export_csv(data, args.csv)
     echo = {

@@ -185,9 +185,13 @@ def _base_path(path: str) -> str:
     return path[:-4] if path.endswith(".bin") else path
 
 
-def write_dataset(dataset: Dataset, path: str, k: int | None = None) -> tuple[str, str]:
+def write_dataset(
+    dataset: Dataset, path: str, k: int | None = None,
+    r: int | None = None, zeta: float | None = None,
+) -> tuple[str, str]:
     """Write ``<path>.bin`` (little-endian float64, row-major) and
-    ``<path>.json`` (sidecar header).  Returns the two file names."""
+    ``<path>.json`` (sidecar header, with the rank ``r`` and ``zeta`` of a
+    rank-controlled spec when given).  Returns the two file names."""
     base = _base_path(path)
     bin_path, json_path = base + ".bin", base + ".json"
     payload = np.ascontiguousarray(dataset.points, dtype="<f8")
@@ -204,6 +208,10 @@ def write_dataset(dataset: Dataset, path: str, k: int | None = None) -> tuple[st
     }
     if dataset.labels is not None:
         header["labels"] = dataset.labels.tolist()
+    if r is not None:
+        header["r"] = r
+    if zeta is not None:
+        header["zeta"] = zeta
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, sort_keys=True)
         fh.write("\n")

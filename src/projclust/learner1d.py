@@ -20,6 +20,12 @@ Two estimators are provided and usually chained:
   from a given initialiser, O(n) per iteration, stopping on a relative
   log-likelihood gain below ``tol``.
 
+``fit_mixture``, the scan's entry point, is the one place where samples
+are normalised: it fits in unit coordinates (centred on the mean, divided
+by the RMS spread) and maps the fit back, so every floor inside the
+learners is a constant.  ``fit_mom`` and ``fit_em`` called directly work
+in the units they are given.
+
 The Bayes rule of a known mixture has a single threshold when the
 variances agree and otherwise the (up to) two real roots of the density
 equality condition; ``bayes_error`` integrates the misassigned mass.
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSampleError, NoBoundaryError
 from .mathkit import q_function
-from .model import W_FLOOR, Mixture1D, clamped_mixture1d, sigma_floor
+from .model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
 
 MOM_MIN_SAMPLES = 16
 EM_MAX_ITER = 200
@@ -55,35 +61,47 @@ class FitReport:
     fitted: Mixture1D
     method: str
     iterations: int
-    sample_moments: np.ndarray          # mean and central moments 2..6
     loglik_trace: np.ndarray | None = None
 
 
-def central_moments(samples: np.ndarray) -> np.ndarray:
-    """Mean followed by central moments of order 2..6."""
-    x = np.asarray(samples, dtype=float).ravel()
-    mean = float(np.mean(x))
-    d = x - mean
-    out = [mean]
-    power = d.copy()
-    for _ in range(2, 7):
-        power *= d
+def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(z, loc, unit)`` with z = (x - loc) / unit, loc the mean of x and
+    unit its RMS spread about loc (|loc|, or 1, when the spread is 0)."""
+    loc = float(np.mean(x))
+    z = x - loc
+    unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
+    z /= unit
+    return z, loc, unit
+
+
+def _unit_moments(z: np.ndarray) -> np.ndarray:
+    """[0, M2, .., M6] of a sample centred by ``_unit_coordinates``; its
+    mean is 0 up to rounding, so powers are taken about 0."""
+    power = z * z
+    out = [0.0, float(np.mean(power))]
+    for _ in range(3, 7):
+        power *= z
         out.append(float(np.mean(power)))
     return np.array(out)
 
 
-def fit_mom(samples: np.ndarray) -> FitReport:
-    """Equal-variance method-of-moments fit.
+def central_moments(samples: np.ndarray) -> np.ndarray:
+    """Mean followed by central moments of order 2..6."""
+    z, loc, unit = _unit_coordinates(np.asarray(samples, dtype=float).ravel())
+    moments = _unit_moments(z) * unit ** np.arange(1, 7)
+    moments[0] = loc
+    return moments
 
-    Requires at least ``MOM_MIN_SAMPLES`` observations.
-    """
+
+def fit_mom(samples: np.ndarray) -> FitReport:
+    """Equal-variance method-of-moments fit of at least ``MOM_MIN_SAMPLES``
+    observations."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MOM_MIN_SAMPLES:
         raise InsufficientSampleError(
             f"method of moments needs n >= {MOM_MIN_SAMPLES}, got {x.size}"
         )
-    moments = central_moments(x)
-    return fit_mom_from_moments(moments, n=x.size)
+    return fit_mom_from_moments(central_moments(x), n=x.size)
 
 
 def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport:
@@ -98,7 +116,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     mean, m2, m3, m4 = moments[:4]
     m5 = float(moments[4]) if moments.size >= 5 else None
     if m2 <= 0.0:
-        return _single_gaussian_report(mean, 0.0, moments)
+        return _single_gaussian_report(mean, 0.0)
     s = math.sqrt(m2)
 
     # Standardise so the cubic is solved in O(1)-sized quantities.
@@ -112,7 +130,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
         gate_skew = _CUMULANT_GATE * math.sqrt(6.0 / n)
         gate_kurt = _CUMULANT_GATE * math.sqrt(24.0 / n)
         if abs(m3s) < gate_skew and abs(kurt) < gate_kurt:
-            return _single_gaussian_report(mean, s, moments)
+            return _single_gaussian_report(mean, s)
 
     roots = np.roots([2.0, 0.0, kurt, -skew_sq])
     candidates = []
@@ -130,7 +148,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
             continue
         candidates.append((v, lam))
     if not candidates:
-        return _single_gaussian_report(mean, s, moments)
+        return _single_gaussian_report(mean, s)
 
     scored = []
     for v, lam in candidates:
@@ -159,19 +177,14 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     mu1 = mean + s * (-(1.0 - w) * delta)
     mu2 = mean + s * (w * delta)
     sigma = s * math.sqrt(max(var_within, 1e-18))
-    fitted = clamped_mixture1d(mu1, mu2, sigma, sigma, w, scale=s)
-    return FitReport(
-        fitted=fitted, method="mom", iterations=0, sample_moments=moments
-    )
+    fitted = clamped_mixture1d(mu1, mu2, sigma, sigma, w)
+    return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
-def _single_gaussian_report(mean: float, s: float, moments: np.ndarray) -> FitReport:
-    scale = max(s, abs(mean))
-    sigma = max(s, sigma_floor(scale))
-    fitted = clamped_mixture1d(mean, mean, sigma, sigma, 0.5, scale=scale)
-    return FitReport(
-        fitted=fitted, method="mom", iterations=0, sample_moments=moments
-    )
+def _single_gaussian_report(mean: float, s: float) -> FitReport:
+    sigma = max(s, SIGMA_FLOOR_REL)
+    fitted = clamped_mixture1d(mean, mean, sigma, sigma, 0.5)
+    return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
 def fit_em(
@@ -179,18 +192,16 @@ def fit_em(
     init: Mixture1D,
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
-    moments: np.ndarray | None = None,
 ) -> FitReport:
-    """Two-component EM refinement from ``init``; sigmas may differ.
-    Pass the samples' ``central_moments`` to skip recomputing them."""
+    """Two-component EM refinement from ``init``; sigmas may differ and are
+    floored at ``SIGMA_FLOOR_REL`` in the units of ``samples``."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
-    scale = max(float(np.std(x)), float(abs(np.mean(x))), 1e-12)
-    floor = sigma_floor(scale)
+    sum_x = float(np.sum(x))
 
     mu = np.array([init.mu1, init.mu2])
-    sig = np.maximum(np.array([init.sigma1, init.sigma2]), floor)
+    sig = np.maximum(np.array([init.sigma1, init.sigma2]), SIGMA_FLOOR_REL)
     w = float(np.clip(init.w, W_FLOOR, 1.0 - W_FLOOR))
 
     trace = []
@@ -212,14 +223,15 @@ def fit_em(
         n2 = x.size - n1
         if n1 <= 0.0 or n2 <= 0.0:
             break
-        mu1 = float(np.dot(r1, x)) / n1
-        mu2 = (float(np.sum(x)) - float(np.dot(r1, x))) / n2
+        r1x = float(np.dot(r1, x))
+        mu1 = r1x / n1
+        mu2 = (sum_x - r1x) / n2
         d1 = x - mu1
         d2 = x - mu2
         var1 = float(np.dot(r1, d1 * d1)) / n1
         var2 = float(np.dot(d2, d2) - np.dot(r1, d2 * d2)) / n2
         mu = np.array([mu1, mu2])
-        sig = np.maximum(np.sqrt([max(var1, 0.0), max(var2, 0.0)]), floor)
+        sig = np.maximum(np.sqrt([max(var1, 0.0), max(var2, 0.0)]), SIGMA_FLOOR_REL)
         w = float(np.clip(n1 / x.size, W_FLOOR, 1.0 - W_FLOOR))
 
         if ll - ll_prev <= tol * (abs(ll_prev) + 1e-12) and iterations > 1:
@@ -227,39 +239,52 @@ def fit_em(
         ll_prev = ll
 
     if mu[0] <= mu[1]:
-        fitted = clamped_mixture1d(mu[0], mu[1], sig[0], sig[1], w, scale=scale)
+        fitted = clamped_mixture1d(mu[0], mu[1], sig[0], sig[1], w)
     else:
-        fitted = clamped_mixture1d(mu[1], mu[0], sig[1], sig[0], 1.0 - w, scale=scale)
+        fitted = clamped_mixture1d(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
     return FitReport(
-        fitted=fitted,
-        method="em",
-        iterations=iterations,
-        sample_moments=central_moments(x) if moments is None else moments,
+        fitted=fitted, method="em", iterations=iterations,
         loglik_trace=np.array(trace),
     )
 
 
 def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
-    """Dispatch on learner name: ``mom``, ``em`` or ``mom+em``."""
-    if method == "mom":
-        return fit_mom(samples)
+    """Fit with learner ``mom``, ``em`` or ``mom+em`` in unit coordinates.
+
+    The samples are centred on their mean and divided by their RMS spread
+    once; the learner fits those values with constant floors (``em``
+    starts from their quartiles with sigma 0.5), and the fit is mapped
+    back: mu -> loc + unit*mu, sigma -> unit*sigma, log-likelihoods less
+    n*ln(unit).  Contract: for samples a*x + b with a > 0 the means map to
+    a*mu + b and the sigmas to a*sigma, while w, the EM iteration count,
+    the separability and the Bayes error stay the same, up to the rounding
+    of the samples themselves.
+    """
+    if method not in ("mom", "em", "mom+em"):
+        raise DomainError(f"unknown learner {method!r}")
+    x = np.asarray(samples, dtype=float).ravel()
+    min_n = 2 if method == "em" else MOM_MIN_SAMPLES
+    if x.size < min_n:
+        raise InsufficientSampleError(f"{method} needs n >= {min_n}, got {x.size}")
+    z, loc, unit = _unit_coordinates(x)
     if method == "em":
-        x = np.asarray(samples, dtype=float).ravel()
-        if x.size < 2:
-            raise InsufficientSampleError("EM needs n >= 2")
-        q25, q75 = np.quantile(x, [0.25, 0.75])
-        scale = max(float(np.std(x)), float(abs(np.mean(x))), 1e-12)
+        q25, q75 = np.quantile(z, [0.25, 0.75])
         if q75 <= q25:
-            q25, q75 = q25 - 0.5 * scale, q25 + 0.5 * scale
-        init = clamped_mixture1d(
-            q25, q75, 0.5 * scale, 0.5 * scale, 0.5, scale=scale
-        )
-        return fit_em(x, init)
-    if method == "mom+em":
-        mom = fit_mom(samples)
-        em = fit_em(samples, mom.fitted, moments=mom.sample_moments)
-        return replace(em, method="mom+em")
-    raise DomainError(f"unknown learner {method!r}")
+            q25, q75 = q25 - 0.5, q25 + 0.5
+        report = fit_em(z, Mixture1D(float(q25), float(q75), 0.5, 0.5, 0.5))
+    else:
+        report = fit_mom_from_moments(_unit_moments(z), n=z.size)
+        if method == "mom+em":
+            report = replace(fit_em(z, report.fitted), method=method)
+    f = report.fitted
+    fitted = Mixture1D(
+        loc + unit * f.mu1, loc + unit * f.mu2,
+        unit * f.sigma1, unit * f.sigma2, f.w,
+    )
+    trace = report.loglik_trace
+    if trace is not None:
+        trace = trace - z.size * math.log(unit)
+    return replace(report, fitted=fitted, loglik_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -59,42 +59,13 @@ def q_function(x):
 
 
 def q_inverse(e: float) -> float:
-    """Inverse of the Gaussian upper tail: the x with Q(x) = e.
-
-    Solved by safeguarded Newton iteration on ``q_function`` (the
-    derivative is -phi), with a bisection bracket as fallback.  The
-    round trip q_function(q_inverse(e)) reproduces e to ~1e-14 relative.
-    """
+    """Inverse of the Gaussian upper tail: the x with Q(x) = e, as
+    -ndtri(e), accurate to rounding over the whole of (0, 1)."""
     if not (isinstance(e, (int, float)) and math.isfinite(e)):
         raise DomainError("q_inverse requires a finite probability")
     if not 0.0 < e < 1.0:
         raise DomainError(f"q_inverse requires 0 < e < 1, got {e}")
-    if e == 0.5:
-        return 0.0
-    if e > 0.5:
-        return -q_inverse(1.0 - e)
-
-    # Root is in (0, inf); expand the bracket until Q(hi) <= e.
-    lo, hi = 0.0, 1.0
-    while q_function(hi) > e:
-        lo = hi
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        qx = q_function(x)
-        if qx > e:
-            lo = x
-        else:
-            hi = x
-        pdf = normal_pdf(x)
-        x_new = x + (qx - e) / pdf if pdf > 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return 0.0 - float(special.ndtri(e))
 
 
 def q_lower_bound(x: float) -> float:

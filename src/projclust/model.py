@@ -8,9 +8,11 @@ Conventions used throughout:
   sigma2, w)`` with ``w`` the weight of component 1 (label 0).
 
 Fitted 1-D mixtures are kept away from degeneracy by two floors: standard
-deviations are clamped to ``SIGMA_FLOOR_REL`` times the data scale and
-weights to ``[W_FLOOR, 1 - W_FLOOR]``, which keeps downstream thresholds
-and error values finite.
+deviations are clamped to ``SIGMA_FLOOR_REL`` times the scale of the
+mixture's own parameters and weights to ``[W_FLOOR, 1 - W_FLOOR]``, which
+keeps downstream thresholds and error values finite.  The learners fit in
+unit coordinates (see ``learner1d.fit_mixture``), where that scale is of
+order 1 whatever the spread and origin of the data.
 """
 
 from __future__ import annotations
@@ -276,6 +278,11 @@ class Dataset:
     def __post_init__(self):
         if self.points.shape != (self.n, self.p):
             raise DimensionMismatchError("points shape != (n, p)")
+        # A finite sum proves every entry finite with no n x p temporary.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(self.points)
+        if not (np.isfinite(total) or np.isfinite(self.points).all()):
+            raise DomainError("points must be finite")
         if self.labels is not None:
             if self.labels.shape != (self.n,):
                 raise DimensionMismatchError("labels length != n")
@@ -308,29 +315,18 @@ class Mixture1D:
 
 
 def clamped_mixture1d(
-    mu1: float, mu2: float, sigma1: float, sigma2: float, w: float,
-    scale: float | None = None,
+    mu1: float, mu2: float, sigma1: float, sigma2: float, w: float
 ) -> Mixture1D:
-    """Build a Mixture1D applying the sigma and weight floors.
-
-    ``scale`` sets the unit for the sigma floor; when omitted it is taken
-    from the parameters themselves.
-    """
-    if scale is None:
-        scale = max(abs(mu1), abs(mu2), abs(mu2 - mu1), sigma1, sigma2)
-    scale = max(float(scale), 1e-12)
-    floor = SIGMA_FLOOR_REL * scale
+    """Build a Mixture1D applying the sigma and weight floors; the sigma
+    floor is relative to the largest of the parameters."""
+    scale = max(abs(mu1), abs(mu2), abs(mu2 - mu1), sigma1, sigma2, 1e-12)
+    floor = SIGMA_FLOOR_REL * float(scale)
     w = min(max(float(w), W_FLOOR), 1.0 - W_FLOOR)
     return Mixture1D(
         float(mu1), float(mu2),
         max(float(sigma1), floor), max(float(sigma2), floor),
         w,
     )
-
-
-def sigma_floor(scale: float) -> float:
-    """The sigma floor used for fits on data with the given scale."""
-    return SIGMA_FLOOR_REL * max(float(scale), 1e-12)
 
 
 @dataclass(frozen=True, eq=False)

@@ -305,17 +305,15 @@ def test_criterion_10_runtime_scaling():
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         env[var] = "1"
     probe = os.path.join(os.path.dirname(__file__), "perf_probe.py")
-
-    def measure(n, p):
-        proc = subprocess.run(
-            [sys.executable, probe, str(n), str(p)],
-            capture_output=True, text=True, env=env, timeout=300, check=True,
-        )
-        return json.loads(proc.stdout)["seconds"]
-
-    base = measure(100_000, 1000)
-    double_n = measure(200_000, 1000)
-    double_p = measure(100_000, 2000)
+    # One child times the base 100,000 x 1000, 2n and 2p shapes in
+    # interleaved rounds, so drift in host speed between processes cannot
+    # skew the ratios.
+    proc = subprocess.run(
+        [sys.executable, probe],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    seconds = json.loads(proc.stdout)
+    base, double_n, double_p = seconds["base"], seconds["2n"], seconds["2p"]
     r_n = double_n / base
     r_p = double_p / base
     ok = 1.7 <= r_n <= 2.3 and 1.7 <= r_p <= 2.3

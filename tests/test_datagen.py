@@ -256,6 +256,29 @@ class TestFiles:
         with pytest.raises(Exception):
             read_dataset(base)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload_rejected_on_read(self, tmp_path, bad):
+        spec = make_spherical_spec(3, 1.0)
+        data = sample_dataset(spec, 5, RngStream(24, 0))
+        base = os.path.join(tmp_path, "nonfinite")
+        bin_path, _ = write_dataset(data, base)
+        payload = np.fromfile(bin_path, dtype="<f8")
+        payload[7] = bad
+        payload.tofile(bin_path)
+        with pytest.raises(DomainError, match="finite"):
+            read_dataset(base)
+
+    def test_rank_fields_in_header(self, tmp_path):
+        spec, r = make_rank_spec(50, 0.5, 0.1, RngStream(25, 42))
+        data = sample_dataset(spec, 5, RngStream(25, 0))
+        _, json_path = write_dataset(
+            data, os.path.join(tmp_path, "rk"), k=2, r=r, zeta=0.1
+        )
+        header = json.loads(open(json_path).read())
+        assert header["r"] == r and header["zeta"] == 0.1
+        _, plain = write_dataset(data, os.path.join(tmp_path, "plain"))
+        assert "r" not in json.loads(open(plain).read())
+
     def test_csv_export_full_precision(self, tmp_path):
         spec = make_spherical_spec(2, 1.0)
         data = sample_dataset(spec, 7, RngStream(24, 0))

@@ -20,7 +20,7 @@ from projclust.learner1d import (
     region_component_labels,
 )
 from projclust.mathkit import RngStream, q_function
-from projclust.model import Mixture1D, sigma_floor
+from projclust.model import SIGMA_FLOOR_REL, Mixture1D
 from projclust.projection import separability_1d
 
 
@@ -111,7 +111,7 @@ class TestFitMoM:
         report = fit_mom(x)
         f = report.fitted
         model = mixture_population_moments(f.mu1, f.mu2, f.sigma1, f.w)
-        np.testing.assert_allclose(model[:4], report.sample_moments[:4], rtol=1e-8)
+        np.testing.assert_allclose(model[:4], central_moments(x)[:4], rtol=1e-8)
 
     def test_orientation(self):
         x = sample_mixture(0.0, 3.0, 1.0, 1.0, 0.7, 50_000, seed=4)
@@ -134,7 +134,7 @@ class TestFitEM:
         x = np.full(100, 5.0)
         init = Mixture1D(4.0, 6.0, 1.0, 1.0, 0.5)
         fit = fit_em(x, init).fitted
-        floor = sigma_floor(5.0)
+        floor = SIGMA_FLOOR_REL * 5.0
         assert fit.mu1 == pytest.approx(5.0)
         assert fit.mu2 == pytest.approx(5.0)
         assert fit.sigma1 == pytest.approx(floor)
@@ -172,6 +172,44 @@ class TestFitMixtureDispatcher:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             fit_mixture(np.zeros(100), "kmeans")
+
+
+class TestUnitCoordinates:
+    @pytest.mark.parametrize("method", ["mom", "em", "mom+em"])
+    def test_constant_samples_floor_at_their_magnitude(self, method):
+        fit = fit_mixture(np.full(100, 5.0), method).fitted
+        assert fit.mu1 == pytest.approx(5.0) and fit.mu2 == pytest.approx(5.0)
+        assert fit.sigma1 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
+        assert fit.sigma2 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
+
+    def test_em_iterations_do_not_depend_on_units(self):
+        # The stopping rule compares the log-likelihood gain with |ll|,
+        # which shifts by n*ln(a) when raw samples are scaled by a.
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=6)
+        iterations = {fit_mixture(a * x, "mom+em").iterations
+                      for a in (1e-3, 1.0, 1e3)}
+        assert len(iterations) == 1
+
+    @pytest.mark.parametrize("method", ["mom", "em", "mom+em"])
+    @pytest.mark.parametrize("a,b", [(1e150, 0.0), (1e-150, 0.0), (1.0, 1e12),
+                                     (-2.0, 3.0)])
+    def test_fit_maps_affinely(self, method, a, b):
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.3, 5_000, seed=10)
+        base = fit_mixture(x, method)
+        moved = fit_mixture(a * x + b, method)
+        # Rounding a*x + b moves each value by up to |b|*eps/2, against a
+        # spread of about 2|a|; allow 100 times that, relative.
+        rtol = 1e-9 + 100 * abs(b / a) * np.finfo(float).eps / 2.0
+        f, g = base.fitted, moved.fitted
+        if a < 0:
+            g = g.swapped()
+        assert g.mu1 == pytest.approx(a * f.mu1 + b, abs=rtol * abs(a) * 4.0)
+        assert g.mu2 == pytest.approx(a * f.mu2 + b, abs=rtol * abs(a) * 4.0)
+        assert g.sigma1 == pytest.approx(abs(a) * f.sigma1, rel=rtol)
+        assert g.sigma2 == pytest.approx(abs(a) * f.sigma2, rel=rtol)
+        assert g.w == pytest.approx(f.w, abs=rtol)
+        assert bayes_error(g) == pytest.approx(bayes_error(f), rel=rtol)
+        assert moved.iterations == base.iterations
 
 
 class TestBayesThresholds:

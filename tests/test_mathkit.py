@@ -119,6 +119,17 @@ class TestQInverse:
         x = q_inverse(1e-300)
         assert q_function(x) == pytest.approx(1e-300, rel=1e-8)
 
+    def test_roundtrip_in_far_tail_band(self):
+        # A Newton/bisection solver once returned roots off by up to 0.8
+        # here (round trip off by 2e10 relative) for e in ~[5e-225, 5e-198].
+        assert q_inverse(7.3e-225) == pytest.approx(31.991, abs=1e-3)
+        for e in np.logspace(-230, -190, 401):
+            e = float(e)
+            assert q_function(q_inverse(e)) == pytest.approx(e, rel=1e-10)
+
+    def test_half_is_positive_zero(self):
+        assert math.copysign(1.0, q_inverse(0.5)) == 1.0
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):

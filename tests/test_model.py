@@ -19,6 +19,7 @@ from projclust.model import (
     Mixture1D,
     MixtureSpec,
     Provenance,
+    SIGMA_FLOOR_REL,
     c_separability,
     clamped_mixture1d,
     cluster_outcome_to_jsonable,
@@ -29,7 +30,6 @@ from projclust.model import (
     mixture_spec_from_jsonable,
     mixture_spec_to_jsonable,
     quadratic_form,
-    sigma_floor,
     to_json,
     _power_iteration,
 )
@@ -229,7 +229,7 @@ class TestSmallTypes:
 
     def test_clamped_mixture1d_floors(self):
         mix = clamped_mixture1d(0.0, 2.0, 0.0, 1.0, 0.0)
-        assert mix.sigma1 == sigma_floor(2.0)
+        assert mix.sigma1 == SIGMA_FLOOR_REL * 2.0
         assert mix.w == 1e-4
 
     def test_swapped(self):
@@ -258,6 +258,17 @@ class TestSmallTypes:
             Dataset(n=2, p=3, points=np.zeros((3, 2)))
         with pytest.raises(DimensionMismatchError):
             Dataset(n=2, p=2, points=np.zeros((2, 2)), labels=np.zeros(3, int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_nonfinite_points(self, bad):
+        points = np.ones((4, 3))
+        points[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Dataset(n=4, p=3, points=points)
+
+    def test_dataset_accepts_points_whose_sum_overflows(self):
+        points = np.full((2, 2), 1e308)
+        assert Dataset(n=2, p=2, points=points).n == 2
 
     def test_cluster_outcome_validation(self):
         boundary = Boundary1D.create([1.0, 0.0], [0.5], 1)
