@@ -16,9 +16,9 @@ Two estimators are provided and usually chained:
   has no meaningful positive root the fit falls back to a single
   Gaussian.
 
-* ``fit_em`` runs standard two-component EM (unequal variances allowed)
-  from a given initialiser, O(n) per iteration, stopping on a relative
-  log-likelihood gain below ``tol``.
+* ``fit_em`` runs two-component EM (unequal variances allowed) from a given
+  initialiser: an O(n) log-odds E-step on the squared deviations carried
+  from the M-step, stopping on a relative log-likelihood gain below ``tol``.
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
@@ -62,6 +62,7 @@ class FitReport:
     method: str
     iterations: int
     loglik_trace: np.ndarray | None = None
+    capped: bool = False
 
 
 def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -194,57 +195,66 @@ def fit_em(
     tol: float = EM_TOL,
 ) -> FitReport:
     """Two-component EM refinement from ``init``; sigmas may differ and are
-    floored at ``SIGMA_FLOOR_REL`` in the units of ``samples``."""
+    floored at ``SIGMA_FLOOR_REL`` in the units of ``samples``.  The E-step
+    builds lp_k = ln(w_k*phi_k(x)) from the M-step's squares (x - mu_k)^2;
+    with d = lp1 - lp2 and L = ln(1 + exp(-|d|)), ln p(x) = max(lp1, lp2) + L
+    and r1 = exp(min(d, 0) - L), so no exp argument is positive.  Equal to
+    log-sum-exp EM up to rounding, not bit for bit; ``capped`` is True when
+    ``max_iter`` iterations ran without a gain below ``tol``."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
     sum_x = float(np.sum(x))
 
-    mu = np.array([init.mu1, init.mu2])
-    sig = np.maximum(np.array([init.sigma1, init.sigma2]), SIGMA_FLOOR_REL)
-    w = float(np.clip(init.w, W_FLOOR, 1.0 - W_FLOOR))
+    mu1, mu2 = float(init.mu1), float(init.mu2)
+    s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
+    w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
+    q1, q2 = np.square(x - mu1), np.square(x - mu2)
+    hi, lse = np.empty(x.size), np.empty(x.size)
 
     trace = []
-    ll_prev = -np.inf
-    iterations = 0
-    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    ll_prev = -math.inf
+    iterations, capped = 0, False
     for iterations in range(1, max_iter + 1):
-        z1 = (x - mu[0]) / sig[0]
-        z2 = (x - mu[1]) / sig[1]
-        lp1 = math.log(w) - math.log(sig[0]) - half_log_2pi - 0.5 * z1 * z1
-        lp2 = math.log(1.0 - w) - math.log(sig[1]) - half_log_2pi - 0.5 * z2 * z2
-        hi = np.maximum(lp1, lp2)
-        tot = hi + np.log(np.exp(lp1 - hi) + np.exp(lp2 - hi))
-        ll = float(np.sum(tot))
+        q1 *= -0.5 / (s1 * s1)
+        q1 += math.log(w) - math.log(s1)
+        q2 *= -0.5 / (s2 * s2)
+        q2 += math.log(1.0 - w) - math.log(s2)
+        np.maximum(q1, q2, out=hi)
+        np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
+        np.log1p(np.exp(lse, out=lse), out=lse)
+        ll = float(np.sum(hi) + np.sum(lse)) - 0.5 * x.size * math.log(2.0 * math.pi)
         trace.append(ll)
-        r1 = np.exp(lp1 - tot)
+        np.subtract(q1, hi, out=hi)
+        hi -= lse
+        r1 = np.exp(hi, out=hi)
 
         n1 = float(np.sum(r1))
         n2 = x.size - n1
         if n1 <= 0.0 or n2 <= 0.0:
             break
         r1x = float(np.dot(r1, x))
-        mu1 = r1x / n1
-        mu2 = (sum_x - r1x) / n2
-        d1 = x - mu1
-        d2 = x - mu2
-        var1 = float(np.dot(r1, d1 * d1)) / n1
-        var2 = float(np.dot(d2, d2) - np.dot(r1, d2 * d2)) / n2
-        mu = np.array([mu1, mu2])
-        sig = np.maximum(np.sqrt([max(var1, 0.0), max(var2, 0.0)]), SIGMA_FLOOR_REL)
-        w = float(np.clip(n1 / x.size, W_FLOOR, 1.0 - W_FLOOR))
+        mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
+        np.square(np.subtract(x, mu1, out=q1), out=q1)
+        np.square(np.subtract(x, mu2, out=q2), out=q2)
+        var2 = float(np.sum(q2) - np.dot(r1, q2)) / n2
+        s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
+        s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
+        w = min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR)
 
         if ll - ll_prev <= tol * (abs(ll_prev) + 1e-12) and iterations > 1:
             break
         ll_prev = ll
-
-    if mu[0] <= mu[1]:
-        fitted = clamped_mixture1d(mu[0], mu[1], sig[0], sig[1], w)
     else:
-        fitted = clamped_mixture1d(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
+        capped = True
+
+    if mu1 <= mu2:
+        fitted = clamped_mixture1d(mu1, mu2, s1, s2, w)
+    else:
+        fitted = clamped_mixture1d(mu2, mu1, s2, s1, 1.0 - w)
     return FitReport(
         fitted=fitted, method="em", iterations=iterations,
-        loglik_trace=np.array(trace),
+        loglik_trace=np.array(trace), capped=capped,
     )
 
 

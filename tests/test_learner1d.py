@@ -1,14 +1,20 @@
 """1-D mixture estimation and Bayes-rule tests with independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DomainError, InsufficientSampleError, NoBoundaryError
 from projclust.learner1d import (
+    EM_MAX_ITER,
+    FitReport,
+    _unit_coordinates,
+    _unit_moments,
     bayes_error,
     bayes_thresholds,
     central_moments,
@@ -20,8 +26,8 @@ from projclust.learner1d import (
     region_component_labels,
 )
 from projclust.mathkit import RngStream, q_function
-from projclust.model import SIGMA_FLOOR_REL, Mixture1D
-from projclust.projection import separability_1d
+from projclust.model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
+from projclust.projection import sample_direction, separability_1d
 
 
 def mixture_population_moments(mu1, mu2, sigma, w, upto=6):
@@ -159,6 +165,151 @@ class TestFitEM:
     def test_needs_two_samples(self):
         with pytest.raises(InsufficientSampleError):
             fit_em(np.array([1.0]), Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5))
+
+
+def _reference_em(samples, init, max_iter=EM_MAX_ITER, tol=1e-8):
+    """The log-sum-exp EM loop that ``fit_em`` replaced, kept verbatim as
+    the reference its rewrite must match up to rounding."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < 2:
+        raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
+    sum_x = float(np.sum(x))
+
+    mu = np.array([init.mu1, init.mu2])
+    sig = np.maximum(np.array([init.sigma1, init.sigma2]), SIGMA_FLOOR_REL)
+    w = float(np.clip(init.w, W_FLOOR, 1.0 - W_FLOOR))
+
+    trace = []
+    ll_prev = -np.inf
+    iterations = 0
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    for iterations in range(1, max_iter + 1):
+        z1 = (x - mu[0]) / sig[0]
+        z2 = (x - mu[1]) / sig[1]
+        lp1 = math.log(w) - math.log(sig[0]) - half_log_2pi - 0.5 * z1 * z1
+        lp2 = math.log(1.0 - w) - math.log(sig[1]) - half_log_2pi - 0.5 * z2 * z2
+        hi = np.maximum(lp1, lp2)
+        tot = hi + np.log(np.exp(lp1 - hi) + np.exp(lp2 - hi))
+        ll = float(np.sum(tot))
+        trace.append(ll)
+        r1 = np.exp(lp1 - tot)
+
+        n1 = float(np.sum(r1))
+        n2 = x.size - n1
+        if n1 <= 0.0 or n2 <= 0.0:
+            break
+        r1x = float(np.dot(r1, x))
+        mu1 = r1x / n1
+        mu2 = (sum_x - r1x) / n2
+        d1 = x - mu1
+        d2 = x - mu2
+        var1 = float(np.dot(r1, d1 * d1)) / n1
+        var2 = float(np.dot(d2, d2) - np.dot(r1, d2 * d2)) / n2
+        mu = np.array([mu1, mu2])
+        sig = np.maximum(np.sqrt([max(var1, 0.0), max(var2, 0.0)]), SIGMA_FLOOR_REL)
+        w = float(np.clip(n1 / x.size, W_FLOOR, 1.0 - W_FLOOR))
+
+        if ll - ll_prev <= tol * (abs(ll_prev) + 1e-12) and iterations > 1:
+            break
+        ll_prev = ll
+
+    if mu[0] <= mu[1]:
+        fitted = clamped_mixture1d(mu[0], mu[1], sig[0], sig[1], w)
+    else:
+        fitted = clamped_mixture1d(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
+    return FitReport(
+        fitted=fitted, method="em", iterations=iterations,
+        loglik_trace=np.array(trace),
+    )
+
+
+def _mom_start(z):
+    return fit_mom_from_moments(_unit_moments(z), n=z.size).fitted
+
+
+def _quartile_start(z):
+    q25, q75 = np.quantile(z, [0.25, 0.75])
+    return Mixture1D(float(q25), float(q75), 0.5, 0.5, 0.5)
+
+
+def _em_corpus():
+    """(unit-coordinate sample, start) pairs: 60 spherical projections
+    (p=100, c=1, 4 datasets x 15 directions) from their mom starts,
+    single-Gaussian fallbacks included, and from the ``em`` learner's
+    quartile start; one unequal-sigma sample; one sample whose upper
+    component collapses onto a far outlier."""
+    samples = []
+    for seed in range(1, 5):
+        data = sample_dataset(make_spherical_spec(100, 1.0), 2_000, RngStream(seed, 0))
+        for k in range(1, 16):
+            direction = sample_direction(100, RngStream(seed, k))
+            samples.append(_unit_coordinates(data.points @ direction)[0])
+    samples.append(_unit_coordinates(
+        sample_mixture(0.0, 6.0, 1.0, 2.0, 0.5, 4_000, seed=11))[0])
+    corpus = [(z, start(z)) for z in samples for start in (_mom_start, _quartile_start)]
+    outlier = np.append(RngStream(12, 0).generator().standard_normal(1_999), 1e8)
+    z = _unit_coordinates(outlier)[0]
+    return corpus + [(z, _mom_start(z))]
+
+
+class TestEMKernel:
+    def test_matches_reference_loop(self):
+        corpus = _em_corpus()
+        fallbacks = sum(init.mu1 == init.mu2 for _, init in corpus)
+        assert fallbacks >= 5   # identical-component starts are covered
+        for z, init in corpus:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fit_em(z, init)
+            want = _reference_em(z, init)
+            assert got.iterations == want.iterations
+            f, g = got.fitted, want.fitted
+            # Unit coordinates put every parameter on a scale of 1, so the
+            # absolute part covers means that are 0 up to rounding.
+            np.testing.assert_allclose(
+                [f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
+                [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
+                                       rtol=1e-12)
+
+    def test_underflowing_responsibilities_are_exact(self):
+        gen = RngStream(13, 0).generator()
+        x = np.concatenate([gen.standard_normal(500) - 50.0,
+                            gen.standard_normal(1_500) + 50.0])
+        init = Mixture1D(-50.0, 50.0, 1.0, 1.0, 0.25)
+        lp1 = math.log(0.25) + norm.logpdf(x, -50.0, 1.0)
+        lp2 = math.log(0.75) + norm.logpdf(x, 50.0, 1.0)
+        assert np.min(np.abs(lp1 - lp2)) > 745.0   # exp(-|d|) underflows to 0
+        with warnings.catch_warnings(), np.errstate(
+                over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            report = fit_em(x, init)
+        # r1 is exactly 1 on the first 500 points and 0 on the rest, so the
+        # fitted weight is exactly 500 / 2000.
+        assert report.fitted.w == 0.25
+        assert np.all(np.isfinite(report.loglik_trace))
+        assert report.loglik_trace[0] == pytest.approx(
+            float(np.sum(np.logaddexp(lp1, lp2))), rel=1e-12)
+        assert report.fitted.mu1 == pytest.approx(float(np.mean(x[:500])), rel=1e-12)
+        assert report.fitted.mu2 == pytest.approx(float(np.mean(x[500:])), rel=1e-12)
+
+    def test_emptied_component_keeps_previous_parameters(self):
+        x = RngStream(14, 0).generator().standard_normal(1_000)
+        init = Mixture1D(-1e3, 0.0, 1.0, 1.0, 0.3)
+        report = fit_em(x, init)
+        assert report.iterations == 1 and report.loglik_trace.size == 1
+        assert not report.capped
+        assert report.fitted == init
+        assert report.fitted == _reference_em(x, init).fitted
+
+    def test_capped_is_recorded(self):
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=5)
+        init = Mixture1D(1.0, 3.0, 1.0, 1.0, 0.5)
+        capped = fit_em(x, init, max_iter=3)
+        assert capped.capped and capped.iterations == 3
+        converged = fit_em(x, init)
+        assert not converged.capped and 3 < converged.iterations < EM_MAX_ITER
+        assert not fit_mixture(x, "mom").capped
 
 
 class TestFitMixtureDispatcher:
