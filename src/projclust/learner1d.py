@@ -17,8 +17,9 @@ Two estimators are provided and usually chained:
   Gaussian.
 
 * ``fit_em`` runs two-component EM (unequal variances allowed) from a given
-  initialiser: an O(n) log-odds E-step on the squared deviations carried
-  from the M-step, stopping on a relative log-likelihood gain below ``tol``.
+  initialiser: an O(n) log-odds E-step on the squares carried from the
+  M-step, SQUAREM extrapolation (Varadhan & Roland 2008) kept only when the
+  log-likelihood does not drop, and a stop on a relative gain below ``tol``.
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
@@ -188,73 +189,120 @@ def _single_gaussian_report(mean: float, s: float) -> FitReport:
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
+def _em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
+    """One EM step from theta = (mu1, mu2, s1, s2, w), whose squares
+    (x - mu_k)^2 in buf[0], buf[1] become lp_k = ln(w_k*phi_k(x)), then the
+    new squares: (ll at theta, new theta or None if a component empties).
+    With d = lp1 - lp2 and L = ln(1 + exp(-|d|)), ln p(x) = max(lp1, lp2) + L
+    and r1 = exp(min(d, 0) - L), so no exp argument is positive."""
+    q1, q2, hi, lse = buf
+    mu1, mu2, s1, s2, w = theta
+    q1 *= -0.5 / (s1 * s1)
+    q1 += math.log(w) - math.log(s1)
+    q2 *= -0.5 / (s2 * s2)
+    q2 += math.log(1.0 - w) - math.log(s2)
+    np.maximum(q1, q2, out=hi)
+    np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
+    np.log1p(np.exp(lse, out=lse), out=lse)
+    ll = float(np.sum(hi) + np.sum(lse)) - 0.5 * x.size * math.log(2.0 * math.pi)
+    np.subtract(q1, hi, out=hi)
+    hi -= lse
+    r1 = np.exp(hi, out=hi)
+    n1 = float(np.sum(r1))
+    n2 = x.size - n1
+    if n1 <= 0.0 or n2 <= 0.0:
+        return ll, None
+    r1x = float(np.dot(r1, x))
+    mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
+    _squares(x, (mu1, mu2), buf)
+    var2 = float(np.sum(q2) - np.dot(r1, q2)) / n2
+    s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
+    s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
+    return ll, (mu1, mu2, s1, s2, min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR))
+
+
+def _squares(x: np.ndarray, theta: tuple, buf: tuple) -> None:
+    np.square(np.subtract(x, theta[0], out=buf[0]), out=buf[0])
+    np.square(np.subtract(x, theta[1], out=buf[1]), out=buf[1])
+
+
+def _squarem_point(t0: tuple, t1: tuple, t2: tuple) -> tuple:
+    """Floored SqS3 point u0 - 2a*r + a^2*v, a = min(-|r|/|v|, -1), from EM
+    steps t1 = F(t0), t2 = F(t1) in u = (mu1, mu2, ln s1, ln s2, logit w)."""
+    u0, u1, u2 = (np.array([m1, m2, math.log(s1), math.log(s2), math.log(w / (1.0 - w))])
+                  for m1, m2, s1, s2, w in (t0, t1, t2))
+    r = u1 - u0
+    v = u2 - u1 - r
+    vn = float(np.linalg.norm(v))
+    a = min(-float(np.linalg.norm(r)) / vn, -1.0) if vn > 0.0 else -1.0
+    mu1, mu2, l1, l2, t = (u0 - 2.0 * a * r + a * a * v).tolist()
+    # exp overflows past ln s = 709.8; the likelihood check rejects such a point.
+    s1, s2 = (max(math.exp(min(ln, 700.0)), SIGMA_FLOOR_REL) for ln in (l1, l2))
+    w = min(max(0.5 + 0.5 * math.tanh(0.5 * t), W_FLOOR), 1.0 - W_FLOOR)
+    return mu1, mu2, s1, s2, w
+
+
 def fit_em(
     samples: np.ndarray,
     init: Mixture1D,
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
 ) -> FitReport:
-    """Two-component EM refinement from ``init``; sigmas may differ and are
-    floored at ``SIGMA_FLOOR_REL`` in the units of ``samples``.  The E-step
-    builds lp_k = ln(w_k*phi_k(x)) from the M-step's squares (x - mu_k)^2;
-    with d = lp1 - lp2 and L = ln(1 + exp(-|d|)), ln p(x) = max(lp1, lp2) + L
-    and r1 = exp(min(d, 0) - L), so no exp argument is positive.  Equal to
-    log-sum-exp EM up to rounding, not bit for bit; ``capped`` is True when
-    ``max_iter`` iterations ran without a gain below ``tol``."""
+    """Two-component EM from ``init``, sigmas floored at ``SIGMA_FLOOR_REL``
+    in the units of ``samples``, accelerated by SQUAREM (SqS3, Varadhan &
+    Roland 2008, Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0),
+    t2 = F(t1) are extrapolated and one EM step is taken from there, kept
+    only if the log-likelihood at the extrapolated point is finite and at
+    least that at t1 (else the fit goes on from t2), so ``loglik_trace``, over
+    the accepted points, never drops.  It stops on a relative gain below
+    ``tol`` from a step's input to its image.  ``iterations`` counts EM steps,
+    rejected ones too, and ``capped`` is True exactly when ``max_iter`` steps
+    ran without convergence."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
     sum_x = float(np.sum(x))
 
-    mu1, mu2 = float(init.mu1), float(init.mu2)
     s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
     w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
-    q1, q2 = np.square(x - mu1), np.square(x - mu2)
-    hi, lse = np.empty(x.size), np.empty(x.size)
+    theta = (float(init.mu1), float(init.mu2), s1, s2, w)
+    buf = tuple(np.empty(x.size) for _ in range(4))
+    _squares(x, theta, buf)
 
-    trace = []
-    ll_prev = -math.inf
+    trace, chain = [], [theta]
+    ll_prev = None   # log-likelihood at the point theta was mapped from
     iterations, capped = 0, False
-    for iterations in range(1, max_iter + 1):
-        q1 *= -0.5 / (s1 * s1)
-        q1 += math.log(w) - math.log(s1)
-        q2 *= -0.5 / (s2 * s2)
-        q2 += math.log(1.0 - w) - math.log(s2)
-        np.maximum(q1, q2, out=hi)
-        np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
-        np.log1p(np.exp(lse, out=lse), out=lse)
-        ll = float(np.sum(hi) + np.sum(lse)) - 0.5 * x.size * math.log(2.0 * math.pi)
+    while iterations < max_iter:
+        ll, image = _em_map(x, sum_x, buf, theta)
+        iterations += 1
         trace.append(ll)
-        np.subtract(q1, hi, out=hi)
-        hi -= lse
-        r1 = np.exp(hi, out=hi)
-
-        n1 = float(np.sum(r1))
-        n2 = x.size - n1
-        if n1 <= 0.0 or n2 <= 0.0:
+        if image is None:
             break
-        r1x = float(np.dot(r1, x))
-        mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
-        np.square(np.subtract(x, mu1, out=q1), out=q1)
-        np.square(np.subtract(x, mu2, out=q2), out=q2)
-        var2 = float(np.sum(q2) - np.dot(r1, q2)) / n2
-        s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
-        s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
-        w = min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR)
-
-        if ll - ll_prev <= tol * (abs(ll_prev) + 1e-12) and iterations > 1:
+        converged = ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12)
+        theta, ll_prev = image, ll
+        if converged:
             break
-        ll_prev = ll
+        chain.append(theta)
+        if len(chain) == 3 and iterations < max_iter:
+            point = _squarem_point(*chain)
+            _squares(x, point, buf)
+            ll_x, image = _em_map(x, sum_x, buf, point)
+            iterations += 1
+            if image is not None and math.isfinite(ll_x) and ll_x >= ll_prev:
+                trace.append(ll_x)
+                theta, ll_prev = image, ll_x
+            else:
+                _squares(x, theta, buf)
+            chain = [theta]
     else:
         capped = True
 
-    if mu1 <= mu2:
-        fitted = clamped_mixture1d(mu1, mu2, s1, s2, w)
-    else:
-        fitted = clamped_mixture1d(mu2, mu1, s2, s1, 1.0 - w)
+    mu1, mu2, s1, s2, w = theta
+    if mu1 > mu2:
+        mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=fitted, method="em", iterations=iterations,
-        loglik_trace=np.array(trace), capped=capped,
+        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 
 
@@ -285,7 +333,10 @@ def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
     else:
         report = fit_mom_from_moments(_unit_moments(z), n=z.size)
         if method == "mom+em":
-            report = replace(fit_em(z, report.fitted), method=method)
+            # Identical components (a single-Gaussian fallback) are EM's fixed point.
+            if report.fitted.mu1 != report.fitted.mu2:
+                report = fit_em(z, report.fitted)
+            report = replace(report, method=method)
     f = report.fitted
     fitted = Mixture1D(
         loc + unit * f.mu1, loc + unit * f.mu2,

@@ -1,5 +1,6 @@
 """1-D mixture estimation and Bayes-rule tests with independent oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -8,11 +9,17 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from projclust import learner1d
+from projclust.clusterer import ClusterConfig, scan_directions
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DomainError, InsufficientSampleError, NoBoundaryError
 from projclust.learner1d import (
     EM_MAX_ITER,
+    EM_TOL,
     FitReport,
+    _em_map,
+    _squarem_point,
+    _squares,
     _unit_coordinates,
     _unit_moments,
     bayes_error,
@@ -252,16 +259,42 @@ def _em_corpus():
     return corpus + [(z, _mom_start(z))]
 
 
+def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
+    """``_em_map`` run plainly, with ``fit_em``'s start, stopping rule and
+    final ordering: plain EM in ``fit_em``'s arithmetic."""
+    x = np.asarray(samples, dtype=float).ravel()
+    theta = (init.mu1, init.mu2, max(init.sigma1, SIGMA_FLOOR_REL),
+             max(init.sigma2, SIGMA_FLOOR_REL), min(max(init.w, W_FLOOR), 1.0 - W_FLOOR))
+    buf = tuple(np.empty(x.size) for _ in range(4))
+    _squares(x, theta, buf)
+    trace, ll_prev, capped = [], None, False
+    for iterations in range(1, max_iter + 1):
+        ll, image = _em_map(x, float(np.sum(x)), buf, theta)
+        trace.append(ll)
+        if image is None:
+            break
+        converged = ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12)
+        theta, ll_prev = image, ll
+        if converged:
+            break
+    else:
+        capped = True
+    fitted = clamped_mixture1d(*theta)
+    return FitReport(fitted=fitted.swapped() if fitted.mu1 > fitted.mu2 else fitted,
+                     method="em", iterations=iterations,
+                     loglik_trace=np.array(trace), capped=capped)
+
+
 class TestEMKernel:
     def test_matches_reference_loop(self):
         corpus = _em_corpus()
         fallbacks = sum(init.mu1 == init.mu2 for _, init in corpus)
         assert fallbacks >= 5   # identical-component starts are covered
-        for z, init in corpus:
+        for k, (z, init) in itertools.product([1, 2, 5, EM_MAX_ITER], corpus):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = fit_em(z, init)
-            want = _reference_em(z, init)
+                got = _plain_em(z, init, max_iter=k)
+            want = _reference_em(z, init, max_iter=k)
             assert got.iterations == want.iterations
             f, g = got.fitted, want.fitted
             # Unit coordinates put every parameter on a scale of 1, so the
@@ -271,6 +304,55 @@ class TestEMKernel:
                 [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
                                        rtol=1e-12)
+
+    def test_squarem_needs_fewer_steps_and_ends_no_lower(self):
+        corpus = _em_corpus()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = [fit_em(z, init) for z, init in corpus]
+        plain = [_plain_em(z, init) for z, init in corpus]
+        for f, p in zip(fast, plain):
+            trace = f.loglik_trace
+            assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[:-1]))
+            if not f.capped:
+                ll, ll_plain = trace[-1], p.loglik_trace[-1]
+                assert ll >= ll_plain - 1e-6 * abs(ll_plain)
+        assert sum(f.iterations for f in fast) <= 0.6 * sum(p.iterations for p in plain)
+        assert sum(f.capped for f in fast) < sum(p.capped for p in plain)
+
+    @pytest.mark.parametrize("heading", ["w->0", "sigma->0", "sigma->inf", "emptied"])
+    def test_overshooting_extrapolation_falls_back_to_em(self, monkeypatch, heading):
+        # Three points whose free coordinate moves by an almost constant step
+        # give alpha ~ -1e7, so the extrapolation flies past the floors.
+        steps = [0.0, -1.0, -2.0 - 1e-7]
+        if heading == "w->0":
+            point = _squarem_point(*[(0.0, 4.0, 1.0, 1.0, 1 / (1 + math.exp(-u)))
+                                     for u in steps])
+            assert point[4] == W_FLOOR
+        elif heading == "emptied":
+            point = (-1e3, 4.0, 1.0, 1.0, 0.3)   # no responsibility survives
+        else:
+            sign = 1.0 if heading == "sigma->0" else -1.0
+            point = _squarem_point(*[(0.0, 4.0, math.exp(sign * u), 1.0, 0.5)
+                                     for u in steps])
+            assert point[2] == (SIGMA_FLOOR_REL if sign > 0 else math.exp(700.0))
+        monkeypatch.setattr(learner1d, "_squarem_point", lambda *_: point)
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=5)
+        init = Mixture1D(1.0, 3.0, 1.0, 1.0, 0.5)
+        with warnings.catch_warnings(), np.errstate(
+                over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            report = fit_em(x, init)
+        # Every extrapolation is rejected, so the accepted points are plain
+        # EM's and every third step is spent on a rejected point.
+        want = _reference_em(x, init)
+        accepted = report.loglik_trace.size
+        assert accepted == want.iterations
+        assert report.iterations == accepted + (accepted - 1) // 2
+        np.testing.assert_allclose(report.loglik_trace, want.loglik_trace, rtol=1e-12)
+        f, g = report.fitted, want.fitted
+        np.testing.assert_allclose([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
+                                   [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12)
 
     def test_underflowing_responsibilities_are_exact(self):
         gen = RngStream(13, 0).generator()
@@ -310,6 +392,12 @@ class TestEMKernel:
         converged = fit_em(x, init)
         assert not converged.capped and 3 < converged.iterations < EM_MAX_ITER
         assert not fit_mixture(x, "mom").capped
+        # perfbench counts a fit as capped when it took EM_MAX_ITER steps.
+        fits = [fit_em(z, init) for z, init in _em_corpus()]
+        assert any(f.capped for f in fits) and not all(f.capped for f in fits)
+        for f in fits:
+            assert (f.iterations == EM_MAX_ITER) == f.capped
+            assert f.iterations <= EM_MAX_ITER
 
 
 class TestFitMixtureDispatcher:
@@ -323,6 +411,25 @@ class TestFitMixtureDispatcher:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             fit_mixture(np.zeros(100), "kmeans")
+
+    def test_single_gaussian_fallback_skips_em(self):
+        data = sample_dataset(make_spherical_spec(100, 1.0), 2_000, RngStream(1, 0))
+        scans = list(scan_directions(data, ClusterConfig(0.05, 15, seed=1)))
+        fallbacks = [s for s in scans if s.fit.iterations == 0]
+        assert 0 < len(fallbacks) < len(scans)
+        for scan in fallbacks:
+            start = fit_mixture(scan.values, "mom").fitted
+            assert start.mu1 == start.mu2
+            assert scan.fit.method == "mom+em" and not scan.fit.capped
+            assert scan.thresholds is None and scan.estimated_error == 0.5
+            # EM from that start keeps the two components identical.
+            z = _unit_coordinates(scan.values)[0]
+            em = fit_em(z, _mom_start(z)).fitted
+            assert em.mu1 == pytest.approx(em.mu2, abs=1e-12)
+            assert em.sigma1 == pytest.approx(em.sigma2, rel=1e-12)
+            assert em.w == pytest.approx(0.5, abs=1e-12)
+            with pytest.raises(NoBoundaryError):
+                bayes_thresholds(em)
 
 
 class TestUnitCoordinates:
