@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     InsufficientSampleError,
     NoBoundaryError,
-    NumericError,
     ProjclustError,
     UnsupportedError,
 )
@@ -32,8 +31,6 @@ from .model import (
     lambda_max,
 )
 from .projection import (
-    Projection1D,
-    project,
     projected_mixture,
     sample_direction,
     separability_1d,

@@ -55,7 +55,6 @@ class ClusterConfig:
     budget: int
     learner: str = "mom+em"
     seed: int = 0
-    estimate_c: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.target_error < 0.5:
@@ -139,7 +138,7 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
     achieved = winner is not None
     chosen = winner if achieved else best
     used = chosen.index if achieved else cfg.budget
-    c_hat = estimate_c_hat(np.array(gammas[:used])) if cfg.estimate_c else None
+    c_hat = estimate_c_hat(np.array(gammas[:used]))
 
     if chosen.thresholds is not None:
         boundary = Boundary1D.create(

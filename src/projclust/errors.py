@@ -25,9 +25,5 @@ class NoBoundaryError(ProjclustError):
     """The two components admit no finite decision threshold."""
 
 
-class NumericError(ProjclustError):
-    """An iterative numeric routine failed to converge."""
-
-
 class UnsupportedError(ProjclustError, NotImplementedError):
     """A valid input falls outside the supported feature set."""

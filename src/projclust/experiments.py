@@ -3,21 +3,15 @@
 Each experiment is a pure function of its parameters and a master seed:
 every cell (parameter combination x repetition) gets its own random
 streams, derived from the master seed and the cell index, so reruns are
-byte-identical and repetitions may be evaluated in parallel without
-changing the output.  Each row carries the master seed and repetition
-index, plus the matching theoretical-bound column so downstream plots
-need no recomputation.
-
-Set PROJCLUST_THREADS to evaluate independent cells with a thread pool;
-row order stays fixed by cell index.
+byte-identical.  Each row carries the master seed and repetition index,
+plus the matching theoretical-bound column so downstream plots need no
+recomputation.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,26 +36,19 @@ _GAMMA_CHUNK = 5_000
 _FULL_SCAN_TARGET = 0.25
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PROJCLUST_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cell_streams(seed: int, cell: int) -> tuple[RngStream, int]:
     """Data stream and derived scan seed for one experiment cell."""
     data_stream = RngStream(seed, _DATA_STREAM_BASE + cell)
     scan_seed = RngStream(seed, _SEED_STREAM_BASE + cell).derive_seed()
     return data_stream, scan_seed
+
+
+def _cells(seed: int, params_list, repeats: int):
+    """Yield ``(params, rep, data_stream, scan_seed)`` for every parameter
+    combination x repetition, in cell-index order."""
+    combos = ((params, rep) for params in params_list for rep in range(repeats))
+    for cell, (params, rep) in enumerate(combos):
+        yield (params, rep) + _cell_streams(seed, cell)
 
 
 def _realized_error(scan, labels) -> float:
@@ -210,16 +197,9 @@ def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
     on the optimal error, not a floor: for these equal-weight spherical
     specs the optimal error is exactly Q(c*sqrt(p)), which is smaller.
     """
-    cells = [
-        (ci, p, c, rep)
-        for ci, (p, c, rep) in enumerate(
-            (p, c, rep) for p in p_list for c in c_list for rep in range(repeats)
-        )
-    ]
-
-    def run(cell):
-        ci, p, c, rep = cell
-        data_stream, scan_seed = _cell_streams(seed, ci)
+    rows = []
+    pairs = [(p, c) for p in p_list for c in c_list]
+    for (p, c), rep, data_stream, scan_seed in _cells(seed, pairs, repeats):
         spec = make_spherical_spec(p, c)
         if shape == "gaussian":
             data = sample_dataset(spec, n, data_stream)
@@ -232,15 +212,14 @@ def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
         errors = _scan_errors(data, cfg)
         min_true = min(e for _, e, _ in errors)
         best_est = min(errors, key=lambda row: (row[2], row[0]))
-        return {
+        rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "n": n, "budget": budget,
             "min_true_error": min_true,
             "true_error_at_best_estimate": best_est[1],
             "bound_q_1d": q_function(c),
             "bound_q_hd": q_function(0.5 * c * math.sqrt(p)),
-        }
-
-    return _parallel_map(run, cells)
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +242,8 @@ def proj_vs_sep(p: int = 100, c_list=(0.6, 0.8, 1.0, 1.5), n: int = 10_000,
     bound_cache = {
         c: bnd.expected_projections_spherical(gamma, c, p).value for c in c_list
     }
-    cells = [
-        (ci, c, rep)
-        for ci, (c, rep) in enumerate(
-            (c, rep) for c in c_list for rep in range(repeats)
-        )
-    ]
-
-    def run(cell):
-        ci, c, rep = cell
-        data_stream, scan_seed = _cell_streams(seed, ci)
+    rows = []
+    for c, rep, data_stream, scan_seed in _cells(seed, c_list, repeats):
         spec = make_spherical_spec(p, c)
         data = sample_dataset(spec, n, data_stream)
         cfg = ClusterConfig(
@@ -280,14 +251,13 @@ def proj_vs_sep(p: int = 100, c_list=(0.6, 0.8, 1.0, 1.5), n: int = 10_000,
             seed=scan_seed,
         )
         count, achieved = _count_until(data, cfg, target_error, spec)
-        return {
+        rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "n": n,
             "target_error": target_error,
             "projections": count, "achieved": int(achieved),
             "bound_projections": bound_cache[c],
-        }
-
-    return _parallel_map(run, cells)
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +281,13 @@ def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
     is not a floor: for this equal-weight spherical spec the optimal error
     is exactly Q(c*sqrt(p)).
     """
-    def run(cell):
-        ci, rep = cell
-        data_stream, scan_seed = _cell_streams(seed, ci)
+    rows = []
+    for _, rep, data_stream, scan_seed in _cells(seed, [None], repeats):
         data = sample_dataset(make_spherical_spec(p, c), n, data_stream)
         cfg = ClusterConfig(
             target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
             seed=scan_seed,
         )
-        rows = []
         best_true = math.inf
         best_est = math.inf
         true_at_best_est = 0.5
@@ -335,10 +303,7 @@ def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
                 "bound_q_1d": q_function(c),
                 "bound_q_hd": q_function(0.5 * c * math.sqrt(p)),
             })
-        return rows
-
-    cells = [(ci, rep) for ci, rep in enumerate(range(repeats))]
-    return [row for rows in _parallel_map(run, cells) for row in rows]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +324,22 @@ def rank_acc(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
         zeta: make_rank_spec(p, c, zeta, RngStream(seed, 42))
         for zeta in zeta_list
     }
-    cells = [
-        (ci, zeta, rep)
-        for ci, (zeta, rep) in enumerate(
-            (z, rep) for z in zeta_list for rep in range(repeats)
-        )
-    ]
-
-    def run(cell):
-        ci, zeta, rep = cell
+    rows = []
+    for zeta, rep, data_stream, scan_seed in _cells(seed, zeta_list, repeats):
         spec, rank = specs[zeta]
-        data_stream, scan_seed = _cell_streams(seed, ci)
         data = sample_dataset(spec, n, data_stream)
         cfg = ClusterConfig(
             target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
             seed=scan_seed,
         )
         errors = _scan_errors(data, cfg)
-        return {
+        rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "zeta": zeta, "r": rank,
             "n": n, "budget": budget,
             "min_true_error": min(e for _, e, _ in errors),
             "bound_q_1d": q_function(c),
-        }
-
-    return _parallel_map(run, cells)
+        })
+    return rows
 
 
 RANK_PROJ_FIELDS = (
@@ -408,31 +364,22 @@ def rank_proj(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
             spec, gamma, mode="rank", tau1=tau1, tau2=tau2
         )
         specs[zeta] = (spec, rank, bound.value)
-    cells = [
-        (ci, zeta, rep)
-        for ci, (zeta, rep) in enumerate(
-            (z, rep) for z in zeta_list for rep in range(repeats)
-        )
-    ]
-
-    def run(cell):
-        ci, zeta, rep = cell
+    rows = []
+    for zeta, rep, data_stream, scan_seed in _cells(seed, zeta_list, repeats):
         spec, rank, bound_value = specs[zeta]
-        data_stream, scan_seed = _cell_streams(seed, ci)
         data = sample_dataset(spec, n, data_stream)
         cfg = ClusterConfig(
             target_error=target_error, budget=max_budget, learner=learner,
             seed=scan_seed,
         )
         count, achieved = _count_until(data, cfg, target_error, spec)
-        return {
+        rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "zeta": zeta, "r": rank,
             "n": n, "target_error": target_error,
             "projections": count, "achieved": int(achieved),
             "bound_projections": bound_value,
-        }
-
-    return _parallel_map(run, cells)
+        })
+    return rows
 
 
 EXPERIMENTS = {

@@ -2,11 +2,11 @@
 
 Two estimators are provided and usually chained:
 
-* ``fit_mom`` solves the equal-variance four-moment system.  Writing the
-  mixture as w*N(mu1, s^2) + (1-w)*N(mu2, s^2) with lam = w*(1-w) and
-  v = lam*(mu2-mu1)^2 (the product of the centred means), matching the
-  first four central moments reduces, after Pearson-style elimination, to
-  the depressed cubic
+* ``fit_mom_from_moments`` solves the equal-variance four-moment system.
+  Writing the mixture as w*N(mu1, s^2) + (1-w)*N(mu2, s^2) with
+  lam = w*(1-w) and v = lam*(mu2-mu1)^2 (the product of the centred
+  means), matching the first four central moments reduces, after
+  Pearson-style elimination, to the depressed cubic
 
       2*v^3 + (M4 - 3*M2^2)*v - M3^2 = 0.
 
@@ -24,8 +24,10 @@ Two estimators are provided and usually chained:
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
 by the RMS spread) and maps the fit back, so every floor inside the
-learners is a constant.  ``fit_mom`` and ``fit_em`` called directly work
-in the units they are given.
+learners is a constant.  ``fit_mom(x)`` is ``fit_mixture(x, "mom")``;
+``fit_mom_from_moments`` and ``fit_em`` called directly work in the units
+they are given.  ``fit_mom`` and ``central_moments`` stay public because
+``perfbench``'s tracer wraps them, with ``fit_mom_from_moments``, by name.
 
 The Bayes rule of a known mixture has a single threshold when the
 variances agree and otherwise the (up to) two real roots of the density
@@ -97,13 +99,8 @@ def central_moments(samples: np.ndarray) -> np.ndarray:
 
 def fit_mom(samples: np.ndarray) -> FitReport:
     """Equal-variance method-of-moments fit of at least ``MOM_MIN_SAMPLES``
-    observations."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < MOM_MIN_SAMPLES:
-        raise InsufficientSampleError(
-            f"method of moments needs n >= {MOM_MIN_SAMPLES}, got {x.size}"
-        )
-    return fit_mom_from_moments(central_moments(x), n=x.size)
+    observations: ``fit_mixture(samples, "mom")``."""
+    return fit_mixture(samples, "mom")
 
 
 def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport:

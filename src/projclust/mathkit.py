@@ -125,10 +125,6 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index: int) -> "RngStream":
-        """Stream with the same master seed and a different index."""
-        return RngStream(self.master_seed, index)
-
     def derive_seed(self) -> int:
         """First 63-bit draw of this stream, usable as a child master seed."""
         return int(self.generator().integers(0, 2**63, dtype=np.uint64))

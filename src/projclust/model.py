@@ -24,19 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateMixtureError,
-    DimensionMismatchError,
-    DomainError,
-    NumericError,
-)
+from .errors import DegenerateMixtureError, DimensionMismatchError, DomainError
 
 SIGMA_FLOOR_REL = 1e-9
 W_FLOOR = 1e-4
-
-_EIGH_MAX_DIM = 512
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +85,8 @@ class CovarianceSpec:
         if np.max(np.abs(mat - mat.T)) > 1e-9 * scale:
             raise DomainError("covariance is not symmetric within 1e-9")
         mat = 0.5 * (mat + mat.T)
-        if mat.shape[0] <= _EIGH_MAX_DIM:
-            if float(np.linalg.eigvalsh(mat)[0]) < -1e-9 * scale:
-                raise DomainError("covariance is not positive semidefinite")
+        if float(np.linalg.eigvalsh(mat)[0]) < -1e-9 * scale:
+            raise DomainError("covariance is not positive semidefinite")
         return CovarianceSpec(kind="full", matrix=mat)
 
     def dim(self) -> int | None:
@@ -108,39 +98,17 @@ class CovarianceSpec:
         return None
 
 
-def _power_iteration(mat: np.ndarray) -> float:
-    p = mat.shape[0]
-    v = np.ones(p) / math.sqrt(p)
-    lam = float(v @ (mat @ v))
-    for it in range(1, _POWER_MAX_ITER + 1):
-        w = mat @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (mat @ v))
-        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    raise NumericError(
-        f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
-    )
-
-
 def lambda_max(cov: CovarianceSpec) -> float:
     """Largest eigenvalue of a covariance.
 
-    Exact for spherical and eigen forms.  Full matrices use a symmetric
-    eigensolver up to dimension 512 and power iteration above.
+    Exact for spherical and eigen forms; full matrices use LAPACK's
+    symmetric eigensolver.
     """
     if cov.kind == "spherical":
         return float(cov.variance)
     if cov.kind == "eigen":
         return float(np.max(cov.eigenvalues))
-    mat = cov.matrix
-    if mat.shape[0] <= _EIGH_MAX_DIM:
-        return float(np.linalg.eigvalsh(mat)[-1])
-    return _power_iteration(mat)
+    return float(np.linalg.eigvalsh(cov.matrix)[-1])
 
 
 def covariance_dense(cov: CovarianceSpec, p: int) -> np.ndarray:
@@ -180,7 +148,7 @@ def combined_lambda_max(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> f
     if _axis_aligned(cov1) and _axis_aligned(cov2):
         return float(np.max(_diag_of(cov1, p) + _diag_of(cov2, p)))
     total = covariance_dense(cov1, p) + covariance_dense(cov2, p)
-    return lambda_max(CovarianceSpec.full(total))
+    return float(np.linalg.eigvalsh(total)[-1])
 
 
 def combined_rank(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> int:
@@ -383,47 +351,6 @@ class ClusterOutcome:
 # ---------------------------------------------------------------------------
 # JSON serialisation
 # ---------------------------------------------------------------------------
-
-def covariance_to_jsonable(cov: CovarianceSpec) -> dict:
-    if cov.kind == "spherical":
-        return {"kind": "spherical", "variance": float(cov.variance)}
-    if cov.kind == "eigen":
-        return {
-            "kind": "eigen",
-            "eigenvalues": cov.eigenvalues.tolist(),
-            "basis": None if cov.basis is None else cov.basis.tolist(),
-        }
-    return {"kind": "full", "matrix": cov.matrix.tolist()}
-
-
-def covariance_from_jsonable(obj: dict) -> CovarianceSpec:
-    kind = obj["kind"]
-    if kind == "spherical":
-        return CovarianceSpec.spherical(obj["variance"])
-    if kind == "eigen":
-        return CovarianceSpec.eigen(obj["eigenvalues"], obj.get("basis"))
-    if kind == "full":
-        return CovarianceSpec.full(obj["matrix"])
-    raise DomainError(f"unknown covariance kind {kind!r}")
-
-
-def mixture_spec_to_jsonable(spec: MixtureSpec) -> dict:
-    return {
-        "p": spec.p,
-        "k": spec.k,
-        "means": spec.means.tolist(),
-        "covs": [covariance_to_jsonable(c) for c in spec.covs],
-        "weights": spec.weights.tolist(),
-    }
-
-
-def mixture_spec_from_jsonable(obj: dict) -> MixtureSpec:
-    covs = [covariance_from_jsonable(c) for c in obj["covs"]]
-    spec = MixtureSpec.create(obj["means"], covs, obj["weights"])
-    if spec.p != obj["p"] or spec.k != obj["k"]:
-        raise DomainError("inconsistent p/k in serialised mixture")
-    return spec
-
 
 def mixture1d_to_jsonable(mix: Mixture1D) -> dict:
     return {

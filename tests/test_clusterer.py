@@ -192,11 +192,6 @@ class TestBudgetSemantics:
             float(np.sqrt(np.mean(np.square(gammas)))), rel=1e-12
         )
 
-    def test_estimate_c_disabled(self):
-        data, _ = small_dataset()
-        cfg = ClusterConfig(target_error=0.05, budget=10, seed=19, estimate_c=False)
-        assert cluster_gmm(data, cfg).c_hat is None
-
 
 class TestEndToEnd:
     def test_separated_case_fast_and_accurate(self):

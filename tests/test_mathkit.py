@@ -239,9 +239,6 @@ class TestRngStream:
         assert s.derive_seed() == s.derive_seed()
         assert s.derive_seed() != RngStream(5, 10).derive_seed()
 
-    def test_substream(self):
-        assert RngStream(5, 0).substream(3) == RngStream(5, 3)
-
     def test_seed_range_validated(self):
         with pytest.raises(DomainError):
             RngStream(-1, 0)

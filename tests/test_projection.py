@@ -11,7 +11,7 @@ from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream, q_function
 from projclust.model import CovarianceSpec, Dataset, MixtureSpec
 from projclust.projection import (
-    project,
+    project_block,
     projected_mixture,
     sample_direction,
     separability_1d,
@@ -57,22 +57,22 @@ class TestSampleDirection:
 class TestProject:
     def test_axis_projections(self):
         data = Dataset(n=1, p=2, points=np.array([[1.0, 2.0]]))
-        assert project(data, [1.0, 0.0]).values[0] == 1.0
-        assert project(data, [0.0, 1.0]).values[0] == 2.0
+        assert project_block(data, np.eye(2))[:, 0].tolist() == [1.0, 2.0]
 
     def test_dimension_mismatch(self):
         data = Dataset(n=1, p=2, points=np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
-            project(data, [1.0, 0.0, 0.0])
+            project_block(data, np.array([[1.0, 0.0, 0.0]]))
 
     def test_values_match_fsum_oracle(self):
         gen = RngStream(3, 0).generator()
         points = gen.standard_normal((5, 300))
         direction = gen.standard_normal(300)
-        proj = project(Dataset(n=5, p=300, points=points), direction)
+        values = project_block(Dataset(n=5, p=300, points=points),
+                               direction[np.newaxis])[0]
         for j in range(5):
             exact = math.fsum(points[j] * direction)
-            assert proj.values[j] == pytest.approx(exact, rel=1e-9)
+            assert values[j] == pytest.approx(exact, rel=1e-9)
 
     def test_sample_mean_of_projection(self):
         p, n, sigma = 30, 40_000, 1.0
@@ -80,14 +80,11 @@ class TestProject:
         gen = RngStream(4, 0).generator()
         points = mean + sigma * gen.standard_normal((n, p))
         direction = gen.standard_normal(p)
-        proj = project(Dataset(n=n, p=p, points=points), direction)
+        values = project_block(Dataset(n=n, p=p, points=points),
+                               direction[np.newaxis])[0]
         expected = float(mean @ direction)
         slack = 4.0 * sigma * float(np.linalg.norm(direction)) / math.sqrt(n)
-        assert abs(float(np.mean(proj.values)) - expected) <= slack
-
-    def test_direction_norm_recorded(self):
-        data = Dataset(n=1, p=2, points=np.zeros((1, 2)))
-        assert project(data, [3.0, 4.0]).direction_norm == pytest.approx(5.0)
+        assert abs(float(np.mean(values)) - expected) <= slack
 
 
 class TestProjectedMixture:
@@ -218,7 +215,8 @@ class TestExtendedPrecisionPath:
         gen = RngStream(10, 0).generator()
         points = gen.standard_normal((3, p))
         direction = gen.standard_normal(p)
-        proj = project(Dataset(n=3, p=p, points=points), direction)
+        values = project_block(Dataset(n=3, p=p, points=points),
+                               direction[np.newaxis])[0]
         for j in range(3):
             exact = math.fsum(points[j] * direction)
-            assert proj.values[j] == pytest.approx(exact, rel=1e-9)
+            assert values[j] == pytest.approx(exact, rel=1e-9)
