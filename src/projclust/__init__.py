@@ -39,7 +39,6 @@ from .learner1d import (
     FitReport,
     bayes_error,
     bayes_thresholds,
-    estimated_separability_bound,
     fit_em,
     fit_mixture,
     fit_mom,
@@ -48,6 +47,7 @@ from .bounds import (
     BoundReport,
     beta_full_rank,
     error_gap_bound,
+    estimated_separability_bound,
     expected_projections_nonspherical,
     expected_projections_spherical,
     hd_bayes_error_bound,

@@ -11,8 +11,16 @@ block and from each other, truncated when the blocks run out of
 coordinates).  The rank of the summed covariances is therefore exactly
 min(3*ceil(zeta*p), p) and is returned alongside the spec.
 
+Memory: a sample is drawn into one n x p float64 buffer (two for the
+rademacher shape, whose integer draw is cast once), which is transformed
+in place and becomes ``Dataset.points``.  Spherical and axis-aligned
+components are transformed ROW_BLOCK rows at a time; a rotated-eigen or
+full component goes through one BLAS product over all of its rows, which
+holds two copies of those rows while it runs.
+
 Dataset files are a raw little-endian float64 row-major payload plus a
-JSON sidecar header ``{n, p, k, seed, generator, labels?}``.
+JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Writing a
+C-contiguous little-endian payload copies nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .model import (
 )
 
 NONGAUSSIAN_SHAPES = ("uniform", "laplace", "rademacher")
+ROW_BLOCK = 512
 
 
 def make_spherical_spec(
@@ -103,21 +112,28 @@ def make_rank_spec(
     return spec, rank
 
 
-def _component_transform(cov: CovarianceSpec, p: int):
-    """Map a (rows, p) block of i.i.d. unit-variance draws to the
-    component's covariance."""
+def _component_transform(cov: CovarianceSpec, n: int):
+    """Return ``(transform, rows_per_call)`` for one component.
+
+    ``transform`` maps a (rows, p) block of i.i.d. unit-variance draws to
+    the component's covariance, overwriting the block where it can.  An
+    elementwise scale is applied ROW_BLOCK rows at a time.  A BLAS product
+    takes all of its component's rows in one call, as it always has: the
+    BLAS picks its kernel from the row count, so the last bits of a row
+    depend on how many rows share the call.
+    """
     if cov.kind == "spherical":
         sd = math.sqrt(cov.variance)
-        return lambda z: sd * z
+        return (lambda z: np.multiply(z, sd, out=z)), ROW_BLOCK
     if cov.kind == "eigen":
         sd = np.sqrt(cov.eigenvalues)
         if cov.basis is None:
-            return lambda z: z * sd
+            return (lambda z: np.multiply(z, sd, out=z)), ROW_BLOCK
         basis = cov.basis
-        return lambda z: (z * sd) @ basis.T
+        return (lambda z: np.multiply(z, sd, out=z) @ basis.T), n
     vals, vecs = np.linalg.eigh(cov.matrix)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return lambda z: z @ factor.T
+    return (lambda z: z @ factor.T), n
 
 
 def _draw_base(gen: np.random.Generator, n: int, p: int, shape: str) -> np.ndarray:
@@ -129,7 +145,10 @@ def _draw_base(gen: np.random.Generator, n: int, p: int, shape: str) -> np.ndarr
     if shape == "laplace":
         return gen.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, p))
     if shape == "rademacher":
-        return gen.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
+        z = gen.integers(0, 2, size=(n, p)).astype(float)
+        z *= 2.0
+        z -= 1.0
+        return z
     raise DomainError(f"unknown coordinate shape {shape!r}")
 
 
@@ -138,14 +157,16 @@ def _sample(spec: MixtureSpec, n: int, rng: RngStream, shape: str) -> Dataset:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
     labels = gen.choice(spec.k, size=n, p=spec.weights)
-    z = _draw_base(gen, n, spec.p, shape)
-    points = np.empty((n, spec.p))
-    for i in range(spec.k):
-        rows = labels == i
-        if not np.any(rows):
-            continue
-        transform = _component_transform(spec.covs[i], spec.p)
-        points[rows] = spec.means[i] + transform(z[rows])
+    points = _draw_base(gen, n, spec.p, shape)
+    # Each component reads and overwrites only its own rows of the draw.
+    for i, cov in enumerate(spec.covs):
+        transform, step = _component_transform(cov, n)
+        rows = np.flatnonzero(labels == i)
+        for start in range(0, rows.size, step):
+            chunk = rows[start:start + step]
+            values = transform(points[chunk])
+            values += spec.means[i]
+            points[chunk] = values
     generator_id = f"{shape}:stream={rng.stream_index}"
     return Dataset(
         n=n, p=spec.p, points=points, labels=labels,
@@ -196,7 +217,7 @@ def write_dataset(
     bin_path, json_path = base + ".bin", base + ".json"
     payload = np.ascontiguousarray(dataset.points, dtype="<f8")
     with open(bin_path, "wb") as fh:
-        fh.write(payload.tobytes())
+        payload.tofile(fh)
     if k is None:
         k = int(dataset.labels.max()) + 1 if dataset.labels is not None else 2
     header = {

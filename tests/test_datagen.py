@@ -1,14 +1,17 @@
 """Generators: exact separation, rank reporting, moments, file formats."""
 
+import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from projclust.datagen import (
+    NONGAUSSIAN_SHAPES,
     export_csv,
     make_rank_spec,
     make_spherical_spec,
@@ -290,3 +293,179 @@ class TestFiles:
         first = lines[1].split(",")
         assert float(first[0]) == data.points[0, 0]
         assert int(first[2]) == data.labels[0]
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes and the memory contract
+# ---------------------------------------------------------------------------
+
+GOLDEN_N = 1300   # not a multiple of datagen's 512-row block
+SHAPES = ("gaussian",) + NONGAUSSIAN_SHAPES
+
+
+def _rotation(p, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    return q * np.sign(np.diag(r))
+
+
+def _golden_spec(name):
+    if name == "spherical":
+        return make_spherical_spec(23, 0.8, sigma=1.7, w=0.3)
+    if name == "rank":
+        return make_rank_spec(40, 0.6, 0.1, RngStream(5, 1))[0]
+    if name == "rotated":
+        p = 9
+        covs = (CovarianceSpec.eigen(np.linspace(3.0, 0.0, p), _rotation(p, 1)),
+                CovarianceSpec.eigen(np.linspace(0.5, 2.0, p), _rotation(p, 2)))
+        return MixtureSpec.create(make_spherical_spec(p, 1.1).means, covs, [0.45, 0.55])
+    if name == "rotated-wide":
+        p = 300
+        cov = CovarianceSpec.eigen(np.linspace(2.0, 0.5, p), _rotation(p, 3))
+        return MixtureSpec.create(make_spherical_spec(p, 0.9).means,
+                                  (cov, CovarianceSpec.spherical(1.0)), [0.5, 0.5])
+    if name == "full":
+        a = np.random.default_rng(4).standard_normal((6, 6))
+        cov = CovarianceSpec.full(a @ a.T / 6.0)
+        return MixtureSpec.create(make_spherical_spec(6, 1.0).means,
+                                  (cov, CovarianceSpec.spherical(0.6)), [0.6, 0.4])
+    if name == "mixed3":
+        p = 10
+        a = np.random.default_rng(5).standard_normal((p, p))
+        covs = (CovarianceSpec.spherical(1.3),
+                CovarianceSpec.eigen(np.linspace(2.0, 0.2, p), _rotation(p, 6)),
+                CovarianceSpec.full(a @ a.T / p))
+        means = np.zeros((3, p))
+        means[1, 0], means[2, 1] = 6.0, -5.0
+        return MixtureSpec.create(means, covs, [0.5, 0.3, 0.2])
+    raise KeyError(name)
+
+
+def _sample(spec, shape, n, rng):
+    if shape == "gaussian":
+        return sample_dataset(spec, n, rng)
+    return sample_nongaussian_dataset(spec, shape, n, rng)
+
+
+def _draw(name, shape, n=GOLDEN_N):
+    return _sample(_golden_spec(name), shape, n, RngStream(31, 2))
+
+
+def _digest(array, dtype):
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+# sha256 prefixes of (points as <f8, labels as <i8).  These specs scale
+# each coordinate on its own, so their bytes involve no BLAS product.
+GOLDEN_DIGESTS = {
+    ("spherical", "gaussian"): ("c9cb0d766b685352", "6a9f32d727a2e476"),
+    ("spherical", "uniform"): ("bc2c95ca89c50d9a", "6a9f32d727a2e476"),
+    ("spherical", "laplace"): ("ad04fae28e618faa", "6a9f32d727a2e476"),
+    ("spherical", "rademacher"): ("2a871b31bc3b034c", "6a9f32d727a2e476"),
+    ("rank", "gaussian"): ("2de87754f1c63126", "ab34523520a06da3"),
+    ("rank", "uniform"): ("4b43f5cb49becaa9", "ab34523520a06da3"),
+    ("rank", "laplace"): ("496527658a6f375b", "ab34523520a06da3"),
+    ("rank", "rademacher"): ("f86a588e93b599c0", "ab34523520a06da3"),
+}
+
+
+def _reference_points(spec, n, rng, shape):
+    """The generator before it transformed in place: a separate base draw,
+    and one fancy-indexed transform per component over all its rows."""
+    gen = rng.generator()
+    labels = gen.choice(spec.k, size=n, p=spec.weights)
+    if shape == "gaussian":
+        z = gen.standard_normal((n, spec.p))
+    elif shape == "uniform":
+        z = gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, spec.p))
+    elif shape == "laplace":
+        z = gen.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, spec.p))
+    else:
+        z = gen.integers(0, 2, size=(n, spec.p)).astype(float) * 2.0 - 1.0
+    points = np.empty((n, spec.p))
+    for i, cov in enumerate(spec.covs):
+        rows = labels == i
+        if cov.kind == "spherical":
+            out = math.sqrt(cov.variance) * z[rows]
+        elif cov.kind == "eigen" and cov.basis is None:
+            out = z[rows] * np.sqrt(cov.eigenvalues)
+        elif cov.kind == "eigen":
+            out = (z[rows] * np.sqrt(cov.eigenvalues)) @ cov.basis.T
+        else:
+            vals, vecs = np.linalg.eigh(cov.matrix)
+            out = z[rows] @ (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
+        points[rows] = spec.means[i] + out
+    return points, labels
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name,shape", sorted(GOLDEN_DIGESTS))
+    def test_elementwise_specs_pinned(self, name, shape):
+        data = _draw(name, shape)
+        got = (_digest(data.points, "<f8"), _digest(data.labels, "<i8"))
+        assert got == GOLDEN_DIGESTS[name, shape]
+
+    @pytest.mark.parametrize("name,shape,n", [
+        ("rotated", shape, GOLDEN_N) for shape in SHAPES
+    ] + [("rotated-wide", "gaussian", 700), ("full", "gaussian", GOLDEN_N),
+         ("mixed3", "gaussian", GOLDEN_N), ("mixed3", "gaussian", 7)])
+    def test_product_specs_match_reference(self, name, shape, n):
+        # A BLAS product's rows can depend on how many rows share the
+        # call, so these bytes are compared with the per-component
+        # reference rather than pinned for one BLAS build.
+        data = _draw(name, shape, n)
+        points, labels = _reference_points(_golden_spec(name), n, RngStream(31, 2), shape)
+        assert data.points.tobytes() == points.tobytes()
+        np.testing.assert_array_equal(data.labels, labels)
+
+
+def _traced_peak(fn):
+    """Run fn() and return (its result, tracemalloc peak above the start)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+class TestMemoryContract:
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # n x p array a call holds at once; 8np bytes is one float64 buffer.
+    N, P = 20_000, 200
+
+    @pytest.mark.parametrize("shape,limit", [
+        ("gaussian", 1.1), ("uniform", 1.1), ("laplace", 1.1),
+        ("rademacher", 2.1),   # the int64 draw is cast to float once
+    ])
+    def test_sample_holds_one_buffer(self, shape, limit):
+        spec = make_spherical_spec(self.P, 1.0, sigma=1.5, w=0.3)
+        data, peak = _traced_peak(
+            lambda: _sample(spec, shape, self.N, RngStream(40, 0))
+        )
+        assert data.points.shape == (self.N, self.P)
+        assert peak / (8 * self.N * self.P) <= limit
+
+    def test_write_copies_nothing(self, tmp_path):
+        spec = make_spherical_spec(self.P, 1.0)
+        data = sample_dataset(spec, self.N, RngStream(41, 0))
+        base = os.path.join(tmp_path, "mem")
+        _, peak = _traced_peak(lambda: write_dataset(data, base, k=2))
+        assert peak / (8 * self.N * self.P) <= 0.05
+        np.testing.assert_array_equal(read_dataset(base).points, data.points)
+
+
+@pytest.mark.parametrize("view", ["transposed", "strided"])
+def test_write_noncontiguous_points_as_row_major(tmp_path, view):
+    from projclust.model import Dataset
+    values = np.arange(1.0, 97.0).reshape(8, 12) / 7.0
+    points = values[:6, :8].T if view == "transposed" else values[::2, ::3]
+    assert not points.flags.c_contiguous
+    ds = Dataset(n=points.shape[0], p=points.shape[1], points=points)
+    bin_path, _ = write_dataset(ds, os.path.join(tmp_path, view), k=2)
+    with open(bin_path, "rb") as fh:
+        assert fh.read() == np.ascontiguousarray(points).astype("<f8").tobytes()
+    np.testing.assert_array_equal(read_dataset(bin_path).points, points)

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from projclust import learner1d
+from projclust.bounds import estimated_separability_bound
 from projclust.clusterer import ClusterConfig, scan_directions
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DomainError, InsufficientSampleError, NoBoundaryError
@@ -25,7 +26,6 @@ from projclust.learner1d import (
     bayes_error,
     bayes_thresholds,
     central_moments,
-    estimated_separability_bound,
     fit_em,
     fit_mixture,
     fit_mom,
