@@ -16,6 +16,7 @@ from . import bounds as bnd
 from . import datagen, experiments, model
 from .clusterer import ClusterConfig, classify, cluster_gmm, clustering_error
 from .errors import ProjclustError
+from .learner1d import LEARNERS
 from .mathkit import RngStream
 
 EXIT_OK = 0
@@ -58,8 +59,7 @@ def _build_parser() -> _Parser:
     cluster.add_argument("--error", type=float, required=True)
     cluster.add_argument("--budget", type=int, default=None,
                          help="default: 3*ceil(ln p)")
-    cluster.add_argument("--learner", default="mom+em",
-                         choices=("mom", "em", "mom+em"))
+    cluster.add_argument("--learner", default="mom+em", choices=LEARNERS)
     cluster.add_argument("--seed", type=int, default=0)
 
     bounds_p = sub.add_parser("bounds", help="bound calculators")

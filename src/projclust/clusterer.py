@@ -7,13 +7,15 @@ error estimate.  The first direction whose estimate beats the target
 wins; if the budget M is exhausted the best direction found is returned
 with ``achieved=False``.
 
-Directions are projected in fixed blocks of ``B``, one matrix product
-per block (block k holds indices kB+1..kB+B, the last cut at the
-budget), and fitted lazily, so the accepted direction is always the
-lowest-index passer and the running separation estimate c_hat aggregates
-every scanned direction up to and including the winner, failed ones
-included.  A rerun is byte-identical at a fixed BLAS thread count;
-across thread counts results agree to rounding.
+Directions are projected in blocks, one matrix product per block: block
+j holds min(B * 2**j, B_MAX) directions (indices 1-8, 9-24, 25-56,
+57-120, then 64 at a time, the last cut at the budget), so the partition
+depends on the direction index alone.  Directions are fitted lazily in
+index order, so the accepted direction is always the lowest-index passer
+and the running separation estimate c_hat aggregates every scanned
+direction up to and including the winner, failed ones included.  A
+rerun is byte-identical at a fixed BLAS thread count; across thread
+counts results agree to rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NoBoundaryError
 from .learner1d import (
+    LEARNERS,
     FitReport,
     bayes_error,
     bayes_thresholds,
@@ -38,9 +41,15 @@ from . import bounds as _bounds
 
 BUDGET_SAFETY_FACTOR = 3
 
-# Directions per projection block: a block product costs under two
-# single-direction products, so an early stop wastes little.
+# Rows of the first projection block.  A block product streams the n x p
+# data once, so its cost grows far slower than its row count (n=50,000,
+# p=1000, one thread: about 65 ms for 8 rows, 90 ms for 21, 155 ms for
+# 64).  Later blocks double to cut the passes of a long scan, while an
+# early stop still pays for at most 8 rows.
 B = 8
+# Rows of the largest block: a block holds B_MAX * n floats, and a scan
+# keeps at most two blocks alive.
+B_MAX = 64
 
 # Directions whose fit admits no decision threshold cannot cluster and are
 # recorded with this estimated error so they never win a scan.
@@ -61,6 +70,8 @@ class ClusterConfig:
             raise DomainError("target_error must lie in (0, 0.5)")
         if self.budget < 1:
             raise DomainError("budget must be >= 1")
+        if self.learner not in LEARNERS:
+            raise DomainError(f"unknown learner {self.learner!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +93,34 @@ class DirectionScan:
         return int(region_component_labels(self.fit.fitted, self.thresholds)[1])
 
 
+def _block_ranges(budget: int):
+    """Yield the index range of each projection block for 1..budget:
+    min(B * 2**j, B_MAX) indices in block j, the last cut at the budget."""
+    start, size = 1, B
+    while start <= budget:
+        yield range(start, min(start + size, budget + 1))
+        start += size
+        size = min(2 * size, B_MAX)
+
+
 def scan_directions(data: Dataset, cfg: ClusterConfig):
     """Yield DirectionScan for indices 1..budget in order, drawing
-    direction i from ``RngStream(cfg.seed, i)`` and fitting it lazily."""
+    direction i from ``RngStream(cfg.seed, i)`` and fitting it lazily.
+
+    Each scan's ``values`` is its own copy of a block row, so a scan the
+    caller keeps does not keep its whole block alive."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
         raise DomainError("dataset has dimension 0")
-    m = cfg.budget
-    for start in range(1, m + 1, B):
-        indices = range(start, min(start + B, m + 1))
+    for indices in _block_ranges(cfg.budget):
         dirs = np.stack(
             [sample_direction(data.p, RngStream(cfg.seed, i)) for i in indices]
         )
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         block = project_block(data, dirs)
-        for index, direction, vals in zip(indices, dirs, block):
+        for index, direction, row in zip(indices, dirs, block):
+            vals = row.copy()
             fit = fit_mixture(vals, cfg.learner)
             gamma_hat = separability_1d(fit.fitted)
             try:

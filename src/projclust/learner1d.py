@@ -45,6 +45,8 @@ from .errors import DomainError, InsufficientSampleError, NoBoundaryError
 from .mathkit import q_function
 from .model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
 
+# Learner names accepted by ``fit_mixture`` and ``ClusterConfig``.
+LEARNERS = ("mom", "em", "mom+em")
 MOM_MIN_SAMPLES = 16
 EM_MAX_ITER = 200
 EM_TOL = 1e-8
@@ -315,7 +317,7 @@ def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
     the separability and the Bayes error stay the same, up to the rounding
     of the samples themselves.
     """
-    if method not in ("mom", "em", "mom+em"):
+    if method not in LEARNERS:
         raise DomainError(f"unknown learner {method!r}")
     x = np.asarray(samples, dtype=float).ravel()
     min_n = 2 if method == "em" else MOM_MIN_SAMPLES

@@ -5,13 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from projclust import clusterer
 from projclust.bounds import expected_projections_spherical
 from projclust.clusterer import (
+    B_MAX,
     ClusterConfig,
+    _block_ranges,
     classify,
     classify_values,
     cluster_gmm,
@@ -74,13 +78,13 @@ class TestDeterminism:
         assert a == b
 
     def test_block_rows_match_matrix_vector_products(self):
-        # Budget 19 leaves a cut last block (17..19); every row, from block
-        # starts, middles and ends, must match its own product to rounding
-        # on the scale |x_i| of each dot product.
+        # Budget 30 gives blocks 1..8, 9..24 and a cut third block 25..30;
+        # every row, from block starts, middles and ends, must match its own
+        # product to rounding on the scale |x_i| of each dot product.
         data, _ = small_dataset()
-        cfg = ClusterConfig(target_error=1e-12, budget=19, seed=11)
+        cfg = ClusterConfig(target_error=1e-12, budget=30, seed=11)
         scans = list(scan_directions(data, cfg))
-        assert [s.index for s in scans] == list(range(1, 20))
+        assert [s.index for s in scans] == list(range(1, 31))
         row_norms = np.linalg.norm(data.points, axis=1)
         for scan in scans:
             np.testing.assert_allclose(
@@ -111,6 +115,73 @@ class TestDeterminism:
         assert one["achieved"] is two["achieved"] is True
         np.testing.assert_allclose(two["thresholds"], one["thresholds"], rtol=1e-9)
         assert two["error"] == pytest.approx(one["error"], rel=1e-9)
+
+
+class TestBlockPartition:
+    SIZES = {
+        1: [1],
+        8: [8],
+        9: [8, 1],
+        21: [8, 13],
+        100: [8, 16, 32, 44],
+        300: [8, 16, 32, 64, 64, 64, 52],
+    }
+
+    @pytest.mark.parametrize("budget", sorted(SIZES))
+    def test_sizes_double_to_the_cap(self, budget):
+        blocks = list(_block_ranges(budget))
+        assert [len(r) for r in blocks] == self.SIZES[budget]
+        assert [i for r in blocks for i in r] == list(range(1, budget + 1))
+        assert max(len(r) for r in blocks) <= B_MAX
+
+    def test_prefix_of_larger_budget(self):
+        # Apart from its cut last block, the partition for a budget is the
+        # partition for any larger one: blocks depend on the index alone.
+        large = list(_block_ranges(300))
+        for budget in range(1, 300):
+            small = list(_block_ranges(budget))
+            assert small[:-1] == large[:len(small) - 1]
+            last, outer = small[-1], large[len(small) - 1]
+            assert last.start == outer.start and last.stop <= outer.stop
+
+    def test_scan_projects_these_blocks(self, monkeypatch):
+        rows = []
+        kernel = clusterer.project_block
+
+        def recording_kernel(data, directions):
+            rows.append(directions.shape[0])
+            return kernel(data, directions)
+
+        monkeypatch.setattr(clusterer, "project_block", recording_kernel)
+        data, _ = small_dataset(p=5, n=200)
+        cfg = ClusterConfig(target_error=1e-12, budget=100, seed=3,
+                            learner="mom")
+        assert [s.index for s in scan_directions(data, cfg)] == list(range(1, 101))
+        assert rows == self.SIZES[100]
+
+
+class TestMemoryContract:
+    # numpy reports its buffers to tracemalloc.  At most two blocks are
+    # alive at once (the last one fitted while the next one is computed),
+    # and each scan holds its own row, so the best scan kept by
+    # cluster_gmm does not pin an older block.  Without the B_MAX cap this
+    # budget's last two blocks would hold 64 + 80 rows.
+    N, P = 20_000, 100
+
+    def test_scan_holds_at_most_two_capped_blocks(self):
+        data, _ = small_dataset(p=self.P, c=0.5, n=self.N, seed=43)
+        cfg = ClusterConfig(target_error=1e-12, budget=200, seed=4)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = cluster_gmm(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.projections_used == 200 and not out.achieved
+        # two 64-row blocks plus a few n-float buffers for the fits
+        assert (peak - start) / (8 * self.N) <= 2 * B_MAX + 8
 
 
 class TestBudgetSemantics:
@@ -156,11 +227,12 @@ class TestBudgetSemantics:
         assert out.achieved
         assert out.projections_used == reference_first_passer(data, cfg)
 
-    @pytest.mark.parametrize("winner", [1, 8, 9])
+    @pytest.mark.parametrize("winner", [1, 8, 9, 24, 25])
     def test_lowest_passer_wins_across_block_edges(self, winner):
         # The clusters are split along directions `winner` and `winner + 1`
         # only, so both pass and every other direction sees little
-        # separation.  Index 8 ends a block and 9 starts the next.
+        # separation.  Indices 8 and 24 end the first two blocks; 9 and 25
+        # start the next ones.
         p, n, seed = 64, 4000, 23
         axis = unit_direction(p, seed, winner) + unit_direction(p, seed, winner + 1)
         axis /= np.linalg.norm(axis)
@@ -168,7 +240,7 @@ class TestBudgetSemantics:
         labels = gen.integers(0, 2, n)
         points = gen.standard_normal((n, p)) + np.outer(6.0 * (2 * labels - 1), axis)
         data = Dataset(n=n, p=p, points=points, labels=labels)
-        cfg = ClusterConfig(target_error=0.01, budget=20, seed=seed)
+        cfg = ClusterConfig(target_error=0.01, budget=30, seed=seed)
         passers = [s.index for s in scan_directions(data, cfg)
                    if s.estimated_error < cfg.target_error]
         assert passers == [winner, winner + 1]
@@ -335,3 +407,5 @@ class TestConfigValidation:
             ClusterConfig(target_error=0.5, budget=5)
         with pytest.raises(DomainError):
             ClusterConfig(target_error=0.1, budget=0)
+        with pytest.raises(DomainError):
+            ClusterConfig(target_error=0.1, budget=5, learner="nope")
