@@ -18,8 +18,10 @@ Two estimators are provided and usually chained:
 
 * ``fit_em`` runs two-component EM (unequal variances allowed) from a given
   initialiser: an O(n) log-odds E-step on the squares carried from the
-  M-step, SQUAREM extrapolation (Varadhan & Roland 2008) kept only when the
-  log-likelihood does not drop, and a stop on a relative gain below ``tol``.
+  M-step, and SQUAREM extrapolation (Varadhan & Roland 2008).  An
+  extrapolated point gets its E-step in spare buffers and its M-step only
+  when the log-likelihood there does not drop, so a rejected point costs
+  one E-step.  The fit stops on a relative gain below ``tol``.
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
@@ -73,7 +75,7 @@ class FitReport:
 def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(z, loc, unit)`` with z = (x - loc) / unit, loc the mean of x and
     unit its RMS spread about loc (|loc|, or 1, when the spread is 0)."""
-    loc = float(np.mean(x))
+    loc = float(x.sum() / x.size)
     z = x - loc
     unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
     z /= unit
@@ -84,10 +86,10 @@ def _unit_moments(z: np.ndarray) -> np.ndarray:
     """[0, M2, .., M6] of a sample centred by ``_unit_coordinates``; its
     mean is 0 up to rounding, so powers are taken about 0."""
     power = z * z
-    out = [0.0, float(np.mean(power))]
+    out = [0.0, float(power.sum() / z.size)]
     for _ in range(3, 7):
         power *= z
-        out.append(float(np.mean(power)))
+        out.append(float(power.sum() / z.size))
     return np.array(out)
 
 
@@ -188,14 +190,13 @@ def _single_gaussian_report(mean: float, s: float) -> FitReport:
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
-def _em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
-    """One EM step from theta = (mu1, mu2, s1, s2, w), whose squares
-    (x - mu_k)^2 in buf[0], buf[1] become lp_k = ln(w_k*phi_k(x)), then the
-    new squares: (ll at theta, new theta or None if a component empties).
-    With d = lp1 - lp2 and L = ln(1 + exp(-|d|)), ln p(x) = max(lp1, lp2) + L
-    and r1 = exp(min(d, 0) - L), so no exp argument is positive."""
+def _e_step(x: np.ndarray, buf: tuple, theta: tuple) -> float:
+    """E-step at theta = (mu1, mu2, s1, s2, w), whose squares (x - mu_k)^2
+    sit in buf[0], buf[1]: they become lp_k = ln(w_k*phi_k(x)), buf[2] the
+    max of the two and buf[3] L = ln(1 + exp(-|lp1 - lp2|)), so that
+    ln p(x) = max(lp1, lp2) + L.  Returns the log-likelihood at theta."""
     q1, q2, hi, lse = buf
-    mu1, mu2, s1, s2, w = theta
+    _, _, s1, s2, w = theta
     q1 *= -0.5 / (s1 * s1)
     q1 += math.log(w) - math.log(s1)
     q2 *= -0.5 / (s2 * s2)
@@ -203,21 +204,35 @@ def _em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
     np.maximum(q1, q2, out=hi)
     np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
     np.log1p(np.exp(lse, out=lse), out=lse)
-    ll = float(np.sum(hi) + np.sum(lse)) - 0.5 * x.size * math.log(2.0 * math.pi)
+    return float(hi.sum() + lse.sum()) - 0.5 * x.size * math.log(2.0 * math.pi)
+
+
+def _m_step(x: np.ndarray, sum_x: float, buf: tuple) -> tuple | None:
+    """M-step after ``_e_step`` on buf: r1 = exp(lp1 - max - L), whose exp
+    argument is never positive, then the new theta, with its squares left
+    in buf[0], buf[1]; None if a component empties."""
+    q1, q2, hi, lse = buf
     np.subtract(q1, hi, out=hi)
     hi -= lse
     r1 = np.exp(hi, out=hi)
-    n1 = float(np.sum(r1))
+    n1 = float(r1.sum())
     n2 = x.size - n1
     if n1 <= 0.0 or n2 <= 0.0:
-        return ll, None
+        return None
     r1x = float(np.dot(r1, x))
     mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
     _squares(x, (mu1, mu2), buf)
-    var2 = float(np.sum(q2) - np.dot(r1, q2)) / n2
+    var2 = float(q2.sum() - np.dot(r1, q2)) / n2
     s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
     s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
-    return ll, (mu1, mu2, s1, s2, min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR))
+    return mu1, mu2, s1, s2, min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR)
+
+
+def _em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
+    """One EM step from theta, its squares in buf: (ll at theta, new theta
+    or None if a component empties)."""
+    ll = _e_step(x, buf, theta)
+    return ll, _m_step(x, sum_x, buf)
 
 
 def _squares(x: np.ndarray, theta: tuple, buf: tuple) -> None:
@@ -228,13 +243,16 @@ def _squares(x: np.ndarray, theta: tuple, buf: tuple) -> None:
 def _squarem_point(t0: tuple, t1: tuple, t2: tuple) -> tuple:
     """Floored SqS3 point u0 - 2a*r + a^2*v, a = min(-|r|/|v|, -1), from EM
     steps t1 = F(t0), t2 = F(t1) in u = (mu1, mu2, ln s1, ln s2, logit w)."""
-    u0, u1, u2 = (np.array([m1, m2, math.log(s1), math.log(s2), math.log(w / (1.0 - w))])
+    u0, u1, u2 = ((m1, m2, math.log(s1), math.log(s2), math.log(w / (1.0 - w)))
                   for m1, m2, s1, s2, w in (t0, t1, t2))
-    r = u1 - u0
-    v = u2 - u1 - r
-    vn = float(np.linalg.norm(v))
-    a = min(-float(np.linalg.norm(r)) / vn, -1.0) if vn > 0.0 else -1.0
-    mu1, mu2, l1, l2, t = (u0 - 2.0 * a * r + a * a * v).tolist()
+    r = [p1 - p0 for p0, p1 in zip(u0, u1)]
+    v = [p2 - p1 - d for p1, p2, d in zip(u1, u2, r)]
+    # The norms take BLAS's dot, as np.linalg.norm does, to keep its last
+    # bits: a slowly converging fit carries a last-bit change in a into its
+    # result at up to 3e-11.
+    vn = math.sqrt(np.dot(v, v))
+    a = min(-math.sqrt(np.dot(r, r)) / vn, -1.0) if vn > 0.0 else -1.0
+    mu1, mu2, l1, l2, t = (p0 - 2.0 * a * d + a * a * e for p0, d, e in zip(u0, r, v))
     # exp overflows past ln s = 709.8; the likelihood check rejects such a point.
     s1, s2 = (max(math.exp(min(ln, 700.0)), SIGMA_FLOOR_REL) for ln in (l1, l2))
     w = min(max(0.5 + 0.5 * math.tanh(0.5 * t), W_FLOOR), 1.0 - W_FLOOR)
@@ -250,22 +268,26 @@ def fit_em(
     """Two-component EM from ``init``, sigmas floored at ``SIGMA_FLOOR_REL``
     in the units of ``samples``, accelerated by SQUAREM (SqS3, Varadhan &
     Roland 2008, Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0),
-    t2 = F(t1) are extrapolated and one EM step is taken from there, kept
-    only if the log-likelihood at the extrapolated point is finite and at
-    least that at t1 (else the fit goes on from t2), so ``loglik_trace``, over
-    the accepted points, never drops.  It stops on a relative gain below
-    ``tol`` from a step's input to its image.  ``iterations`` counts EM steps,
-    rejected ones too, and ``capped`` is True exactly when ``max_iter`` steps
-    ran without convergence."""
+    t2 = F(t1) are extrapolated, and the extrapolated point's E-step is run
+    in spare buffers.  Its M-step follows only if the log-likelihood there
+    is finite and at least that at t1; else the point is rejected and the
+    fit goes on from t2, whose squares were left in place.  So
+    ``loglik_trace``, over the accepted points, never drops.  It stops on a
+    relative gain below ``tol`` from a step's input to its image.
+    ``iterations`` counts E-steps: the EM maps plus the E-steps of rejected
+    extrapolations, never above ``max_iter``; ``capped`` is True exactly
+    when ``max_iter`` of them ran without convergence."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
-    sum_x = float(np.sum(x))
+    sum_x = float(x.sum())
 
     s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
     w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
     theta = (float(init.mu1), float(init.mu2), s1, s2, w)
     buf = tuple(np.empty(x.size) for _ in range(4))
+    # Squares of an extrapolated point; the scratch rows buf[2:] are shared.
+    spare = (np.empty(x.size), np.empty(x.size)) + buf[2:]
     _squares(x, theta, buf)
 
     trace, chain = [], [theta]
@@ -284,14 +306,15 @@ def fit_em(
         chain.append(theta)
         if len(chain) == 3 and iterations < max_iter:
             point = _squarem_point(*chain)
-            _squares(x, point, buf)
-            ll_x, image = _em_map(x, sum_x, buf, point)
+            _squares(x, point, spare)
+            ll_x = _e_step(x, spare, point)
             iterations += 1
-            if image is not None and math.isfinite(ll_x) and ll_x >= ll_prev:
-                trace.append(ll_x)
-                theta, ll_prev = image, ll_x
-            else:
-                _squares(x, theta, buf)
+            if math.isfinite(ll_x) and ll_x >= ll_prev:
+                image = _m_step(x, sum_x, spare)
+                if image is not None:
+                    trace.append(ll_x)
+                    theta, ll_prev = image, ll_x
+                    buf, spare = spare, buf
             chain = [theta]
     else:
         capped = True

@@ -285,6 +285,73 @@ def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
                      loglik_trace=np.array(trace), capped=capped)
 
 
+def _reference_point(t0, t1, t2):
+    """``_squarem_point`` as it was on numpy 5-vectors, with BLAS norms."""
+    u0, u1, u2 = (np.array([m1, m2, math.log(s1), math.log(s2), math.log(w / (1.0 - w))])
+                  for m1, m2, s1, s2, w in (t0, t1, t2))
+    r = u1 - u0
+    v = u2 - u1 - r
+    vn = float(np.linalg.norm(v))
+    a = min(-float(np.linalg.norm(r)) / vn, -1.0) if vn > 0.0 else -1.0
+    mu1, mu2, l1, l2, t = (u0 - 2.0 * a * r + a * a * v).tolist()
+    s1, s2 = (max(math.exp(min(ln, 700.0)), SIGMA_FLOOR_REL) for ln in (l1, l2))
+    w = min(max(0.5 + 0.5 * math.tanh(0.5 * t), W_FLOOR), 1.0 - W_FLOOR)
+    return mu1, mu2, s1, s2, w
+
+
+def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
+    """The SQUAREM loop that ran a full EM map at every extrapolated point
+    and rebuilt t2's squares after a rejection, kept verbatim as the
+    reference ``fit_em`` must follow: the same steps, accepted points and
+    fit."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < 2:
+        raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
+    sum_x = float(np.sum(x))
+
+    s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
+    w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
+    theta = (float(init.mu1), float(init.mu2), s1, s2, w)
+    buf = tuple(np.empty(x.size) for _ in range(4))
+    _squares(x, theta, buf)
+
+    trace, chain = [], [theta]
+    ll_prev = None   # log-likelihood at the point theta was mapped from
+    iterations, capped = 0, False
+    while iterations < max_iter:
+        ll, image = _em_map(x, sum_x, buf, theta)
+        iterations += 1
+        trace.append(ll)
+        if image is None:
+            break
+        converged = ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12)
+        theta, ll_prev = image, ll
+        if converged:
+            break
+        chain.append(theta)
+        if len(chain) == 3 and iterations < max_iter:
+            point = _reference_point(*chain)
+            _squares(x, point, buf)
+            ll_x, image = _em_map(x, sum_x, buf, point)
+            iterations += 1
+            if image is not None and math.isfinite(ll_x) and ll_x >= ll_prev:
+                trace.append(ll_x)
+                theta, ll_prev = image, ll_x
+            else:
+                _squares(x, theta, buf)
+            chain = [theta]
+    else:
+        capped = True
+
+    mu1, mu2, s1, s2, w = theta
+    if mu1 > mu2:
+        mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
+    return FitReport(
+        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        iterations=iterations, loglik_trace=np.array(trace), capped=capped,
+    )
+
+
 class TestEMKernel:
     def test_matches_reference_loop(self):
         corpus = _em_corpus()
@@ -304,6 +371,22 @@ class TestEMKernel:
                 [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
                                        rtol=1e-12)
+
+    def test_matches_reference_squarem(self):
+        for z, init in _em_corpus():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fit_em(z, init)
+            want = _reference_squarem(z, init)
+            assert got.iterations == want.iterations
+            assert got.capped == want.capped
+            assert got.loglik_trace.size == want.loglik_trace.size
+            f, g = got.fitted, want.fitted
+            np.testing.assert_allclose(
+                [f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
+                [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_squarem_needs_fewer_steps_and_ends_no_lower(self):
         corpus = _em_corpus()
@@ -337,6 +420,18 @@ class TestEMKernel:
                                      for u in steps])
             assert point[2] == (SIGMA_FLOOR_REL if sign > 0 else math.exp(700.0))
         monkeypatch.setattr(learner1d, "_squarem_point", lambda *_: point)
+        calls = {"_m_step": 0, "_squares": 0}
+
+        def counted(name):
+            inner = getattr(learner1d, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(learner1d, name, counted(name))
         x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=5)
         init = Mixture1D(1.0, 3.0, 1.0, 1.0, 0.5)
         with warnings.catch_warnings(), np.errstate(
@@ -353,6 +448,12 @@ class TestEMKernel:
         f, g = report.fitted, want.fitted
         np.testing.assert_allclose([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
                                    [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12)
+        # A rejected point costs its squares and an E-step: no M-step, and no
+        # rebuild of t2's squares. So the squares are built once at the start,
+        # once per M-step and once per extrapolated point.
+        rejected = report.iterations - accepted
+        assert calls["_m_step"] == accepted
+        assert calls["_squares"] == 1 + accepted + rejected
 
     def test_underflowing_responsibilities_are_exact(self):
         gen = RngStream(13, 0).generator()
@@ -439,6 +540,28 @@ class TestUnitCoordinates:
         assert fit.mu1 == pytest.approx(5.0) and fit.mu2 == pytest.approx(5.0)
         assert fit.sigma1 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
         assert fit.sigma2 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
+
+    def test_sums_match_np_mean_bit_for_bit(self):
+        # The +1e12 shift of the invariance repros, projected on its first
+        # direction; a mixture; a far outlier; constant samples.
+        data = sample_dataset(make_spherical_spec(20, 2.0), 2000, RngStream(3, 0))
+        shifted = (data.points + 1e12) @ sample_direction(20, RngStream(1, 1))
+        outlier = np.append(RngStream(12, 0).generator().standard_normal(1_999), 1e8)
+        for x in (shifted, sample_mixture(0.0, 4.0, 1.0, 2.0, 0.3, 5_000, seed=9),
+                  outlier, np.full(100, 5.0)):
+            loc = float(np.mean(x))
+            z = x - loc
+            unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
+            z /= unit
+            power = z * z
+            moments = [0.0, float(np.mean(power))]
+            for _ in range(3, 7):
+                power *= z
+                moments.append(float(np.mean(power)))
+            got_z, got_loc, got_unit = _unit_coordinates(x)
+            assert (got_loc, got_unit) == (loc, unit)
+            assert got_z.tobytes() == z.tobytes()
+            assert _unit_moments(got_z).tobytes() == np.array(moments).tobytes()
 
     def test_em_iterations_do_not_depend_on_units(self):
         # The stopping rule compares the log-likelihood gain with |ll|,
