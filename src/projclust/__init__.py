@@ -17,7 +17,6 @@ from .mathkit import (
     chi2_upper_tail_exponent,
     q_function,
     q_inverse,
-    q_lower_bound,
 )
 from .model import (
     Boundary1D,

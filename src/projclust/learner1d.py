@@ -17,11 +17,16 @@ Two estimators are provided and usually chained:
   Gaussian.
 
 * ``fit_em`` runs two-component EM (unequal variances allowed) from a given
-  initialiser: an O(n) log-odds E-step on the squares carried from the
-  M-step, and SQUAREM extrapolation (Varadhan & Roland 2008).  An
-  extrapolated point gets its E-step in spare buffers and its M-step only
-  when the log-likelihood there does not drop, so a rejected point costs
-  one E-step.  The fit stops on a relative gain below ``tol``.
+  initialiser on a histogram of the samples: one pass bins them into
+  ``EM_BINS`` equal-width bins over [min, max], and EM maximises the
+  binned likelihood of the non-empty bins (McLachlan & Jones 1988), so
+  each step costs at most ``EM_BINS`` terms whatever n is.  Sheppard's
+  correction h^2/12 widens each component variance in the count-weighted
+  E-step and comes off again in the M-step.  The steps are accelerated by
+  SQUAREM (Varadhan & Roland 2008).  An extrapolated point gets its E-step
+  in spare buffers and its M-step only when the log-likelihood there does
+  not drop, so a rejected point costs one E-step.  The fit stops on a
+  relative gain below ``tol``.
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +58,8 @@ LEARNERS = ("mom", "em", "mom+em")
 MOM_MIN_SAMPLES = 16
 EM_MAX_ITER = 200
 EM_TOL = 1e-8
+# Equal-width bins of the histogram that ``fit_em`` fits.
+EM_BINS = 512
 
 # Cumulants smaller than this many null standard errors are treated as
 # noise: the moment system is then considered to have no real two-component
@@ -190,54 +198,89 @@ def _single_gaussian_report(mean: float, s: float) -> FitReport:
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
-def _e_step(x: np.ndarray, buf: tuple, theta: tuple) -> float:
-    """E-step at theta = (mu1, mu2, s1, s2, w), whose squares (x - mu_k)^2
-    sit in buf[0], buf[1]: they become lp_k = ln(w_k*phi_k(x)), buf[2] the
-    max of the two and buf[3] L = ln(1 + exp(-|lp1 - lp2|)), so that
-    ln p(x) = max(lp1, lp2) + L.  Returns the log-likelihood at theta."""
-    q1, q2, hi, lse = buf
+class _Histogram(NamedTuple):
+    """The non-empty bins of a sample: centres c, counts m, Sheppard's
+    variance h^2/12 of the width h, the sample size n = sum(m) and the
+    count-weighted sum of the centres."""
+
+    c: np.ndarray
+    m: np.ndarray
+    sheppard: float
+    n: float
+    sum_c: float
+
+
+def _histogram(x: np.ndarray) -> _Histogram:
+    """``EM_BINS`` equal-width bins over [min x, max x], the top one closed,
+    with the empty ones dropped; a constant sample is one bin of width 0.
+    Bin j holds the x with floor((x - min) * EM_BINS / (max - min)) = j.
+    Non-finite samples raise ``DomainError``."""
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("EM needs finite samples")
+    h = (hi - lo) / EM_BINS
+    if h == 0.0:
+        c, m = np.array([lo]), np.array([float(x.size)])
+    else:
+        index = np.subtract(x, lo)
+        index *= EM_BINS / (hi - lo)
+        counts = np.bincount(index.astype(np.intp), minlength=EM_BINS + 1)
+        counts[EM_BINS - 1] += counts[EM_BINS]   # x = max closes the top bin
+        j = np.flatnonzero(counts[:EM_BINS])
+        c, m = lo + (j + 0.5) * h, counts[j].astype(float)
+    return _Histogram(c, m, h * h / 12.0, float(x.size), float(np.dot(m, c)))
+
+
+def _e_step(hist: _Histogram, buf: tuple, theta: tuple) -> float:
+    """Count-weighted E-step at theta = (mu1, mu2, s1, s2, w), whose squares
+    (c - mu_k)^2 sit in buf[0], buf[1]: with Sheppard's variances
+    v_k = s_k^2 + h^2/12 they become lp_k = ln(w_k*phi(c; mu_k, v_k)), and
+    buf[2] ln p(c) = ln(exp(lp1) + exp(lp2)), never below either.  Returns
+    sum_j m_j ln p(c_j)."""
+    q1, q2, tot = buf
     _, _, s1, s2, w = theta
-    q1 *= -0.5 / (s1 * s1)
-    q1 += math.log(w) - math.log(s1)
-    q2 *= -0.5 / (s2 * s2)
-    q2 += math.log(1.0 - w) - math.log(s2)
-    np.maximum(q1, q2, out=hi)
-    np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
-    np.log1p(np.exp(lse, out=lse), out=lse)
-    return float(hi.sum() + lse.sum()) - 0.5 * x.size * math.log(2.0 * math.pi)
+    v1, v2 = s1 * s1 + hist.sheppard, s2 * s2 + hist.sheppard
+    q1 *= -0.5 / v1
+    q1 += math.log(w) - 0.5 * math.log(v1)
+    q2 *= -0.5 / v2
+    q2 += math.log(1.0 - w) - 0.5 * math.log(v2)
+    np.logaddexp(q1, q2, out=tot)
+    return float(np.dot(hist.m, tot)) - 0.5 * hist.n * math.log(2.0 * math.pi)
 
 
-def _m_step(x: np.ndarray, sum_x: float, buf: tuple) -> tuple | None:
-    """M-step after ``_e_step`` on buf: r1 = exp(lp1 - max - L), whose exp
-    argument is never positive, then the new theta, with its squares left
-    in buf[0], buf[1]; None if a component empties."""
-    q1, q2, hi, lse = buf
-    np.subtract(q1, hi, out=hi)
-    hi -= lse
-    r1 = np.exp(hi, out=hi)
+def _m_step(hist: _Histogram, buf: tuple) -> tuple | None:
+    """M-step after ``_e_step`` on buf: r1 = exp(lp1 - ln p), whose exp
+    argument is never positive, weighted by the counts, then the new theta,
+    with its squares left in buf[0], buf[1]; None if a component empties.
+    Each variance sheds Sheppard's h^2/12 before the sigma floor."""
+    q1, q2, r1 = buf
+    np.subtract(q1, r1, out=r1)
+    np.exp(r1, out=r1)
+    r1 *= hist.m
     n1 = float(r1.sum())
-    n2 = x.size - n1
+    n2 = hist.n - n1
     if n1 <= 0.0 or n2 <= 0.0:
         return None
-    r1x = float(np.dot(r1, x))
-    mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
-    _squares(x, (mu1, mu2), buf)
-    var2 = float(q2.sum() - np.dot(r1, q2)) / n2
-    s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
-    s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
-    return mu1, mu2, s1, s2, min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR)
+    r1c = float(np.dot(r1, hist.c))
+    mu1, mu2 = r1c / n1, (hist.sum_c - r1c) / n2
+    _squares(hist.c, (mu1, mu2), buf)
+    var1 = float(np.dot(r1, q1)) / n1
+    var2 = float(np.dot(hist.m, q2) - np.dot(r1, q2)) / n2
+    s1 = max(math.sqrt(max(var1 - hist.sheppard, 0.0)), SIGMA_FLOOR_REL)
+    s2 = max(math.sqrt(max(var2 - hist.sheppard, 0.0)), SIGMA_FLOOR_REL)
+    return mu1, mu2, s1, s2, min(max(n1 / hist.n, W_FLOOR), 1.0 - W_FLOOR)
 
 
-def _em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
+def _em_map(hist: _Histogram, buf: tuple, theta: tuple) -> tuple:
     """One EM step from theta, its squares in buf: (ll at theta, new theta
     or None if a component empties)."""
-    ll = _e_step(x, buf, theta)
-    return ll, _m_step(x, sum_x, buf)
+    ll = _e_step(hist, buf, theta)
+    return ll, _m_step(hist, buf)
 
 
-def _squares(x: np.ndarray, theta: tuple, buf: tuple) -> None:
-    np.square(np.subtract(x, theta[0], out=buf[0]), out=buf[0])
-    np.square(np.subtract(x, theta[1], out=buf[1]), out=buf[1])
+def _squares(c: np.ndarray, theta: tuple, buf: tuple) -> None:
+    np.square(np.subtract(c, theta[0], out=buf[0]), out=buf[0])
+    np.square(np.subtract(c, theta[1], out=buf[1]), out=buf[1])
 
 
 def _squarem_point(t0: tuple, t1: tuple, t2: tuple) -> tuple:
@@ -265,36 +308,48 @@ def fit_em(
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
 ) -> FitReport:
-    """Two-component EM from ``init``, sigmas floored at ``SIGMA_FLOOR_REL``
-    in the units of ``samples``, accelerated by SQUAREM (SqS3, Varadhan &
-    Roland 2008, Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0),
-    t2 = F(t1) are extrapolated, and the extrapolated point's E-step is run
-    in spare buffers.  Its M-step follows only if the log-likelihood there
-    is finite and at least that at t1; else the point is rejected and the
-    fit goes on from t2, whose squares were left in place.  So
-    ``loglik_trace``, over the accepted points, never drops.  It stops on a
-    relative gain below ``tol`` from a step's input to its image.
-    ``iterations`` counts E-steps: the EM maps plus the E-steps of rejected
-    extrapolations, never above ``max_iter``; ``capped`` is True exactly
-    when ``max_iter`` of them ran without convergence."""
+    """Two-component EM from ``init`` on a histogram of ``samples``: the
+    MLE of the binned likelihood (McLachlan & Jones 1988, Biometrics
+    44:571-578).  ``EM_BINS`` equal-width bins of width h span [min, max];
+    the non-empty ones enter as centres c_j with counts m_j, so one pass
+    reads the samples and each EM step costs at most ``EM_BINS`` terms.
+    The E-step widens each component variance by Sheppard's correction
+    h^2/12, and the M-step takes it off the count-weighted variance again
+    before flooring the sigmas at ``SIGMA_FLOOR_REL`` in the units of
+    ``samples``.  ``loglik_trace`` holds sum_j m_j ln p(c_j) under those
+    widened variances: the binned log-likelihood sum_j m_j ln P(bin j)
+    less n*ln(h), up to terms of order h^4.
+
+    The steps are accelerated by SQUAREM (SqS3, Varadhan & Roland 2008,
+    Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0), t2 = F(t1)
+    are extrapolated, and the extrapolated point's E-step is run in spare
+    buffers.  Its M-step follows only if the log-likelihood there is finite
+    and at least that at t1; else the point is rejected and the fit goes
+    on from t2, whose squares were left in place.  So ``loglik_trace``,
+    over the accepted points, never drops.  It stops on a relative gain
+    below ``tol`` from a step's input to its image.  ``iterations`` counts
+    E-steps: the EM maps plus the E-steps of rejected extrapolations, never
+    above ``max_iter``; ``capped`` is True exactly when ``max_iter`` of
+    them ran without convergence."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
-    sum_x = float(x.sum())
+    hist = _histogram(x)
 
     s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
     w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
     theta = (float(init.mu1), float(init.mu2), s1, s2, w)
-    buf = tuple(np.empty(x.size) for _ in range(4))
-    # Squares of an extrapolated point; the scratch rows buf[2:] are shared.
-    spare = (np.empty(x.size), np.empty(x.size)) + buf[2:]
-    _squares(x, theta, buf)
+    size = hist.c.size
+    buf = tuple(np.empty(size) for _ in range(3))
+    # Squares of an extrapolated point; the scratch row buf[2] is shared.
+    spare = (np.empty(size), np.empty(size), buf[2])
+    _squares(hist.c, theta, buf)
 
     trace, chain = [], [theta]
     ll_prev = None   # log-likelihood at the point theta was mapped from
     iterations, capped = 0, False
     while iterations < max_iter:
-        ll, image = _em_map(x, sum_x, buf, theta)
+        ll, image = _em_map(hist, buf, theta)
         iterations += 1
         trace.append(ll)
         if image is None:
@@ -306,11 +361,11 @@ def fit_em(
         chain.append(theta)
         if len(chain) == 3 and iterations < max_iter:
             point = _squarem_point(*chain)
-            _squares(x, point, spare)
-            ll_x = _e_step(x, spare, point)
+            _squares(hist.c, point, spare)
+            ll_x = _e_step(hist, spare, point)
             iterations += 1
             if math.isfinite(ll_x) and ll_x >= ll_prev:
-                image = _m_step(x, sum_x, spare)
+                image = _m_step(hist, spare)
                 if image is not None:
                     trace.append(ll_x)
                     theta, ll_prev = image, ll_x

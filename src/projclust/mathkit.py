@@ -28,12 +28,6 @@ from scipy import special
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def normal_pdf(x):
-    """Standard normal density phi(x); accepts scalars or arrays."""
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
 def q_function(x):
@@ -66,15 +60,6 @@ def q_inverse(e: float) -> float:
     if not 0.0 < e < 1.0:
         raise DomainError(f"q_inverse requires 0 < e < 1, got {e}")
     return 0.0 - float(special.ndtri(e))
-
-
-def q_lower_bound(x: float) -> float:
-    """Strict lower bound x*phi(x)/(1+x^2) < Q(x), valid for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError("q_lower_bound requires finite input")
-    if x <= 0.0:
-        raise DomainError(f"q_lower_bound requires x > 0, got {x}")
-    return float(x * normal_pdf(x) / (1.0 + x * x))
 
 
 def chi2_upper_tail_exponent(dof: int, tau: float) -> float:

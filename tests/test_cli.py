@@ -109,6 +109,24 @@ class TestCluster:
         assert payload["achieved"] is False
         assert payload["projections_used"] == 5
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "em false success on weakly separated data: the quartile-start fit "
+        "(w 0.32) reads its plug-in error 0.188 below the 0.2 target while "
+        "the clustering error is 0.383; the acceptance guards of ROADMAP "
+        "items 2 (w_min, goodness of fit) and 3 (upper confidence bound) "
+        "are not in place yet"))
+    def test_em_achieved_means_target_met(self, capsys, tmp_path):
+        out = os.path.join(tmp_path, "weak")
+        main(["gen", "--p", "10", "--n", "1000", "--c", "0.3", "--seed", "4",
+              "--out", out])
+        capsys.readouterr()
+        _, stdout, _ = run_main(
+            capsys, "cluster", "--in", out, "--error", "0.2", "--budget", "15",
+            "--learner", "em", "--seed", "4",
+        )
+        payload = json.loads(stdout)
+        assert not payload["achieved"] or payload["clustering_error"] <= 0.2 + 0.02
+
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run_main(
             capsys, "cluster", "--in", os.path.join(tmp_path, "nope"),

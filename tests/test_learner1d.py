@@ -11,14 +11,16 @@ from scipy.stats import norm
 
 from projclust import learner1d
 from projclust.bounds import estimated_separability_bound
-from projclust.clusterer import ClusterConfig, scan_directions
+from projclust.clusterer import ClusterConfig, cluster_gmm, scan_directions
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DomainError, InsufficientSampleError, NoBoundaryError
 from projclust.learner1d import (
+    EM_BINS,
     EM_MAX_ITER,
     EM_TOL,
     FitReport,
     _em_map,
+    _histogram,
     _squarem_point,
     _squares,
     _unit_coordinates,
@@ -175,12 +177,15 @@ class TestFitEM:
 
 
 def _reference_em(samples, init, max_iter=EM_MAX_ITER, tol=1e-8):
-    """The log-sum-exp EM loop that ``fit_em`` replaced, kept verbatim as
-    the reference its rewrite must match up to rounding."""
+    """The log-sum-exp EM loop that ``fit_em`` replaced, restated on the
+    count-weighted bins of ``_histogram``, with Sheppard's h^2/12 added to
+    each variance in the E-step and taken off in the M-step: the reference
+    its in-place kernel must match up to rounding."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
-    sum_x = float(np.sum(x))
+    c, m, sheppard, n, _ = _histogram(x)
+    sum_c = float(np.dot(m, c))
 
     mu = np.array([init.mu1, init.mu2])
     sig = np.maximum(np.array([init.sigma1, init.sigma2]), SIGMA_FLOOR_REL)
@@ -191,30 +196,31 @@ def _reference_em(samples, init, max_iter=EM_MAX_ITER, tol=1e-8):
     iterations = 0
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
     for iterations in range(1, max_iter + 1):
-        z1 = (x - mu[0]) / sig[0]
-        z2 = (x - mu[1]) / sig[1]
-        lp1 = math.log(w) - math.log(sig[0]) - half_log_2pi - 0.5 * z1 * z1
-        lp2 = math.log(1.0 - w) - math.log(sig[1]) - half_log_2pi - 0.5 * z2 * z2
+        sd = np.sqrt(sig * sig + sheppard)
+        z1 = (c - mu[0]) / sd[0]
+        z2 = (c - mu[1]) / sd[1]
+        lp1 = math.log(w) - math.log(sd[0]) - half_log_2pi - 0.5 * z1 * z1
+        lp2 = math.log(1.0 - w) - math.log(sd[1]) - half_log_2pi - 0.5 * z2 * z2
         hi = np.maximum(lp1, lp2)
         tot = hi + np.log(np.exp(lp1 - hi) + np.exp(lp2 - hi))
-        ll = float(np.sum(tot))
+        ll = float(np.dot(m, tot))
         trace.append(ll)
-        r1 = np.exp(lp1 - tot)
+        r1 = m * np.exp(lp1 - tot)
 
         n1 = float(np.sum(r1))
-        n2 = x.size - n1
+        n2 = n - n1
         if n1 <= 0.0 or n2 <= 0.0:
             break
-        r1x = float(np.dot(r1, x))
-        mu1 = r1x / n1
-        mu2 = (sum_x - r1x) / n2
-        d1 = x - mu1
-        d2 = x - mu2
-        var1 = float(np.dot(r1, d1 * d1)) / n1
-        var2 = float(np.dot(d2, d2) - np.dot(r1, d2 * d2)) / n2
+        r1c = float(np.dot(r1, c))
+        mu1 = r1c / n1
+        mu2 = (sum_c - r1c) / n2
+        d1 = c - mu1
+        d2 = c - mu2
+        var1 = float(np.dot(r1, d1 * d1)) / n1 - sheppard
+        var2 = float(np.dot(m, d2 * d2) - np.dot(r1, d2 * d2)) / n2 - sheppard
         mu = np.array([mu1, mu2])
         sig = np.maximum(np.sqrt([max(var1, 0.0), max(var2, 0.0)]), SIGMA_FLOOR_REL)
-        w = float(np.clip(n1 / x.size, W_FLOOR, 1.0 - W_FLOOR))
+        w = float(np.clip(n1 / n, W_FLOOR, 1.0 - W_FLOOR))
 
         if ll - ll_prev <= tol * (abs(ll_prev) + 1e-12) and iterations > 1:
             break
@@ -260,16 +266,17 @@ def _em_corpus():
 
 
 def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
-    """``_em_map`` run plainly, with ``fit_em``'s start, stopping rule and
-    final ordering: plain EM in ``fit_em``'s arithmetic."""
-    x = np.asarray(samples, dtype=float).ravel()
+    """``_em_map`` run plainly on ``_histogram``'s bins, with ``fit_em``'s
+    start, stopping rule and final ordering: plain EM in ``fit_em``'s
+    arithmetic."""
+    hist = _histogram(np.asarray(samples, dtype=float).ravel())
     theta = (init.mu1, init.mu2, max(init.sigma1, SIGMA_FLOOR_REL),
              max(init.sigma2, SIGMA_FLOOR_REL), min(max(init.w, W_FLOOR), 1.0 - W_FLOOR))
-    buf = tuple(np.empty(x.size) for _ in range(4))
-    _squares(x, theta, buf)
+    buf = tuple(np.empty(hist.c.size) for _ in range(3))
+    _squares(hist.c, theta, buf)
     trace, ll_prev, capped = [], None, False
     for iterations in range(1, max_iter + 1):
-        ll, image = _em_map(x, float(np.sum(x)), buf, theta)
+        ll, image = _em_map(hist, buf, theta)
         trace.append(ll)
         if image is None:
             break
@@ -301,25 +308,25 @@ def _reference_point(t0, t1, t2):
 
 def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
     """The SQUAREM loop that ran a full EM map at every extrapolated point
-    and rebuilt t2's squares after a rejection, kept verbatim as the
-    reference ``fit_em`` must follow: the same steps, accepted points and
-    fit."""
+    and rebuilt t2's squares after a rejection, restated on ``_histogram``'s
+    bins: the reference ``fit_em`` must follow, with the same steps,
+    accepted points and fit."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
-    sum_x = float(np.sum(x))
+    hist = _histogram(x)
 
     s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
     w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
     theta = (float(init.mu1), float(init.mu2), s1, s2, w)
-    buf = tuple(np.empty(x.size) for _ in range(4))
-    _squares(x, theta, buf)
+    buf = tuple(np.empty(hist.c.size) for _ in range(3))
+    _squares(hist.c, theta, buf)
 
     trace, chain = [], [theta]
     ll_prev = None   # log-likelihood at the point theta was mapped from
     iterations, capped = 0, False
     while iterations < max_iter:
-        ll, image = _em_map(x, sum_x, buf, theta)
+        ll, image = _em_map(hist, buf, theta)
         iterations += 1
         trace.append(ll)
         if image is None:
@@ -331,14 +338,138 @@ def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
         chain.append(theta)
         if len(chain) == 3 and iterations < max_iter:
             point = _reference_point(*chain)
-            _squares(x, point, buf)
-            ll_x, image = _em_map(x, sum_x, buf, point)
+            _squares(hist.c, point, buf)
+            ll_x, image = _em_map(hist, buf, point)
             iterations += 1
             if image is not None and math.isfinite(ll_x) and ll_x >= ll_prev:
                 trace.append(ll_x)
                 theta, ll_prev = image, ll_x
             else:
-                _squares(x, theta, buf)
+                _squares(hist.c, theta, buf)
+            chain = [theta]
+    else:
+        capped = True
+
+    mu1, mu2, s1, s2, w = theta
+    if mu1 > mu2:
+        mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
+    return FitReport(
+        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        iterations=iterations, loglik_trace=np.array(trace), capped=capped,
+    )
+
+
+# The raw-data SQUAREM EM that ran before ``fit_em`` fitted a histogram,
+# kept verbatim (names prefixed ``_raw``) as the accuracy reference of the
+# binned fit: O(n) per E-step on the samples themselves, no bins and no
+# Sheppard correction.
+
+def _raw_e_step(x: np.ndarray, buf: tuple, theta: tuple) -> float:
+    """E-step at theta = (mu1, mu2, s1, s2, w), whose squares (x - mu_k)^2
+    sit in buf[0], buf[1]: they become lp_k = ln(w_k*phi_k(x)), buf[2] the
+    max of the two and buf[3] L = ln(1 + exp(-|lp1 - lp2|)), so that
+    ln p(x) = max(lp1, lp2) + L.  Returns the log-likelihood at theta."""
+    q1, q2, hi, lse = buf
+    _, _, s1, s2, w = theta
+    q1 *= -0.5 / (s1 * s1)
+    q1 += math.log(w) - math.log(s1)
+    q2 *= -0.5 / (s2 * s2)
+    q2 += math.log(1.0 - w) - math.log(s2)
+    np.maximum(q1, q2, out=hi)
+    np.subtract(np.minimum(q1, q2, out=lse), hi, out=lse)
+    np.log1p(np.exp(lse, out=lse), out=lse)
+    return float(hi.sum() + lse.sum()) - 0.5 * x.size * math.log(2.0 * math.pi)
+
+
+def _raw_m_step(x: np.ndarray, sum_x: float, buf: tuple) -> tuple | None:
+    """M-step after ``_e_step`` on buf: r1 = exp(lp1 - max - L), whose exp
+    argument is never positive, then the new theta, with its squares left
+    in buf[0], buf[1]; None if a component empties."""
+    q1, q2, hi, lse = buf
+    np.subtract(q1, hi, out=hi)
+    hi -= lse
+    r1 = np.exp(hi, out=hi)
+    n1 = float(r1.sum())
+    n2 = x.size - n1
+    if n1 <= 0.0 or n2 <= 0.0:
+        return None
+    r1x = float(np.dot(r1, x))
+    mu1, mu2 = r1x / n1, (sum_x - r1x) / n2
+    _raw_squares(x, (mu1, mu2), buf)
+    var2 = float(q2.sum() - np.dot(r1, q2)) / n2
+    s1 = max(math.sqrt(float(np.dot(r1, q1)) / n1), SIGMA_FLOOR_REL)
+    s2 = max(math.sqrt(max(var2, 0.0)), SIGMA_FLOOR_REL)
+    return mu1, mu2, s1, s2, min(max(n1 / x.size, W_FLOOR), 1.0 - W_FLOOR)
+
+
+def _raw_em_map(x: np.ndarray, sum_x: float, buf: tuple, theta: tuple) -> tuple:
+    """One EM step from theta, its squares in buf: (ll at theta, new theta
+    or None if a component empties)."""
+    ll = _raw_e_step(x, buf, theta)
+    return ll, _raw_m_step(x, sum_x, buf)
+
+
+def _raw_squares(x: np.ndarray, theta: tuple, buf: tuple) -> None:
+    np.square(np.subtract(x, theta[0], out=buf[0]), out=buf[0])
+    np.square(np.subtract(x, theta[1], out=buf[1]), out=buf[1])
+
+
+def _raw_fit_em(
+    samples: np.ndarray,
+    init: Mixture1D,
+    max_iter: int = EM_MAX_ITER,
+    tol: float = EM_TOL,
+) -> FitReport:
+    """Two-component EM from ``init``, sigmas floored at ``SIGMA_FLOOR_REL``
+    in the units of ``samples``, accelerated by SQUAREM (SqS3, Varadhan &
+    Roland 2008, Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0),
+    t2 = F(t1) are extrapolated, and the extrapolated point's E-step is run
+    in spare buffers.  Its M-step follows only if the log-likelihood there
+    is finite and at least that at t1; else the point is rejected and the
+    fit goes on from t2, whose squares were left in place.  So
+    ``loglik_trace``, over the accepted points, never drops.  It stops on a
+    relative gain below ``tol`` from a step's input to its image.
+    ``iterations`` counts E-steps: the EM maps plus the E-steps of rejected
+    extrapolations, never above ``max_iter``; ``capped`` is True exactly
+    when ``max_iter`` of them ran without convergence."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < 2:
+        raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
+    sum_x = float(x.sum())
+
+    s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
+    w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
+    theta = (float(init.mu1), float(init.mu2), s1, s2, w)
+    buf = tuple(np.empty(x.size) for _ in range(4))
+    # Squares of an extrapolated point; the scratch rows buf[2:] are shared.
+    spare = (np.empty(x.size), np.empty(x.size)) + buf[2:]
+    _raw_squares(x, theta, buf)
+
+    trace, chain = [], [theta]
+    ll_prev = None   # log-likelihood at the point theta was mapped from
+    iterations, capped = 0, False
+    while iterations < max_iter:
+        ll, image = _raw_em_map(x, sum_x, buf, theta)
+        iterations += 1
+        trace.append(ll)
+        if image is None:
+            break
+        converged = ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12)
+        theta, ll_prev = image, ll
+        if converged:
+            break
+        chain.append(theta)
+        if len(chain) == 3 and iterations < max_iter:
+            point = _squarem_point(*chain)
+            _raw_squares(x, point, spare)
+            ll_x = _raw_e_step(x, spare, point)
+            iterations += 1
+            if math.isfinite(ll_x) and ll_x >= ll_prev:
+                image = _raw_m_step(x, sum_x, spare)
+                if image is not None:
+                    trace.append(ll_x)
+                    theta, ll_prev = image, ll_x
+                    buf, spare = spare, buf
             chain = [theta]
     else:
         capped = True
@@ -460,21 +591,27 @@ class TestEMKernel:
         x = np.concatenate([gen.standard_normal(500) - 50.0,
                             gen.standard_normal(1_500) + 50.0])
         init = Mixture1D(-50.0, 50.0, 1.0, 1.0, 0.25)
-        lp1 = math.log(0.25) + norm.logpdf(x, -50.0, 1.0)
-        lp2 = math.log(0.75) + norm.logpdf(x, 50.0, 1.0)
+        c, m, sheppard, _, _ = _histogram(x)
+        sd = math.sqrt(1.0 + sheppard)
+        lp1 = math.log(0.25) + norm.logpdf(c, -50.0, sd)
+        lp2 = math.log(0.75) + norm.logpdf(c, 50.0, sd)
         assert np.min(np.abs(lp1 - lp2)) > 745.0   # exp(-|d|) underflows to 0
         with warnings.catch_warnings(), np.errstate(
                 over="raise", divide="raise", invalid="raise"):
             warnings.simplefilter("error")
             report = fit_em(x, init)
-        # r1 is exactly 1 on the first 500 points and 0 on the rest, so the
-        # fitted weight is exactly 500 / 2000.
+        # r1 is exactly 1 on the bins of the first 500 points and 0 on the
+        # rest, so the fitted weight is exactly 500 / 2000.
+        low = c < 0.0
+        assert m[low].sum() == 500.0
         assert report.fitted.w == 0.25
         assert np.all(np.isfinite(report.loglik_trace))
         assert report.loglik_trace[0] == pytest.approx(
-            float(np.sum(np.logaddexp(lp1, lp2))), rel=1e-12)
-        assert report.fitted.mu1 == pytest.approx(float(np.mean(x[:500])), rel=1e-12)
-        assert report.fitted.mu2 == pytest.approx(float(np.mean(x[500:])), rel=1e-12)
+            float(np.dot(m, np.logaddexp(lp1, lp2))), rel=1e-12)
+        assert report.fitted.mu1 == pytest.approx(
+            float(np.dot(m[low], c[low]) / 500.0), rel=1e-12)
+        assert report.fitted.mu2 == pytest.approx(
+            float(np.dot(m[~low], c[~low]) / 1_500.0), rel=1e-12)
 
     def test_emptied_component_keeps_previous_parameters(self):
         x = RngStream(14, 0).generator().standard_normal(1_000)
@@ -499,6 +636,146 @@ class TestEMKernel:
         for f in fits:
             assert (f.iterations == EM_MAX_ITER) == f.capped
             assert f.iterations <= EM_MAX_ITER
+
+
+class TestBinnedEM:
+    """``fit_em`` fits a histogram of its samples: at most ``EM_BINS``
+    count-weighted bin centres, Sheppard's h^2/12 on each variance."""
+
+    @pytest.mark.parametrize("n", [2, 100, 10_000])
+    def test_bins_match_numpy_histogram(self, n):
+        x = sample_mixture(0.0, 4.0, 1.0, 2.0, 0.3, n, seed=16)
+        c, m, sheppard, total, sum_c = _histogram(x)
+        counts, edges = np.histogram(x, EM_BINS)
+        keep = counts > 0
+        np.testing.assert_array_equal(m, counts[keep])
+        np.testing.assert_allclose(c, 0.5 * (edges[:-1] + edges[1:])[keep],
+                                   rtol=1e-12, atol=1e-12)
+        assert sheppard == pytest.approx((edges[1] - edges[0]) ** 2 / 12.0, rel=1e-12)
+        assert (total, sum_c) == (float(n), float(np.dot(m, c)))
+
+    def test_constant_sample_is_one_bin_of_width_zero(self):
+        c, m, sheppard, _, _ = _histogram(np.full(100, 5.0))
+        assert c.tolist() == [5.0] and m.tolist() == [100.0] and sheppard == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        x = np.append(np.linspace(0.0, 1.0, 99), bad)
+        with pytest.raises(DomainError):
+            fit_em(x, Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5))
+
+    def test_e_step_sees_at_most_em_bins_values(self, monkeypatch):
+        sizes = []
+        inner = learner1d._e_step
+
+        def counted(hist, buf, theta):
+            sizes.append(buf[0].size)
+            return inner(hist, buf, theta)
+
+        monkeypatch.setattr(learner1d, "_e_step", counted)
+        x = sample_mixture(0.0, 3.0, 1.0, 1.5, 0.4, 100_000, seed=17)
+        report = fit_mixture(x, "mom+em")
+        assert report.iterations > 0 and len(sizes) == report.iterations
+        assert 0 < max(sizes) <= EM_BINS
+
+    def test_sheppard_correction_recovers_binned_sigma(self):
+        # Two unit Gaussians 600 apart spread the 512 bins over the gap, so
+        # each is sampled into bins of width h ~ 1.2 sigma.  The count-
+        # weighted spread of the bin centres then overstates sigma by
+        # h^2/12; the corrected fit lands near the spread of the raw values.
+        gen = RngStream(15, 0).generator()
+        x = np.concatenate([gen.standard_normal(20_000),
+                            gen.standard_normal(20_000) + 600.0])
+        fit = fit_em(x, Mixture1D(0.0, 600.0, 1.0, 1.0, 0.5)).fitted
+        counts, edges = np.histogram(x, EM_BINS)
+        centres = 0.5 * (edges[:-1] + edges[1:])
+        assert edges[1] - edges[0] > 1.0
+        for sigma, part, side in ((fit.sigma1, x[:20_000], centres < 300.0),
+                                  (fit.sigma2, x[20_000:], centres > 300.0)):
+            m, c = counts[side], centres[side]
+            mean = np.dot(m, c) / m.sum()
+            uncorrected = math.sqrt(np.dot(m, (c - mean) ** 2) / m.sum())
+            raw = float(np.std(part))
+            assert abs(sigma - raw) <= 0.01
+            assert abs(sigma - raw) < 0.2 * abs(uncorrected - raw)
+
+    def test_identical_points_floor_a_narrow_component(self):
+        # On raw values the component on the 500 identical points would
+        # collapse to the sigma floor and its density spike without bound;
+        # the binned likelihood stays bounded by Sheppard's h^2/12.
+        gen = RngStream(16, 0).generator()
+        x = np.concatenate([np.full(500, 2.0), gen.standard_normal(1_500)])
+        with warnings.catch_warnings(), np.errstate(
+                over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            report = fit_em(x, Mixture1D(0.0, 2.0, 1.0, 0.5, 0.75))
+        f = report.fitted
+        assert np.all(np.isfinite([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w]))
+        assert not report.capped
+        assert f.sigma2 == SIGMA_FLOOR_REL * max(abs(f.mu1), abs(f.mu2),
+                                                 abs(f.mu2 - f.mu1), f.sigma1)
+        assert f.w == pytest.approx(0.75, abs=0.01)
+        assert f.sigma1 == pytest.approx(1.0, abs=0.05)
+        trace = report.loglik_trace
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= 0.0)
+
+    @pytest.mark.parametrize("n", [2, 100, 511])
+    def test_fewer_samples_than_bins(self, n):
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.4, n, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("em", "mom+em") if n >= 16 else ("em",):
+                report = fit_mixture(x, method)
+                f = report.fitted
+                assert np.all(np.isfinite([f.mu1, f.mu2, f.sigma1, f.sigma2]))
+                assert f.mu1 <= f.mu2
+                trace = report.loglik_trace
+                if trace is not None:   # None: mom+em on a single-Gaussian start
+                    assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[:-1]))
+        if n == 2:
+            # Two points land in the bottom and top bins: one component on
+            # each bin centre, both sigmas at the floor.
+            lo, hi = np.sort(x)
+            h = (hi - lo) / EM_BINS
+            f = fit_em(x, Mixture1D(lo, hi, 1.0, 1.0, 0.5)).fitted
+            assert f.mu1 == pytest.approx(lo + 0.5 * h, rel=1e-12)
+            assert f.mu2 == pytest.approx(hi - 0.5 * h, rel=1e-12)
+            assert f.w == 0.5
+            assert max(f.sigma1, f.sigma2) <= SIGMA_FLOOR_REL * max(abs(lo), abs(hi), hi - lo)
+
+
+class TestBinnedAgainstRawEM:
+    """The binned fit against ``_raw_fit_em`` on small-em-like data:
+    spherical p=100, c=1, n=10,000, seeds 1-3, 15 directions each."""
+
+    @staticmethod
+    def datasets():
+        for seed in (1, 2, 3):
+            yield seed, sample_dataset(make_spherical_spec(100, 1.0), 10_000,
+                                       RngStream(seed, 0))
+
+    def test_estimated_error_moves_in_low_digits(self):
+        deltas = []
+        for seed, data in self.datasets():
+            for scan in scan_directions(data, ClusterConfig(0.05, 15, "mom", seed)):
+                z = _unit_coordinates(scan.values)[0]
+                start = _mom_start(z)
+                if start.mu1 == start.mu2:
+                    continue   # mom+em runs no EM on a single-Gaussian start
+                binned, raw = fit_em(z, start).fitted, _raw_fit_em(z, start).fitted
+                deltas.append(abs(bayes_error(binned) - bayes_error(raw)))
+        assert len(deltas) >= 15
+        assert float(np.median(deltas)) <= 1e-4
+
+    def test_target_scan_outcome_unchanged(self, monkeypatch):
+        for seed, data in self.datasets():
+            cfg = ClusterConfig(0.05, 15, "mom+em", seed)
+            binned = cluster_gmm(data, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(learner1d, "fit_em", _raw_fit_em)
+                raw = cluster_gmm(data, cfg)
+            assert binned.achieved and raw.achieved
+            assert binned.projections_used == raw.projections_used
 
 
 class TestFitMixtureDispatcher:
