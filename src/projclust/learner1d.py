@@ -22,11 +22,10 @@ Two estimators are provided and usually chained:
   binned likelihood of the non-empty bins (McLachlan & Jones 1988), so
   each step costs at most ``EM_BINS`` terms whatever n is.  Sheppard's
   correction h^2/12 widens each component variance in the count-weighted
-  E-step and comes off again in the M-step.  The steps are accelerated by
-  SQUAREM (Varadhan & Roland 2008).  An extrapolated point gets its E-step
-  in spare buffers and its M-step only when the log-likelihood there does
-  not drop, so a rejected point costs one E-step.  The fit stops on a
-  relative gain below ``tol``.
+  E-step and comes off again in the M-step.  SQUAREM cycles (Varadhan &
+  Roland 2008) find the basin, and safeguarded Newton-Raphson steps on the
+  binned log-likelihood finish the fit (Aitkin & Aitkin 1996); ``fit_em``
+  states the rules, and what its ``iterations`` count.
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
@@ -271,35 +270,98 @@ def _m_step(hist: _Histogram, buf: tuple) -> tuple | None:
     return mu1, mu2, s1, s2, min(max(n1 / hist.n, W_FLOOR), 1.0 - W_FLOOR)
 
 
-def _em_map(hist: _Histogram, buf: tuple, theta: tuple) -> tuple:
-    """One EM step from theta, its squares in buf: (ll at theta, new theta
-    or None if a component empties)."""
-    ll = _e_step(hist, buf, theta)
-    return ll, _m_step(hist, buf)
-
-
 def _squares(c: np.ndarray, theta: tuple, buf: tuple) -> None:
     np.square(np.subtract(c, theta[0], out=buf[0]), out=buf[0])
     np.square(np.subtract(c, theta[1], out=buf[1]), out=buf[1])
 
 
-def _squarem_point(t0: tuple, t1: tuple, t2: tuple) -> tuple:
-    """Floored SqS3 point u0 - 2a*r + a^2*v, a = min(-|r|/|v|, -1), from EM
-    steps t1 = F(t0), t2 = F(t1) in u = (mu1, mu2, ln s1, ln s2, logit w)."""
-    u0, u1, u2 = ((m1, m2, math.log(s1), math.log(s2), math.log(w / (1.0 - w)))
-                  for m1, m2, s1, s2, w in (t0, t1, t2))
-    r = [p1 - p0 for p0, p1 in zip(u0, u1)]
-    v = [p2 - p1 - d for p1, p2, d in zip(u1, u2, r)]
-    # The norms take BLAS's dot, as np.linalg.norm does, to keep its last
-    # bits: a slowly converging fit carries a last-bit change in a into its
-    # result at up to 3e-11.
-    vn = math.sqrt(np.dot(v, v))
-    a = min(-math.sqrt(np.dot(r, r)) / vn, -1.0) if vn > 0.0 else -1.0
-    mu1, mu2, l1, l2, t = (p0 - 2.0 * a * d + a * a * e for p0, d, e in zip(u0, r, v))
+def _u(theta: tuple) -> tuple:
+    """u = (mu1, mu2, ln s1, ln s2, logit w), the coordinates of the
+    extrapolation and of the Newton step."""
+    mu1, mu2, s1, s2, w = theta
+    return mu1, mu2, math.log(s1), math.log(s2), math.log(w / (1.0 - w))
+
+
+def _theta(u) -> tuple:
+    """theta from u, with the sigma and weight floors."""
+    mu1, mu2, l1, l2, t = u
     # exp overflows past ln s = 709.8; the likelihood check rejects such a point.
     s1, s2 = (max(math.exp(min(ln, 700.0)), SIGMA_FLOOR_REL) for ln in (l1, l2))
     w = min(max(0.5 + 0.5 * math.tanh(0.5 * t), W_FLOOR), 1.0 - W_FLOOR)
     return mu1, mu2, s1, s2, w
+
+
+def _squarem_point(t0: tuple, t1: tuple, t2: tuple) -> tuple:
+    """Floored SqS3 point u0 - 2a*r + a^2*v, a = min(-|r|/|v|, -1), from EM
+    steps t1 = F(t0), t2 = F(t1) in u."""
+    u0, u1, u2 = _u(t0), _u(t1), _u(t2)
+    r = [p1 - p0 for p0, p1 in zip(u0, u1)]
+    v = [p2 - p1 - d for p1, p2, d in zip(u1, u2, r)]
+    vn = math.hypot(*v)
+    a = min(-math.hypot(*r) / vn, -1.0) if vn > 0.0 else -1.0
+    return _theta([p0 - 2.0 * a * d + a * a * e for p0, d, e in zip(u0, r, v)])
+
+
+def _gradient_hessian(hist: _Histogram, rows: np.ndarray, theta: tuple) -> tuple:
+    """Gradient and Hessian in u of ll = sum_j m_j ln p(c_j) at theta, from
+    the rows phi = (1, c, lp1, lp2) and ln p that ``_e_step`` on rows[2:] left.
+
+    With l_k = lp_k = ln(w_k*phi(c; mu_k, v_k)), v_k = s_k^2 + h^2/12 and
+    r = exp(lp1 - ln p), the gradient is sum m[r*dl1 + (1-r)*dl2] and the
+    Hessian sum m[r*ddl1 + (1-r)*ddl2 + r(1-r)*d d^T], d = dl1 - dl2.  Each
+    entry of dl_k, and so of d, is affine in phi, because
+    (c - mu_k)^2 / v_k = 2(ln w_k - ln(v_k)/2 - lp_k): d = T phi for a 5x4
+    matrix T.  So one product of phi with the weight rows m*r, m*(1-r) and
+    m*r(1-r)*phi gives every sum over the bins."""
+    mu1, mu2, s1, s2, w = theta
+    v1, v2 = s1 * s1 + hist.sheppard, s2 * s2 + hist.sheppard
+    rho1, rho2 = s1 * s1 / v1, s2 * s2 / v2   # d ln v_k / d ln s_k, halved
+    k1 = 2.0 * (math.log(w) - 0.5 * math.log(v1)) - 1.0
+    k2 = 2.0 * (math.log(1.0 - w) - 0.5 * math.log(v2)) - 1.0
+    phi = rows[:4]
+    r = np.exp(rows[2] - rows[4])
+    x = np.empty((6, r.size))
+    np.multiply(hist.m, r, out=x[0])
+    np.subtract(hist.m, x[0], out=x[1])
+    np.multiply(x[0], 1.0 - r, out=x[2])
+    np.multiply(phi[1:], x[2], out=x[3:])
+    # Rows of T: d l1/d mu1, -d l2/d mu2, d l1/d ln s1, -d l2/d ln s2, and
+    # d(l1 - l2)/d logit w = 1, each as coefficients on (1, c, lp1, lp2).
+    t = np.array([[-mu1 / v1, 1.0 / v1, 0.0, 0.0],
+                  [mu2 / v2, -1.0 / v2, 0.0, 0.0],
+                  [rho1 * k1, 0.0, -2.0 * rho1, 0.0],
+                  [-rho2 * k2, 0.0, 0.0, 2.0 * rho2],
+                  [1.0, 0.0, 0.0, 0.0]])
+    sums = t @ np.dot(phi, x.T)
+    hess = sums[:, 2:] @ t.T
+    n1, n2 = float(sums[4, 0]), float(sums[4, 1])
+    g = [float(sums[0, 0]), -float(sums[1, 1]), float(sums[2, 0]),
+         -float(sums[3, 1]), n1 - w * hist.n]
+    # The second derivatives of l1 and l2 themselves, weighted.
+    hess[0, 0] -= n1 / v1
+    hess[1, 1] -= n2 / v2
+    hess[0, 2] -= 2.0 * rho1 * g[0]
+    hess[2, 0] -= 2.0 * rho1 * g[0]
+    hess[1, 3] -= 2.0 * rho2 * g[1]
+    hess[3, 1] -= 2.0 * rho2 * g[1]
+    hess[2, 2] += 2.0 * (1.0 - 2.0 * rho1) * g[2] - 2.0 * rho1 * rho1 * n1
+    hess[3, 3] += 2.0 * (1.0 - 2.0 * rho2) * g[3] - 2.0 * rho2 * rho2 * n2
+    hess[4, 4] -= w * (1.0 - w) * hist.n
+    return g, hess
+
+
+def _newton_step(g: list, hess: np.ndarray) -> tuple | None:
+    """(step, predicted gain) with step = (-H)^-1 g and gain g^T step / 2;
+    None unless -H is positive definite (its Cholesky factorisation
+    succeeds) and the gain is finite."""
+    neg = -hess
+    try:
+        np.linalg.cholesky(neg)
+        step = np.linalg.solve(neg, g)
+    except np.linalg.LinAlgError:
+        return None
+    gain = 0.5 * float(np.dot(g, step))
+    return (step.tolist(), gain) if math.isfinite(gain) else None
 
 
 def fit_em(
@@ -312,25 +374,37 @@ def fit_em(
     MLE of the binned likelihood (McLachlan & Jones 1988, Biometrics
     44:571-578).  ``EM_BINS`` equal-width bins of width h span [min, max];
     the non-empty ones enter as centres c_j with counts m_j, so one pass
-    reads the samples and each EM step costs at most ``EM_BINS`` terms.
-    The E-step widens each component variance by Sheppard's correction
-    h^2/12, and the M-step takes it off the count-weighted variance again
-    before flooring the sigmas at ``SIGMA_FLOOR_REL`` in the units of
-    ``samples``.  ``loglik_trace`` holds sum_j m_j ln p(c_j) under those
-    widened variances: the binned log-likelihood sum_j m_j ln P(bin j)
+    reads the samples and each pass of the fit costs at most ``EM_BINS``
+    terms.  The E-step widens each component variance by Sheppard's
+    correction h^2/12, and the M-step takes it off the count-weighted
+    variance again before flooring the sigmas at ``SIGMA_FLOOR_REL`` in the
+    units of ``samples``.  ``loglik_trace`` holds sum_j m_j ln p(c_j) under
+    those widened variances: the binned log-likelihood sum_j m_j ln P(bin j)
     less n*ln(h), up to terms of order h^4.
 
-    The steps are accelerated by SQUAREM (SqS3, Varadhan & Roland 2008,
-    Scand. J. Stat. 35:335-353): every two EM steps t1 = F(t0), t2 = F(t1)
-    are extrapolated, and the extrapolated point's E-step is run in spare
-    buffers.  Its M-step follows only if the log-likelihood there is finite
-    and at least that at t1; else the point is rejected and the fit goes
-    on from t2, whose squares were left in place.  So ``loglik_trace``,
-    over the accepted points, never drops.  It stops on a relative gain
-    below ``tol`` from a step's input to its image.  ``iterations`` counts
-    E-steps: the EM maps plus the E-steps of rejected extrapolations, never
-    above ``max_iter``; ``capped`` is True exactly when ``max_iter`` of
-    them ran without convergence."""
+    The fit is a hybrid of EM and Newton-Raphson (Aitkin & Aitkin 1996,
+    Stat. Comput. 6:127-130).  SQUAREM cycles (SqS3, Varadhan & Roland
+    2008, Scand. J. Stat. 35:335-353) are its global phase: every two EM
+    steps t1 = F(t0), t2 = F(t1) are extrapolated, and the extrapolated
+    point's E-step runs in spare buffers.  Its M-step follows only if the
+    log-likelihood there is finite and at least that at t1; else the fit
+    goes on from t2.  At a cycle boundary the fit tries a Newton step on
+    the log-likelihood in u = (mu1, mu2, ln s1, ln s2, logit w), from the
+    gradient and Hessian that ``_gradient_hessian`` builds out of the
+    E-step's buffers.  The step is taken only when -H is positive definite
+    and the step, halved at most 3 times, does not lower the
+    log-likelihood; after a taken step the fit tries again at once, and
+    after the k-th failed attempt it first runs 2^(k-1) SQUAREM cycles.
+    So ``loglik_trace``, over the accepted points, never drops.
+
+    The fit stops when an attempt finds -H positive definite with a
+    predicted gain g^T (-H)^-1 g / 2 of at most ``tol`` * |ll|, or when a
+    step, EM or Newton, gains at most ``tol`` relative from its input to
+    its image; it returns the EM image of the last point.  ``iterations``
+    counts passes over the bins: E-steps (EM maps, extrapolated points and
+    Newton trial points) and gradient-Hessian builds, never above
+    ``max_iter``; ``capped`` is True exactly when ``max_iter`` of them ran
+    without convergence."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
@@ -339,38 +413,72 @@ def fit_em(
     s1, s2 = max(init.sigma1, SIGMA_FLOOR_REL), max(init.sigma2, SIGMA_FLOOR_REL)
     w = min(max(float(init.w), W_FLOOR), 1.0 - W_FLOOR)
     theta = (float(init.mu1), float(init.mu2), s1, s2, w)
-    size = hist.c.size
-    buf = tuple(np.empty(size) for _ in range(3))
-    # Squares of an extrapolated point; the scratch row buf[2] is shared.
-    spare = (np.empty(size), np.empty(size), buf[2])
-    _squares(hist.c, theta, buf)
+    # Rows (1, c, lp1, lp2, ln p) at theta; the E-step works in rows[2:], and
+    # a trial point's squares and E-step go to the spare rows.
+    rows = np.empty((5, hist.c.size))
+    rows[0], rows[1] = 1.0, hist.c
+    spare = rows.copy()
+    _squares(hist.c, theta, rows[2:])
 
     trace, chain = [], [theta]
+    ll = None        # log-likelihood at theta once its E-step has run
     ll_prev = None   # log-likelihood at the point theta was mapped from
     iterations, capped = 0, False
+    cycles, failures, next_try = 0, 0, 0
     while iterations < max_iter:
-        ll, image = _em_map(hist, buf, theta)
-        iterations += 1
-        trace.append(ll)
+        if ll is None:
+            ll = _e_step(hist, rows[2:], theta)
+            iterations += 1
+            trace.append(ll)
+        converged = False
+        if len(chain) == 1 and cycles >= next_try and iterations < max_iter:
+            newton = _newton_step(*_gradient_hessian(hist, rows, theta))
+            iterations += 1
+            taken = False
+            if newton is not None:
+                step, gain = newton
+                converged = gain <= tol * (abs(ll) + 1e-12)
+                u = _u(theta)
+                # The full step, then halved at most 3 times, while passes remain.
+                for half in range(0 if converged else min(4, max_iter - iterations)):
+                    point = _theta([p + d * 0.5 ** half for p, d in zip(u, step)])
+                    _squares(hist.c, point, spare[2:])
+                    ll_x = _e_step(hist, spare[2:], point)
+                    iterations += 1
+                    if math.isfinite(ll_x) and ll_x >= ll:
+                        trace.append(ll_x)
+                        converged = ll_x - ll <= tol * (abs(ll) + 1e-12)
+                        theta, ll, ll_prev, chain = point, ll_x, None, [point]
+                        rows, spare = spare, rows
+                        taken = True
+                        break
+            if not converged:
+                if taken:
+                    continue   # and try again from the new point
+                failures += 1
+                next_try = cycles + 2 ** (failures - 1)
+        image = _m_step(hist, rows[2:])
         if image is None:
             break
-        converged = ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12)
-        theta, ll_prev = image, ll
+        converged = converged or (
+            ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12))
+        theta, ll_prev, ll = image, ll, None
         if converged:
             break
         chain.append(theta)
         if len(chain) == 3 and iterations < max_iter:
             point = _squarem_point(*chain)
-            _squares(hist.c, point, spare)
-            ll_x = _e_step(hist, spare, point)
+            _squares(hist.c, point, spare[2:])
+            ll_x = _e_step(hist, spare[2:], point)
             iterations += 1
             if math.isfinite(ll_x) and ll_x >= ll_prev:
-                image = _m_step(hist, spare)
+                image = _m_step(hist, spare[2:])
                 if image is not None:
                     trace.append(ll_x)
                     theta, ll_prev = image, ll_x
-                    buf, spare = spare, buf
+                    rows, spare = spare, rows
             chain = [theta]
+            cycles += 1
     else:
         capped = True
 

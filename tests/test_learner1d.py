@@ -19,8 +19,10 @@ from projclust.learner1d import (
     EM_MAX_ITER,
     EM_TOL,
     FitReport,
-    _em_map,
+    _e_step,
+    _gradient_hessian,
     _histogram,
+    _m_step,
     _squarem_point,
     _squares,
     _unit_coordinates,
@@ -265,6 +267,21 @@ def _em_corpus():
     return corpus + [(z, _mom_start(z))]
 
 
+def _em_map(hist, buf, theta):
+    """One EM step from theta, its squares in buf: (ll at theta, new theta
+    or None if a component empties)."""
+    ll = _e_step(hist, buf, theta)
+    return ll, _m_step(hist, buf)
+
+
+def _binned_loglik(hist, theta):
+    """sum_j m_j ln p(c_j) at theta = (mu1, mu2, s1, s2, w) on the bins of
+    ``_histogram``, unfloored: the log-likelihood that ``fit_em`` maximises."""
+    buf = tuple(np.empty(hist.c.size) for _ in range(3))
+    _squares(hist.c, theta, buf)
+    return _e_step(hist, buf, theta)
+
+
 def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
     """``_em_map`` run plainly on ``_histogram``'s bins, with ``fit_em``'s
     start, stopping rule and final ordering: plain EM in ``fit_em``'s
@@ -306,6 +323,8 @@ def _reference_point(t0, t1, t2):
     return mu1, mu2, s1, s2, w
 
 
+# The SQUAREM loop alone, before Newton steps finished the fit: the
+# hybrid ``fit_em`` must end no lower, in no more passes over the bins.
 def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
     """The SQUAREM loop that ran a full EM map at every extrapolated point
     and rebuilt t2's squares after a rejection, restated on ``_histogram``'s
@@ -504,20 +523,25 @@ class TestEMKernel:
                                        rtol=1e-12)
 
     def test_matches_reference_squarem(self):
+        # Where the SQUAREM loop alone converges, the hybrid converges too and
+        # ends no lower; over the corpus it makes no more passes and caps no
+        # more fits.  Where both cap (flat ridges of the quartile starts),
+        # neither has converged and their last points are not compared.
+        fits = []
         for z, init in _em_corpus():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = fit_em(z, init)
             want = _reference_squarem(z, init)
-            assert got.iterations == want.iterations
-            assert got.capped == want.capped
-            assert got.loglik_trace.size == want.loglik_trace.size
-            f, g = got.fitted, want.fitted
-            np.testing.assert_allclose(
-                [f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
-                [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
-                                       rtol=1e-12, atol=1e-12)
+            fits.append((got, want))
+            if not want.capped:
+                assert not got.capped
+                hist = _histogram(z)
+                ll, ll_want = (_binned_loglik(hist, (f.mu1, f.mu2, f.sigma1, f.sigma2, f.w))
+                               for f in (got.fitted, want.fitted))
+                assert ll >= ll_want - 1e-9 * abs(ll_want)
+        assert sum(g.iterations for g, _ in fits) <= sum(w.iterations for _, w in fits)
+        assert sum(g.capped for g, _ in fits) <= sum(w.capped for _, w in fits)
 
     def test_squarem_needs_fewer_steps_and_ends_no_lower(self):
         corpus = _em_corpus()
@@ -551,7 +575,9 @@ class TestEMKernel:
                                      for u in steps])
             assert point[2] == (SIGMA_FLOOR_REL if sign > 0 else math.exp(700.0))
         monkeypatch.setattr(learner1d, "_squarem_point", lambda *_: point)
-        calls = {"_m_step": 0, "_squares": 0}
+        # No Newton step either: every attempt finds -H not positive definite.
+        monkeypatch.setattr(learner1d, "_newton_step", lambda *_: None)
+        calls = {"_m_step": 0, "_squares": 0, "_gradient_hessian": 0}
 
         def counted(name):
             inner = getattr(learner1d, name)
@@ -570,11 +596,15 @@ class TestEMKernel:
             warnings.simplefilter("error")
             report = fit_em(x, init)
         # Every extrapolation is rejected, so the accepted points are plain
-        # EM's and every third step is spent on a rejected point.
+        # EM's and every third E-step is spent on a rejected point.  Each
+        # cycle ends in one rejection; the failed Newton attempts, one
+        # gradient-Hessian pass each, come after 0, 1, 3, 7, ... cycles.
         want = _reference_em(x, init)
         accepted = report.loglik_trace.size
         assert accepted == want.iterations
-        assert report.iterations == accepted + (accepted - 1) // 2
+        rejected = (accepted - 1) // 2
+        assert calls["_gradient_hessian"] == (rejected + 1).bit_length()
+        assert report.iterations == accepted + rejected + calls["_gradient_hessian"]
         np.testing.assert_allclose(report.loglik_trace, want.loglik_trace, rtol=1e-12)
         f, g = report.fitted, want.fitted
         np.testing.assert_allclose([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
@@ -582,7 +612,6 @@ class TestEMKernel:
         # A rejected point costs its squares and an E-step: no M-step, and no
         # rebuild of t2's squares. So the squares are built once at the start,
         # once per M-step and once per extrapolated point.
-        rejected = report.iterations - accepted
         assert calls["_m_step"] == accepted
         assert calls["_squares"] == 1 + accepted + rejected
 
@@ -617,7 +646,9 @@ class TestEMKernel:
         x = RngStream(14, 0).generator().standard_normal(1_000)
         init = Mixture1D(-1e3, 0.0, 1.0, 1.0, 0.3)
         report = fit_em(x, init)
-        assert report.iterations == 1 and report.loglik_trace.size == 1
+        # One E-step, then one gradient-Hessian pass: the empty component
+        # leaves -H singular, so no Newton step, and the M-step stops the fit.
+        assert report.iterations == 2 and report.loglik_trace.size == 1
         assert not report.capped
         assert report.fitted == init
         assert report.fitted == _reference_em(x, init).fitted
@@ -636,6 +667,145 @@ class TestEMKernel:
         for f in fits:
             assert (f.iterations == EM_MAX_ITER) == f.capped
             assert f.iterations <= EM_MAX_ITER
+
+
+class TestNewton:
+    """The Newton steps that finish ``fit_em``: their derivatives and the
+    safeguards around them."""
+
+    @pytest.mark.parametrize("x, theta", [
+        (sample_mixture(0.0, 2.5, 1.0, 1.5, 0.6, 5_000, seed=19), (0.1, 2.4, 0.9, 1.6, 0.55)),
+        (sample_mixture(0.0, 5.0, 1.0, 0.5, 0.4, 5_000, seed=20), (-0.1, 4.9, 1.1, 0.6, 0.45)),
+        # The first component holds about one sample: w near W_FLOOR.
+        (sample_mixture(3.0, 0.0, 0.3, 1.0, 2e-4, 5_000, seed=21),
+         (3.0, 0.0, 0.3, 1.0, 2 * W_FLOOR)),
+    ], ids=["overlapping", "separated", "w-near-floor"])
+    def test_gradient_hessian_match_finite_differences(self, x, theta):
+        hist = _histogram(x)
+        rows = np.empty((5, hist.c.size))
+        rows[0], rows[1] = 1.0, hist.c
+        _squares(hist.c, theta, rows[2:])
+        _e_step(hist, rows[2:], theta)
+        g, hess = _gradient_hessian(hist, rows, theta)
+        u = np.array([theta[0], theta[1], math.log(theta[2]), math.log(theta[3]),
+                      math.log(theta[4] / (1.0 - theta[4]))])
+        step = 1e-4
+        unit = np.eye(5) * step
+
+        def ll(v):   # at u = (mu1, mu2, ln s1, ln s2, logit w)
+            return _binned_loglik(hist, (v[0], v[1], math.exp(v[2]), math.exp(v[3]),
+                                         1.0 / (1.0 + math.exp(-v[4]))))
+
+        g_fd = [(ll(u + e) - ll(u - e)) / (2 * step) for e in unit]
+        hess_fd = [[(ll(u + e + f) - ll(u + e - f) - ll(u - e + f) + ll(u - e - f))
+                    / (4 * step * step) for f in unit] for e in unit]
+        np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-4)
+        np.testing.assert_allclose(hess, hess_fd, rtol=1e-6, atol=1e-3)
+
+    def test_step_that_lowers_the_likelihood_is_not_taken(self, monkeypatch):
+        # A step that moves mu1 50 units lowers the log-likelihood at every
+        # halving: each attempt costs the gradient-Hessian pass and 4 trial
+        # E-steps, and the fit goes on as SQUAREM alone, trying again after
+        # 1, 2, 4, ... cycles.
+        monkeypatch.setattr(learner1d, "_newton_step",
+                            lambda g, hess: ([50.0, 0.0, 0.0, 0.0, 0.0], 1e9))
+        calls = {"_gradient_hessian": 0, "_squarem_point": 0}
+
+        def counted(name):
+            inner = getattr(learner1d, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(learner1d, name, counted(name))
+        x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=5)
+        init = Mixture1D(1.0, 3.0, 1.0, 1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_em(x, init)
+        want = _reference_squarem(x, init)
+        attempts = calls["_gradient_hessian"]
+        assert attempts == (calls["_squarem_point"] + 1).bit_length() >= 2
+        assert report.iterations == want.iterations + 5 * attempts
+        np.testing.assert_allclose(report.loglik_trace, want.loglik_trace, rtol=1e-12)
+        f, g = report.fitted, want.fitted
+        np.testing.assert_allclose([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w],
+                                   [g.mu1, g.mu2, g.sigma1, g.sigma2, g.w], rtol=1e-12)
+
+    def test_extrapolations_start_from_em_chains(self, monkeypatch):
+        # Each SQUAREM point extrapolates t1 = F(t0), t2 = F(t1), also when a
+        # Newton step moved the fit after the cycle began: here the first
+        # attempt takes its step and every later one fails.
+        chains, solved = [], []
+        extrapolate, solve = learner1d._squarem_point, learner1d._newton_step
+
+        def recorded(*chain):
+            chains.append(chain)
+            return extrapolate(*chain)
+
+        def first_only(*args):
+            solved.append(None)
+            return solve(*args) if len(solved) == 1 else None
+
+        monkeypatch.setattr(learner1d, "_squarem_point", recorded)
+        monkeypatch.setattr(learner1d, "_newton_step", first_only)
+        x = sample_mixture(0.0, 2.0, 1.0, 1.0, 0.5, 10_000, seed=6)   # gamma = 1
+        report = fit_em(x, fit_mom(x).fitted)
+        assert len(solved) >= 2 and len(chains) >= 2 and not report.capped
+        hist = _histogram(x)
+        buf = tuple(np.empty(hist.c.size) for _ in range(3))
+        for t0, t1, t2 in chains:
+            for a, b in ((t0, t1), (t1, t2)):
+                _squares(hist.c, a, buf)
+                np.testing.assert_allclose(_em_map(hist, buf, a)[1], b, rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_step_pinned_by_the_floors_ends_the_fit(self):
+        # One sample far out: the component on it wants w below W_FLOOR and
+        # sigma below the floor, so the floored Newton point is the current
+        # one.  -H is positive definite with a predicted gain above tol*|ll|,
+        # and the step gains nothing: that ends the fit, as a step of EM
+        # gaining at most tol relative does, instead of repeating to the cap.
+        x = np.append(RngStream(22, 0).generator().standard_normal(20_000), 10.0)
+        report = fit_mixture(x, "mom+em")
+        assert not report.capped and report.iterations < 20
+        f = report.fitted
+        assert f.w == 1.0 - W_FLOOR and f.mu2 == pytest.approx(10.0, abs=0.02)
+
+    def test_runs_warning_free_on_degenerate_inputs(self, monkeypatch):
+        # The far outlier, a constant sample and 500 duplicates of one value.
+        gen = RngStream(16, 0).generator()
+        duplicates = np.concatenate([np.full(500, 2.0), gen.standard_normal(1_500)])
+        outlier = np.append(RngStream(12, 0).generator().standard_normal(1_999), 1e8)
+        counts = {"built": 0, "definite": 0}
+        build, solve = learner1d._gradient_hessian, learner1d._newton_step
+
+        def built(*args):
+            counts["built"] += 1
+            return build(*args)
+
+        def solved(*args):
+            out = solve(*args)
+            counts["definite"] += out is not None
+            return out
+
+        monkeypatch.setattr(learner1d, "_gradient_hessian", built)
+        monkeypatch.setattr(learner1d, "_newton_step", solved)
+        for x in (outlier, np.full(100, 5.0), duplicates):
+            counts["built"] = 0
+            with warnings.catch_warnings(), np.errstate(
+                    over="raise", divide="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                for method in ("em", "mom+em"):
+                    report = fit_mixture(x, method)
+                    f = report.fitted
+                    assert np.all(np.isfinite([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w]))
+                    assert not report.capped
+            assert counts["built"] > 0
+        assert counts["definite"] > 0
 
 
 class TestBinnedEM:
@@ -665,18 +835,25 @@ class TestBinnedEM:
             fit_em(x, Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5))
 
     def test_e_step_sees_at_most_em_bins_values(self, monkeypatch):
-        sizes = []
-        inner = learner1d._e_step
+        # Every pass the fit counts, an E-step or a gradient-Hessian build,
+        # works on at most EM_BINS values.
+        sizes = {"_e_step": [], "_gradient_hessian": []}
 
-        def counted(hist, buf, theta):
-            sizes.append(buf[0].size)
-            return inner(hist, buf, theta)
+        def counted(name):
+            inner = getattr(learner1d, name)
 
-        monkeypatch.setattr(learner1d, "_e_step", counted)
+            def wrapper(hist, buf, theta):
+                sizes[name].append(buf[0].size)
+                return inner(hist, buf, theta)
+            return wrapper
+
+        for name in sizes:
+            monkeypatch.setattr(learner1d, name, counted(name))
         x = sample_mixture(0.0, 3.0, 1.0, 1.5, 0.4, 100_000, seed=17)
         report = fit_mixture(x, "mom+em")
-        assert report.iterations > 0 and len(sizes) == report.iterations
-        assert 0 < max(sizes) <= EM_BINS
+        passes = sizes["_e_step"] + sizes["_gradient_hessian"]
+        assert sizes["_gradient_hessian"] and len(passes) == report.iterations
+        assert 0 < max(passes) <= EM_BINS
 
     def test_sheppard_correction_recovers_binned_sigma(self):
         # Two unit Gaussians 600 apart spread the 512 bins over the gap, so
@@ -766,6 +943,30 @@ class TestBinnedAgainstRawEM:
                 deltas.append(abs(bayes_error(binned) - bayes_error(raw)))
         assert len(deltas) >= 15
         assert float(np.median(deltas)) <= 1e-4
+
+    @classmethod
+    def mom_em_fits(cls):
+        """(unit-coordinate values, ``fit_em`` report) of every mom+em fit
+        on the datasets: single-Gaussian starts run no EM and are left out."""
+        for seed, data in cls.datasets():
+            for scan in scan_directions(data, ClusterConfig(0.05, 15, "mom", seed)):
+                z = _unit_coordinates(scan.values)[0]
+                start = _mom_start(z)
+                if start.mu1 != start.mu2:
+                    yield z, fit_em(z, start)
+
+    def test_capped_share_below_two_percent(self):
+        fits = [report for _, report in self.mom_em_fits()]
+        assert len(fits) >= 15
+        assert sum(f.capped for f in fits) < 0.02 * len(fits)
+
+    def test_bayes_error_within_1e3_of_the_mle(self):
+        # The oracle is plain EM from the fit, run until a step gains less
+        # than 1e-15 of |ll|: the MLE of the basin the fit stopped in.
+        for z, report in self.mom_em_fits():
+            mle = _plain_em(z, report.fitted, max_iter=100_000, tol=1e-15)
+            assert not mle.capped
+            assert abs(bayes_error(report.fitted) - bayes_error(mle.fitted)) <= 1e-3
 
     def test_target_scan_outcome_unchanged(self, monkeypatch):
         for seed, data in self.datasets():
