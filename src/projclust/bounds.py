@@ -5,19 +5,29 @@ its kind, the inputs it was computed from and a short citation tag naming
 the bound.  Probability bounds are clamped into [0, 1] and count bounds
 are at least 1; any clamping is flagged on the report, never silent.
 
-The central quantity is the chance that one random Gaussian direction
-preserves a prescribed 1-D separation gamma.  For spherical components
-with high-dimensional separation c it is lower-bounded, for any free
-parameter tau > 0, by
+The direction and count bounds rest on three statements, each written
+once, in a private helper:
 
-    2*Q( sqrt( alpha * (1 - 1/p) / (1 - alpha/p) * (1 + tau) ) )
-      * (1 - exp(-(p-1)/2 * (tau - ln(1+tau))))
+* The direction probability, :func:`_direction_prob`.  One random
+  Gaussian direction keeps a prescribed 1-D separation gamma with
+  probability at least, for any free parameter tau > 0,
 
-with alpha = gamma^2 / c^2; general covariances replace alpha by
-beta = 2*gamma^2*lmax(S1+S2)*p / ||m1-m2||^2, and a rank-r variant
-tightens beta through two extra chi-square concentration terms.
-The reciprocal of any such probability bounds the expected number of
-directions that must be scanned.
+      2*Q( sqrt( x * (1 - 1/p) / (1 - x/p) * (1 + tau) ) )
+        * (1 - exp(-(p-1)/2 * (tau - ln(1+tau))))  -  corrections
+
+  and zero once x >= p.  For spherical components with high-dimensional
+  separation c, x is alpha = gamma^2 / c^2.  For general covariances x is
+  beta = 2*gamma^2*lmax(S1+S2)*p / ||m1-m2||^2, or its rank variant
+  beta_r = 2*(1+tau2)*gamma^2*lmax*r / ((1-tau1)*||m1-m2||^2) with
+  r = rank(S1+S2), which subtracts two chi-square concentration terms as
+  its corrections.  :func:`_beta` computes beta and beta_r.
+* The count bound, :func:`_count_bound`.  The expected number of
+  directions to scan is at most 1/P for any such probability bound P, and
+  unbounded (reported as inf) when P is zero.  In the large-p limit P is
+  2*Q(gamma/c), or 2*Q(sqrt(beta)).
+* The regime rule, :func:`_within_regime`.  The count grows as o(ln p)
+  when gamma/c (or sqrt(beta)) is at most (ln ln p)^((1-eta)/2), and as
+  o(p) when it is at most (ln p)^((1-eta)/2).
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64))
 TAU1_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 TAU2_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
 
-_PROB_KINDS = ("probability_lower", "probability_upper", "error_upper", "error_lower")
+_PROB_KINDS = ("probability_lower", "probability_upper", "error_upper")
 _COUNT_KINDS = ("count_upper",)
 
 
@@ -86,6 +96,42 @@ def _clamp_probability(value: float) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
+# The direction probability, the count bound and the regime rule
+# ---------------------------------------------------------------------------
+
+def _direction_prob(
+    x: float, p: int, tau: float, inputs: dict, citation: str, symbol: str,
+    corrections: float = 0.0,
+) -> BoundReport:
+    """The direction-probability bound at x in {alpha, beta, beta_r} (see
+    the module docstring); ``symbol`` names x in the note of a zero."""
+    if x >= p:
+        value, clamped = 0.0, True
+        note = f"{symbol} >= p: bound degenerates to zero"
+    else:
+        arg = x * (1.0 - 1.0 / p) / (1.0 - x / p) * (1.0 + tau)
+        tail = chi2_upper_tail_exponent(p - 1, tau)
+        raw = 2.0 * q_function(math.sqrt(arg)) * (1.0 - tail) - corrections
+        value, clamped = _clamp_probability(raw)
+        note = "corrections exceed main term" if clamped and raw < 0.0 else ""
+    return BoundReport(value, "probability_lower", inputs, citation, clamped, note)
+
+
+def _count_bound(prob: float, inputs: dict, citation: str) -> BoundReport:
+    """The count bound 1/prob (at least 1), unbounded when prob is zero."""
+    if prob <= 0.0:
+        return BoundReport(math.inf, "count_upper", inputs, citation,
+                           note="probability bound is zero: count unbounded")
+    return BoundReport(max(1.0, 1.0 / prob), "count_upper", inputs, citation)
+
+
+def _within_regime(ratio: float, scale: float, eta: float) -> bool:
+    """The regime rule ratio <= scale^((1-eta)/2), with scale = ln ln p for
+    the o(ln p) regime and ln p for the o(p) regime."""
+    return ratio <= scale ** (0.5 * (1.0 - eta))
+
+
+# ---------------------------------------------------------------------------
 # High-dimensional error and spherical direction bounds
 # ---------------------------------------------------------------------------
 
@@ -128,27 +174,7 @@ def spherical_direction_prob(
         raise DomainError("tau must be positive")
     alpha = (gamma / c) ** 2
     inputs = {"gamma": gamma, "c": c, "p": p, "tau": tau, "alpha": alpha}
-    if alpha >= p:
-        return BoundReport(
-            value=0.0,
-            kind="probability_lower",
-            inputs=inputs,
-            citation="spherical-direction-prob",
-            clamped=True,
-            note="alpha >= p: bound degenerates to zero",
-        )
-    arg = alpha * (1.0 - 1.0 / p) / (1.0 - alpha / p) * (1.0 + tau)
-    tail = chi2_upper_tail_exponent(p - 1, tau)
-    value, clamped = _clamp_probability(
-        2.0 * q_function(math.sqrt(arg)) * (1.0 - tail)
-    )
-    return BoundReport(
-        value=value,
-        kind="probability_lower",
-        inputs=inputs,
-        citation="spherical-direction-prob",
-        clamped=clamped,
-    )
+    return _direction_prob(alpha, p, tau, inputs, "spherical-direction-prob", "alpha")
 
 
 def optimize_tau(prob_fn, grid=TAU_GRID) -> tuple[float, BoundReport]:
@@ -157,12 +183,8 @@ def optimize_tau(prob_fn, grid=TAU_GRID) -> tuple[float, BoundReport]:
     ``prob_fn`` maps tau to a BoundReport; the first grid point achieving
     the maximum wins, so the result is reproducible.
     """
-    best_tau, best = None, None
-    for tau in grid:
-        report = prob_fn(float(tau))
-        if best is None or report.value > best.value:
-            best_tau, best = float(tau), report
-    return best_tau, best
+    return max(((float(tau), prob_fn(float(tau))) for tau in grid),
+               key=lambda pair: pair[1].value)
 
 
 def expected_projections_spherical(
@@ -182,38 +204,10 @@ def expected_projections_spherical(
     if p is None:
         prob = 2.0 * q_function(gamma / c)
         inputs = {"gamma": gamma, "c": c, "p": None}
-        if prob <= 0.0:
-            return BoundReport(
-                value=math.inf,
-                kind="count_upper",
-                inputs=inputs,
-                citation="projections-spherical",
-                note="probability bound is zero: count unbounded",
-            )
-        return BoundReport(
-            value=max(1.0, 1.0 / prob),
-            kind="count_upper",
-            inputs=inputs,
-            citation="projections-spherical",
-        )
-    tau, prob_report = optimize_tau(
-        lambda t: spherical_direction_prob(gamma, c, p, t)
-    )
-    inputs = {"gamma": gamma, "c": c, "p": p, "tau": tau}
-    if prob_report.value <= 0.0:
-        return BoundReport(
-            value=math.inf,
-            kind="count_upper",
-            inputs=inputs,
-            citation="projections-spherical",
-            note="probability bound is zero: count unbounded",
-        )
-    return BoundReport(
-        value=max(1.0, 1.0 / prob_report.value),
-        kind="count_upper",
-        inputs=inputs,
-        citation="projections-spherical",
-    )
+    else:
+        tau, report = optimize_tau(lambda t: spherical_direction_prob(gamma, c, p, t))
+        prob, inputs = report.value, {"gamma": gamma, "c": c, "p": p, "tau": tau}
+    return _count_bound(prob, inputs, "projections-spherical")
 
 
 def sublog_regime_check(
@@ -233,10 +227,8 @@ def sublog_regime_check(
         raise DomainError("c must be positive")
     if gamma < 0.0:
         raise DomainError("gamma must be nonnegative")
-    ratio = gamma / c
-    exponent = 0.5 * (1.0 - eta)
-    in_o_ln_p = ratio <= math.log(math.log(p)) ** exponent
-    in_o_p = ratio <= math.log(p) ** exponent
+    in_o_ln_p = _within_regime(gamma / c, math.log(math.log(p)), eta)
+    in_o_p = _within_regime(gamma / c, math.log(p), eta)
     count = expected_projections_spherical(gamma, c, p)
     report = replace(
         count,
@@ -307,31 +299,41 @@ def kgmm_projection_bound(c_min: float, k: int, alpha: float) -> BoundReport:
 # Non-spherical bounds
 # ---------------------------------------------------------------------------
 
-def beta_full_rank(spec: MixtureSpec, gamma: float) -> float:
-    """beta = 2*gamma^2*lmax(Sigma1+Sigma2)*p / ||m1-m2||^2."""
+def _beta(
+    spec: MixtureSpec, gamma: float, mode: str,
+    tau1: float | None, tau2: float | None,
+) -> tuple[float, int | None]:
+    """(beta, None) for ``mode="full"``, (beta_r, r) for ``mode="rank"``;
+    beta is inf when the two means coincide.  Checks every input of both
+    modes, so each caller gets the same errors."""
     if spec.k != 2:
         raise DomainError("beta is defined for two-component mixtures")
     if gamma < 0.0:
         raise DomainError("gamma must be nonnegative")
+    if mode == "full":
+        r = None
+    elif mode == "rank":
+        if tau1 is None or tau2 is None:
+            raise DomainError("rank mode requires tau1 and tau2")
+        if not 0.0 < tau1 < 1.0:
+            raise DomainError("tau1 must lie in (0, 1)")
+        if tau2 <= 0.0:
+            raise DomainError("tau2 must be positive")
+        r = combined_rank(spec.covs[0], spec.covs[1], spec.p)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
     diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
     if diff_sq == 0.0:
-        return math.inf
+        return math.inf, r
     lmax = combined_lambda_max(spec.covs[0], spec.covs[1], spec.p)
-    return 2.0 * gamma * gamma * lmax * spec.p / diff_sq
+    if r is None:
+        return 2.0 * gamma * gamma * lmax * spec.p / diff_sq, r
+    return 2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq), r
 
 
-def _beta_rank(spec: MixtureSpec, gamma: float, tau1: float, tau2: float) -> tuple[float, int]:
-    if not 0.0 < tau1 < 1.0:
-        raise DomainError("tau1 must lie in (0, 1)")
-    if tau2 <= 0.0:
-        raise DomainError("tau2 must be positive")
-    diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
-    if diff_sq == 0.0:
-        return math.inf, 0
-    lmax = combined_lambda_max(spec.covs[0], spec.covs[1], spec.p)
-    r = combined_rank(spec.covs[0], spec.covs[1], spec.p)
-    beta = 2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq)
-    return beta, r
+def beta_full_rank(spec: MixtureSpec, gamma: float) -> float:
+    """beta = 2*gamma^2*lmax(Sigma1+Sigma2)*p / ||m1-m2||^2."""
+    return _beta(spec, gamma, "full", None, None)[0]
 
 
 def nonspherical_direction_prob(
@@ -350,57 +352,21 @@ def nonspherical_direction_prob(
     (tau1, tau2) and subtracts the two corresponding chi-square terms,
     which tightens the bound when the rank is far below p.
     """
-    if spec.k != 2:
-        raise DomainError("direction bound is defined for two components")
-    if gamma < 0.0:
-        raise DomainError("gamma must be nonnegative")
     if tau <= 0.0:
         raise DomainError("tau must be positive")
     p = spec.p
     if p < 2:
         raise DomainError("p must be >= 2")
-
+    beta, r = _beta(spec, gamma, mode, tau1, tau2)
     if mode == "full":
-        beta = beta_full_rank(spec, gamma)
-        corrections = 0.0
         inputs = {"gamma": gamma, "p": p, "tau": tau, "beta": beta}
-        citation = "nonspherical-direction-prob"
-    elif mode == "rank":
-        if tau1 is None or tau2 is None:
-            raise DomainError("rank mode requires tau1 and tau2")
-        beta, r = _beta_rank(spec, gamma, tau1, tau2)
-        corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(
-            r, tau2
-        )
-        inputs = {
-            "gamma": gamma, "p": p, "r": r,
-            "tau": tau, "tau1": tau1, "tau2": tau2, "beta": beta,
-        }
-        citation = "rank-direction-prob"
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    if not math.isfinite(beta) or beta >= p:
-        return BoundReport(
-            value=0.0,
-            kind="probability_lower",
-            inputs=inputs,
-            citation=citation,
-            clamped=True,
-            note="beta >= p: bound degenerates to zero",
-        )
-    arg = beta * (1.0 - 1.0 / p) / (1.0 - beta / p) * (1.0 + tau)
-    tail = chi2_upper_tail_exponent(p - 1, tau)
-    raw = 2.0 * q_function(math.sqrt(arg)) * (1.0 - tail) - corrections
-    value, clamped = _clamp_probability(raw)
-    return BoundReport(
-        value=value,
-        kind="probability_lower",
-        inputs=inputs,
-        citation=citation,
-        clamped=clamped,
-        note="corrections exceed main term" if clamped and raw < 0.0 else "",
-    )
+        return _direction_prob(beta, p, tau, inputs,
+                               "nonspherical-direction-prob", "beta")
+    inputs = {"gamma": gamma, "p": p, "r": r,
+              "tau": tau, "tau1": tau1, "tau2": tau2, "beta": beta}
+    corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
+    return _direction_prob(beta, p, tau, inputs, "rank-direction-prob", "beta",
+                           corrections)
 
 
 def expected_projections_nonspherical(
@@ -416,65 +382,35 @@ def expected_projections_nonspherical(
 
     ``asymptotic=True`` gives the large-p limit 1/(2*Q(sqrt(beta)));
     otherwise the mixture's own dimension is used with free parameters
-    optimised on fixed grids (tau always; tau1/tau2 too when not supplied
-    in rank mode).  The report notes whether sqrt(beta) sits in the
-    o(ln p) regime sqrt(beta) <= (ln ln p)^((1-eta)/2).
+    optimised on fixed grids (tau always; tau1/tau2 too when neither is
+    supplied in rank mode, where the large-p limit takes the grids' first
+    pair).  The report notes whether sqrt(beta) sits in the o(ln p)
+    regime sqrt(beta) <= (ln ln p)^((1-eta)/2).
     """
-    if mode == "rank" and (tau1 is None or tau2 is None):
+    if mode == "rank" and tau1 is None and tau2 is None:
         candidates = [(t1, t2) for t1 in TAU1_GRID for t2 in TAU2_GRID]
     else:
         candidates = [(tau1, tau2)]
 
     if asymptotic:
-        if mode == "full":
-            beta = beta_full_rank(spec, gamma)
-        else:
-            beta, _ = _beta_rank(spec, gamma, candidates[0][0], candidates[0][1])
+        beta, _ = _beta(spec, gamma, mode, *candidates[0])
+        prob = 0.0 if math.isinf(beta) else 2.0 * q_function(math.sqrt(beta))
         inputs = {"gamma": gamma, "p": None, "beta": beta, "mode": mode}
-        prob = 0.0 if not math.isfinite(beta) else 2.0 * q_function(math.sqrt(beta))
-        if prob <= 0.0:
-            return BoundReport(
-                value=math.inf, kind="count_upper", inputs=inputs,
-                citation="projections-nonspherical",
-                note="probability bound is zero: count unbounded",
-            )
-        return BoundReport(
-            value=max(1.0, 1.0 / prob), kind="count_upper", inputs=inputs,
-            citation="projections-nonspherical",
-        )
+        return _count_bound(prob, inputs, "projections-nonspherical")
 
-    best = None
-    for t1, t2 in candidates:
-        tau, report = optimize_tau(
-            lambda t: nonspherical_direction_prob(
-                spec, gamma, t, mode=mode, tau1=t1, tau2=t2
-            )
-        )
-        if best is None or report.value > best[1].value:
-            best = (tau, report)
-    tau, prob_report = best
-    inputs = dict(prob_report.inputs)
-    inputs["mode"] = mode
-    if prob_report.value > 0.0 and spec.p > math.e:
-        beta = inputs.get("beta", math.inf)
-        exponent = 0.5 * (1.0 - eta)
-        inputs["eta"] = eta
-        inputs["o_ln_p_regime"] = (
-            math.isfinite(beta)
-            and math.sqrt(beta) <= math.log(math.log(spec.p)) ** exponent
-        )
-    if prob_report.value <= 0.0:
-        return BoundReport(
-            value=math.inf, kind="count_upper", inputs=inputs,
-            citation="projections-nonspherical",
-            note="probability bound is zero: count unbounded",
-        )
-    return BoundReport(
-        value=max(1.0, 1.0 / prob_report.value),
-        kind="count_upper",
-        inputs=inputs,
-        citation="projections-nonspherical",
+    _, prob_report = max(
+        (optimize_tau(lambda t: nonspherical_direction_prob(
+            spec, gamma, t, mode=mode, tau1=t1, tau2=t2))
+         for t1, t2 in candidates),
+        key=lambda best: best[1].value,
     )
+    inputs = {**prob_report.inputs, "mode": mode}
+    if prob_report.value > 0.0 and spec.p > math.e:
+        inputs["eta"] = eta
+        inputs["o_ln_p_regime"] = _within_regime(
+            math.sqrt(inputs["beta"]), math.log(math.log(spec.p)), eta
+        )
+    return _count_bound(prob_report.value, inputs, "projections-nonspherical")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ budget exhausted, 1 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -232,38 +233,31 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# experiment flag -> the runner parameters it may fill, first match wins
+_EXPERIMENT_PARAMS = {
+    "repeats": ("repeats",), "p": ("p", "p_list"), "n": ("n",),
+    "c": ("c", "c_list"), "zeta": ("zeta_list",), "error": ("target_error",),
+    "budget": ("budget", "max_budget"), "directions": ("directions",),
+    "learner": ("learner",),
+}
+
+
 def _cmd_experiment(args) -> int:
     runner, fields = experiments.EXPERIMENTS[args.name]
+    params = inspect.signature(runner).parameters
     kwargs = {"seed": args.seed}
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.p is not None:
-        if args.name == "acc-vs-sep":
-            kwargs["p_list"] = (args.p,)
-        else:
-            kwargs["p"] = args.p
-    if args.n is not None and args.name != "gamma-cdf":
-        kwargs["n"] = args.n
-    if args.c is not None:
-        if args.name in ("proj-vs-sep", "acc-vs-sep"):
-            kwargs["c_list"] = tuple(args.c)
-        else:
-            kwargs["c"] = args.c[-1]
-    if args.zeta is not None:
-        kwargs["zeta_list"] = tuple(args.zeta)
-    if args.error is not None:
-        kwargs["target_error"] = args.error
-    if args.budget is not None:
-        if args.name in ("proj-vs-sep", "rank-proj"):
-            kwargs["max_budget"] = args.budget
-        else:
-            kwargs["budget"] = args.budget
-    if args.directions is not None and args.name == "gamma-cdf":
-        kwargs["directions"] = args.directions
-    if args.learner is not None and args.name != "gamma-cdf":
-        kwargs["learner"] = args.learner
-    if args.name == "gamma-cdf":
-        kwargs.pop("repeats", None)
+    for flag, names in _EXPERIMENT_PARAMS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        name = next((name for name in names if name in params), None)
+        if name is None:
+            raise UsageError(f"experiment {args.name} takes no --{flag}")
+        if name.endswith("_list"):
+            value = tuple(value) if isinstance(value, list) else (value,)
+        elif isinstance(value, list):
+            value = value[-1]
+        kwargs[name] = value
     rows = runner(**kwargs)
     experiments.write_csv(args.out, fields, rows)
     print(json.dumps({"csv": args.out, "rows": len(rows)}))

@@ -217,7 +217,7 @@ def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
             "min_true_error": min_true,
             "true_error_at_best_estimate": best_est[1],
             "bound_q_1d": q_function(c),
-            "bound_q_hd": q_function(0.5 * c * math.sqrt(p)),
+            "bound_q_hd": bnd.hd_bayes_error_bound(c, p).value,
         })
     return rows
 
@@ -277,10 +277,12 @@ def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
     """Prefix-minimum true error after m = 1..budget directions, plus the
     true error of the best-estimate direction seen so far.
 
-    ``bound_q_hd`` = Q(c*sqrt(p)/2) bounds the optimal error from above and
-    is not a floor: for this equal-weight spherical spec the optimal error
-    is exactly Q(c*sqrt(p)).
+    ``bound_q_hd`` is the Q(c*sqrt(p)/2) of
+    :func:`bounds.hd_bayes_error_bound`; it bounds the optimal error from
+    above and is not a floor: for this equal-weight spherical spec the
+    optimal error is exactly Q(c*sqrt(p)).
     """
+    bound_q_hd = bnd.hd_bayes_error_bound(c, p).value
     rows = []
     for _, rep, data_stream, scan_seed in _cells(seed, [None], repeats):
         data = sample_dataset(make_spherical_spec(p, c), n, data_stream)
@@ -301,7 +303,7 @@ def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
                 "best_true_error": best_true,
                 "true_error_at_best_estimate": true_at_best_est,
                 "bound_q_1d": q_function(c),
-                "bound_q_hd": q_function(0.5 * c * math.sqrt(p)),
+                "bound_q_hd": bound_q_hd,
             })
     return rows
 

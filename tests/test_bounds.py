@@ -7,6 +7,8 @@ import pytest
 
 from projclust.bounds import (
     BoundReport,
+    TAU1_GRID,
+    TAU2_GRID,
     TAU_GRID,
     beta_full_rank,
     error_gap_bound,
@@ -339,6 +341,72 @@ class TestExpectedProjectionsNonspherical:
         spec = make_spherical_spec(10_000, 1.0)
         rep = expected_projections_nonspherical(spec, 0.5, eta=0.1)
         assert rep.inputs["o_ln_p_regime"]
+
+
+class TestNonsphericalInputChecks:
+    """Every path of the nonspherical bounds checks its inputs alike."""
+
+    def test_equal_means_rank_mode_matches_full_mode(self):
+        cov = CovarianceSpec.spherical(1.0)
+        spec = MixtureSpec.create(np.zeros((2, 5)), (cov, cov), [0.5, 0.5])
+        for mode, taus in (("full", {}), ("rank", {"tau1": 0.2, "tau2": 0.5})):
+            prob = nonspherical_direction_prob(spec, 1.0, 0.1, mode=mode, **taus)
+            assert prob.value == 0.0 and prob.clamped
+            count = expected_projections_nonspherical(spec, 1.0, mode=mode, **taus)
+            assert math.isinf(count.value)
+            assert count.note == "probability bound is zero: count unbounded"
+        assert prob.inputs["r"] == 5
+
+    def test_unknown_mode_asymptotic_is_domain_error(self):
+        spec = make_spherical_spec(100, 1.0)
+        for taus in ({}, {"tau1": 0.2, "tau2": 0.5}):
+            with pytest.raises(DomainError, match="unknown mode"):
+                expected_projections_nonspherical(
+                    spec, 1.0, mode="bogus", asymptotic=True, **taus
+                )
+
+    def test_three_components_rejected_in_every_path(self):
+        cov = CovarianceSpec.spherical(1.0)
+        spec = MixtureSpec.create(
+            np.arange(15.0).reshape(3, 5), (cov, cov, cov), [0.3, 0.3, 0.4]
+        )
+        for mode in ("full", "rank"):
+            for asymptotic in (False, True):
+                with pytest.raises(DomainError, match="two-component"):
+                    expected_projections_nonspherical(
+                        spec, 1.0, mode=mode, asymptotic=asymptotic,
+                        tau1=0.2, tau2=0.5,
+                    )
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    @pytest.mark.parametrize("taus", [{"tau1": 0.2}, {"tau2": 0.5}])
+    def test_half_given_tau_pair_rejected(self, asymptotic, taus):
+        spec = make_spherical_spec(100, 1.0)
+        with pytest.raises(DomainError, match="rank mode requires tau1 and tau2"):
+            expected_projections_nonspherical(
+                spec, 1.0, mode="rank", asymptotic=asymptotic, **taus
+            )
+
+    def test_omitted_taus_still_optimise_the_grid(self):
+        spec, _ = make_rank_spec(200, 0.5, 0.335, RngStream(0, 42))
+        counts = [
+            expected_projections_nonspherical(
+                spec, 1.0, mode="rank", tau1=t1, tau2=t2
+            ).value
+            for t1 in TAU1_GRID for t2 in TAU2_GRID
+        ]
+        rep = expected_projections_nonspherical(spec, 1.0, mode="rank")
+        assert rep.value == min(counts) < max(counts)
+
+    def test_negative_gamma_rejected_in_every_path(self):
+        spec = make_spherical_spec(100, 1.0)
+        for mode in ("full", "rank"):
+            for asymptotic in (False, True):
+                with pytest.raises(DomainError, match="gamma must be nonnegative"):
+                    expected_projections_nonspherical(
+                        spec, -1.0, mode=mode, asymptotic=asymptotic,
+                        tau1=0.2, tau2=0.5,
+                    )
 
 
 class TestSampleSizeRequired:

@@ -254,6 +254,27 @@ class TestExperimentCommand:
         lines = open(out).read().splitlines()
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("name, flag, value", [
+        ("acc-vs-sep", "--error", "0.1"),
+        ("acc-vs-sep", "--directions", "10"),
+        ("err-vs-proj", "--zeta", "0.1"),
+        ("gamma-cdf", "--budget", "5"),
+        ("gamma-cdf", "--repeats", "2"),
+        ("gamma-cdf", "--n", "100"),
+        ("gamma-cdf", "--learner", "mom"),
+    ])
+    def test_flag_the_experiment_does_not_take_is_usage_error(
+        self, capsys, tmp_path, name, flag, value
+    ):
+        out = os.path.join(tmp_path, "x.csv")
+        small = ["--p", "10", "--directions", "100"] if name == "gamma-cdf" else []
+        code, stdout, err = run_main(
+            capsys, "experiment", name, flag, value, *small, "--out", out,
+        )
+        assert code == EXIT_USAGE_OR_IO
+        assert err == f"error: experiment {name} takes no {flag}\n"
+        assert stdout == "" and not os.path.exists(out)
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
