@@ -164,7 +164,7 @@ def spherical_direction_prob(
 ) -> BoundReport:
     """Lower bound on P(one random direction keeps gamma-separation),
     for spherical components with high-dimensional separation c."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
     if c <= 0.0:
         raise DomainError("c must be positive")
@@ -197,7 +197,7 @@ def expected_projections_spherical(
     the finite-dimension probability bound with tau optimised on the
     standard grid.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
     if c <= 0.0:
         raise DomainError("c must be positive")
@@ -225,7 +225,7 @@ def sublog_regime_check(
         raise DomainError("p must exceed e so that ln(ln(p)) is positive")
     if c <= 0.0:
         raise DomainError("c must be positive")
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
     in_o_ln_p = _within_regime(gamma / c, math.log(math.log(p)), eta)
     in_o_p = _within_regime(gamma / c, math.log(p), eta)
@@ -308,7 +308,7 @@ def _beta(
     modes, so each caller gets the same errors."""
     if spec.k != 2:
         raise DomainError("beta is defined for two-component mixtures")
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
     if mode == "full":
         r = None
@@ -336,6 +336,28 @@ def beta_full_rank(spec: MixtureSpec, gamma: float) -> float:
     return _beta(spec, gamma, "full", None, None)[0]
 
 
+def _nonspherical_prob_fn(
+    spec: MixtureSpec, gamma: float, mode: str,
+    tau1: float | None, tau2: float | None,
+):
+    """The map tau -> :func:`nonspherical_direction_prob` at fixed (mode,
+    tau1, tau2).  beta, r and the chi-square corrections do not depend on
+    tau, so they are computed once, here."""
+    p = spec.p
+    if p < 2:
+        raise DomainError("p must be >= 2")
+    beta, r = _beta(spec, gamma, mode, tau1, tau2)
+    if mode == "full":
+        return lambda tau: _direction_prob(
+            beta, p, tau, {"gamma": gamma, "p": p, "tau": tau, "beta": beta},
+            "nonspherical-direction-prob", "beta")
+    corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
+    return lambda tau: _direction_prob(
+        beta, p, tau, {"gamma": gamma, "p": p, "r": r, "tau": tau,
+                       "tau1": tau1, "tau2": tau2, "beta": beta},
+        "rank-direction-prob", "beta", corrections)
+
+
 def nonspherical_direction_prob(
     spec: MixtureSpec,
     gamma: float,
@@ -354,19 +376,7 @@ def nonspherical_direction_prob(
     """
     if tau <= 0.0:
         raise DomainError("tau must be positive")
-    p = spec.p
-    if p < 2:
-        raise DomainError("p must be >= 2")
-    beta, r = _beta(spec, gamma, mode, tau1, tau2)
-    if mode == "full":
-        inputs = {"gamma": gamma, "p": p, "tau": tau, "beta": beta}
-        return _direction_prob(beta, p, tau, inputs,
-                               "nonspherical-direction-prob", "beta")
-    inputs = {"gamma": gamma, "p": p, "r": r,
-              "tau": tau, "tau1": tau1, "tau2": tau2, "beta": beta}
-    corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
-    return _direction_prob(beta, p, tau, inputs, "rank-direction-prob", "beta",
-                           corrections)
+    return _nonspherical_prob_fn(spec, gamma, mode, tau1, tau2)(tau)
 
 
 def expected_projections_nonspherical(
@@ -399,8 +409,7 @@ def expected_projections_nonspherical(
         return _count_bound(prob, inputs, "projections-nonspherical")
 
     _, prob_report = max(
-        (optimize_tau(lambda t: nonspherical_direction_prob(
-            spec, gamma, t, mode=mode, tau1=t1, tau2=t2))
+        (optimize_tau(_nonspherical_prob_fn(spec, gamma, mode, t1, t2))
          for t1, t2 in candidates),
         key=lambda best: best[1].value,
     )

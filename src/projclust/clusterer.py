@@ -43,9 +43,9 @@ BUDGET_SAFETY_FACTOR = 3
 
 # Rows of the first projection block.  A block product streams the n x p
 # data once, so its cost grows far slower than its row count (n=50,000,
-# p=1000, one thread: about 65 ms for 8 rows, 90 ms for 21, 155 ms for
-# 64).  Later blocks double to cut the passes of a long scan, while an
-# early stop still pays for at most 8 rows.
+# p=1000, column-major points, one thread: about 62 ms for 8 rows, 85 ms
+# for 21, 158 ms for 64).  Later blocks double to cut the passes of a
+# long scan, while an early stop still pays for at most 8 rows.
 B = 8
 # Rows of the largest block: a block holds B_MAX * n floats, and a scan
 # keeps at most two blocks alive.

@@ -19,8 +19,13 @@ full component goes through one BLAS product over all of its rows, which
 holds two copies of those rows while it runs.
 
 Dataset files are a raw little-endian float64 row-major payload plus a
-JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Writing a
-C-contiguous little-endian payload copies nothing.
+JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Both the
+write and the read stream the payload ROW_BLOCK rows at a time.  Writing
+row-major points copies nothing; points of any other layout are copied
+one block at a time.  Reading returns column-major (Fortran-order)
+points, the layout the scan's projection kernel reads fastest: each
+block read from the file is stored into the preallocated n x p result,
+so a read holds that buffer plus one block.
 """
 
 from __future__ import annotations
@@ -215,9 +220,10 @@ def write_dataset(
     rank-controlled spec when given).  Returns the two file names."""
     base = _base_path(path)
     bin_path, json_path = base + ".bin", base + ".json"
-    payload = np.ascontiguousarray(dataset.points, dtype="<f8")
     with open(bin_path, "wb") as fh:
-        payload.tofile(fh)
+        for start in range(0, dataset.n, ROW_BLOCK):
+            rows = dataset.points[start:start + ROW_BLOCK]
+            np.ascontiguousarray(rows, dtype="<f8").tofile(fh)
     if k is None:
         k = int(dataset.labels.max()) + 1 if dataset.labels is not None else 2
     header = {
@@ -240,7 +246,8 @@ def write_dataset(
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read a dataset written by :func:`write_dataset`."""
+    """Read a dataset written by :func:`write_dataset`; its points are
+    column-major."""
     base = _base_path(path)
     bin_path, json_path = base + ".bin", base + ".json"
     if not os.path.exists(json_path):
@@ -248,11 +255,23 @@ def read_dataset(path: str) -> Dataset:
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     n, p = int(header["n"]), int(header["p"])
-    raw = np.fromfile(bin_path, dtype="<f8")
-    if raw.size != n * p:
-        raise DimensionMismatchError(
-            f"payload holds {raw.size} values, header says {n}x{p}"
-        )
+    with open(bin_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if n < 0 or p < 0 or size != 8 * n * p:
+            raise DimensionMismatchError(
+                f"payload holds {size} bytes, header says {n}x{p} float64 values"
+            )
+        points = np.empty((n, p), order="F")
+        block = np.empty((min(ROW_BLOCK, n), p), dtype="<f8")
+        for start in range(0, n, ROW_BLOCK):
+            rows = block[:n - start]
+            # A file cut short after the size check must not leave the
+            # previous block's values in points.
+            if fh.readinto(rows) != rows.nbytes:
+                raise DimensionMismatchError(
+                    f"payload ended before row {start + len(rows)} of {n}"
+                )
+            points[start:start + len(rows)] = rows
     labels = header.get("labels")
     labels = None if labels is None else np.asarray(labels, dtype=int)
     seed = header.get("seed")
@@ -260,8 +279,7 @@ def read_dataset(path: str) -> Dataset:
     if seed is not None:
         provenance = Provenance(seed=int(seed), generator=header.get("generator") or "")
     return Dataset(
-        n=n, p=p, points=raw.reshape(n, p).astype(float, copy=False),
-        labels=labels, provenance=provenance,
+        n=n, p=p, points=points, labels=labels, provenance=provenance,
     )
 
 

@@ -2,7 +2,8 @@
 
 Conventions used throughout:
 
-* points and means are row vectors; matrices are dense row-major float64;
+* points and means are row vectors; matrices are dense float64,
+  row-major except dataset points, which may have any layout;
 * component labels are 0-based integers in ``[0, k)``;
 * a two-component 1-D mixture is the five-tuple ``(mu1, mu2, sigma1,
   sigma2, w)`` with ``w`` the weight of component 1 (label 0).
@@ -235,7 +236,12 @@ class Provenance(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n points in R^p with optional true labels and generation provenance."""
+    """n points in R^p with optional true labels and generation provenance.
+
+    ``points`` may have any memory layout.  ``datagen.read_dataset``
+    returns it column-major, because the scan's projection kernel reads
+    that layout fastest.
+    """
 
     n: int
     p: int

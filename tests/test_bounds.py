@@ -1,6 +1,7 @@
 """Bound calculators against Q-oracles, algebraic identities and Monte Carlo."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -407,6 +408,28 @@ class TestNonsphericalInputChecks:
                         spec, -1.0, mode=mode, asymptotic=asymptotic,
                         tau1=0.2, tau2=0.5,
                     )
+
+    def test_nan_gamma_rejected_up_front(self):
+        # A NaN gamma once gave a nan beta, an unrelated q_function error
+        # or an unbounded count, depending on the path.
+        spec = make_spherical_spec(50, 1.0)
+        nan, taus = math.nan, {"tau1": 0.2, "tau2": 0.5}
+        calls = [
+            partial(beta_full_rank, spec, nan),
+            partial(spherical_direction_prob, nan, 1.0, 50, 0.1),
+            partial(expected_projections_spherical, nan, 1.0),
+            partial(expected_projections_spherical, nan, 1.0, 50),
+            partial(sublog_regime_check, nan, 1.0, 50, 0.1),
+        ]
+        for mode in ("full", "rank"):
+            calls.append(partial(nonspherical_direction_prob, spec, nan, 0.1,
+                                 mode=mode, **taus))
+            for asymptotic in (False, True):
+                calls.append(partial(expected_projections_nonspherical, spec, nan,
+                                     mode=mode, asymptotic=asymptotic, **taus))
+        for call in calls:
+            with pytest.raises(DomainError, match="gamma must be nonnegative"):
+                call()
 
 
 class TestSampleSizeRequired:

@@ -5,13 +5,16 @@ import json
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from projclust import datagen
 from projclust.datagen import (
     NONGAUSSIAN_SHAPES,
+    ROW_BLOCK,
     export_csv,
     make_rank_spec,
     make_spherical_spec,
@@ -20,7 +23,7 @@ from projclust.datagen import (
     sample_nongaussian_dataset,
     write_dataset,
 )
-from projclust.errors import DomainError, UnsupportedError
+from projclust.errors import DimensionMismatchError, DomainError, UnsupportedError
 from projclust.mathkit import RngStream
 from projclust.model import (
     CovarianceSpec,
@@ -256,8 +259,34 @@ class TestFiles:
         bin_path, json_path = write_dataset(data, base)
         with open(bin_path, "ab") as fh:
             fh.write(b"\x00" * 8)
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             read_dataset(base)
+
+    @pytest.mark.parametrize("cut", [8, 3])   # one value; not a multiple of 8
+    def test_short_payload_detected(self, tmp_path, cut):
+        spec = make_spherical_spec(3, 1.0)
+        data = sample_dataset(spec, 5, RngStream(23, 0))
+        base = os.path.join(tmp_path, "short")
+        bin_path, _ = write_dataset(data, base)
+        with open(bin_path, "r+b") as fh:
+            fh.truncate(8 * 5 * 3 - cut)
+        with pytest.raises(DimensionMismatchError, match="header says 5x3"):
+            read_dataset(base)
+
+    def test_payload_cut_after_size_check_detected(self, tmp_path, monkeypatch):
+        # The last block comes up one value short while fstat still
+        # reports the full size; its read must fail rather than keep the
+        # previous block's values.
+        n, p = ROW_BLOCK + 3, 2
+        data = sample_dataset(make_spherical_spec(p, 1.0), n, RngStream(23, 1))
+        base = os.path.join(tmp_path, "cut")
+        bin_path, _ = write_dataset(data, base)
+        with open(bin_path, "r+b") as fh:
+            fh.truncate(8 * n * p - 8)
+        with monkeypatch.context() as m:
+            m.setattr(datagen.os, "fstat", lambda fd: SimpleNamespace(st_size=8 * n * p))
+            with pytest.raises(DimensionMismatchError, match="ended before row"):
+                read_dataset(base)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_payload_rejected_on_read(self, tmp_path, bad):
@@ -456,6 +485,27 @@ class TestMemoryContract:
         _, peak = _traced_peak(lambda: write_dataset(data, base, k=2))
         assert peak / (8 * self.N * self.P) <= 0.05
         np.testing.assert_array_equal(read_dataset(base).points, data.points)
+
+    def test_read_holds_one_buffer(self, tmp_path):
+        spec = make_spherical_spec(self.P, 1.0)
+        data = sample_dataset(spec, self.N, RngStream(42, 0))
+        base = os.path.join(tmp_path, "mem")
+        write_dataset(data, base, k=2)
+        back, peak = _traced_peak(lambda: read_dataset(base))
+        assert back.points.flags.f_contiguous
+        assert peak / (8 * self.N * self.P) <= 1.1
+        np.testing.assert_array_equal(back.points, data.points)
+
+    def test_write_of_read_back_copies_nothing(self, tmp_path):
+        spec = make_spherical_spec(self.P, 1.0)
+        data = sample_dataset(spec, self.N, RngStream(43, 0))
+        first, _ = write_dataset(data, os.path.join(tmp_path, "first"), k=2)
+        back = read_dataset(first)
+        again = os.path.join(tmp_path, "again")
+        (second, _), peak = _traced_peak(lambda: write_dataset(back, again, k=2))
+        assert peak / (8 * self.N * self.P) <= 0.05
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("view", ["transposed", "strided"])

@@ -132,3 +132,31 @@ def test_row_permutation_keeps_winner(data, learner, seed):
     assert out.achieved == base.achieved
     np.testing.assert_allclose(out.boundary.thresholds, base.boundary.thresholds,
                                rtol=1e-9)
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+@pytest.mark.parametrize("target,budget", [
+    (TARGET, BUDGET),
+    (1e-6, 9),     # never met: every direction is scanned, and
+    (1e-6, 25),    # the last block holds one direction
+])
+def test_column_major_points_keep_the_scan(data, learner, target, budget):
+    # The layout of the points picks the BLAS kernel of a block product
+    # (GEMM with or without a transpose, GEMV for one row), which may sum
+    # in another order: every float agrees to rounding, every count and
+    # verdict exactly.
+    cfg = ClusterConfig(target, budget, learner=learner, seed=1)
+    base = cluster_gmm(data, cfg)
+    out = cluster_gmm(moved(data, np.asfortranarray(data.points)), cfg)
+    assert out.projections_used == base.projections_used
+    assert out.achieved == base.achieved
+    assert out.boundary.orientation == base.boundary.orientation
+    np.testing.assert_array_equal(out.boundary.direction, base.boundary.direction)
+    for got, want in [
+        (out.boundary.thresholds, base.boundary.thresholds),
+        (out.estimated_error, base.estimated_error),
+        (out.gamma_hat, base.gamma_hat),
+        (out.c_hat, base.c_hat),
+        (list(vars(out.fitted).values()), list(vars(base.fitted).values())),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
