@@ -9,7 +9,6 @@ from .errors import (
     InsufficientSampleError,
     NoBoundaryError,
     ProjclustError,
-    UnsupportedError,
 )
 from .mathkit import (
     RngStream,

@@ -366,8 +366,9 @@ def nonspherical_direction_prob(
     tau1: float | None = None,
     tau2: float | None = None,
 ) -> BoundReport:
-    """Lower bound on the gamma-separation probability of one direction
-    for arbitrary PSD covariances.
+    """Lower bound on the gamma-separation probability of one direction.
+    It holds for any PSD pair (Sigma1, Sigma2); the package represents
+    spherical and axis-aligned ones.
 
     ``mode="full"`` uses the full-dimension beta.  ``mode="rank"``
     recomputes beta from rank(Sigma1+Sigma2) with concentration slack

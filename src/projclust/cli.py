@@ -15,7 +15,13 @@ import sys
 
 from . import bounds as bnd
 from . import datagen, experiments, model
-from .clusterer import ClusterConfig, classify, cluster_gmm, clustering_error
+from .clusterer import (
+    ClusterConfig,
+    classify,
+    cluster_gmm,
+    clustering_error,
+    projections_budget_default,
+)
 from .errors import ProjclustError
 from .learner1d import LEARNERS
 from .mathkit import RngStream
@@ -174,7 +180,6 @@ def _cmd_cluster(args) -> int:
     data = datagen.read_dataset(args.input)
     budget = args.budget
     if budget is None:
-        from .clusterer import projections_budget_default
         budget = projections_budget_default(data.p, False, args.error)
     cfg = ClusterConfig(
         target_error=args.error, budget=budget, learner=args.learner,

@@ -160,8 +160,8 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
             break
     achieved = winner is not None
     chosen = winner if achieved else best
-    used = chosen.index if achieved else cfg.budget
-    c_hat = estimate_c_hat(np.array(gammas[:used]))
+    used = len(gammas)
+    c_hat = estimate_c_hat(np.array(gammas))
 
     if chosen.thresholds is not None:
         boundary = Boundary1D.create(

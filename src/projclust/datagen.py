@@ -12,11 +12,10 @@ coordinates).  The rank of the summed covariances is therefore exactly
 min(3*ceil(zeta*p), p) and is returned alongside the spec.
 
 Memory: a sample is drawn into one n x p float64 buffer (two for the
-rademacher shape, whose integer draw is cast once), which is transformed
-in place and becomes ``Dataset.points``.  Spherical and axis-aligned
-components are transformed ROW_BLOCK rows at a time; a rotated-eigen or
-full component goes through one BLAS product over all of its rows, which
-holds two copies of those rows while it runs.
+rademacher shape, whose integer draw is cast once), which becomes
+``Dataset.points``.  Each component's rows of it are scaled and shifted
+in place, ROW_BLOCK rows at a time, so a sample holds that buffer plus
+one block whatever the spec.
 
 Dataset files are a raw little-endian float64 row-major payload plus a
 JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Both the
@@ -37,7 +36,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, UnsupportedError
+from .errors import DimensionMismatchError, DomainError
 from .mathkit import RngStream
 from .model import (
     CovarianceSpec,
@@ -117,30 +116,6 @@ def make_rank_spec(
     return spec, rank
 
 
-def _component_transform(cov: CovarianceSpec, n: int):
-    """Return ``(transform, rows_per_call)`` for one component.
-
-    ``transform`` maps a (rows, p) block of i.i.d. unit-variance draws to
-    the component's covariance, overwriting the block where it can.  An
-    elementwise scale is applied ROW_BLOCK rows at a time.  A BLAS product
-    takes all of its component's rows in one call, as it always has: the
-    BLAS picks its kernel from the row count, so the last bits of a row
-    depend on how many rows share the call.
-    """
-    if cov.kind == "spherical":
-        sd = math.sqrt(cov.variance)
-        return (lambda z: np.multiply(z, sd, out=z)), ROW_BLOCK
-    if cov.kind == "eigen":
-        sd = np.sqrt(cov.eigenvalues)
-        if cov.basis is None:
-            return (lambda z: np.multiply(z, sd, out=z)), ROW_BLOCK
-        basis = cov.basis
-        return (lambda z: np.multiply(z, sd, out=z) @ basis.T), n
-    vals, vecs = np.linalg.eigh(cov.matrix)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return (lambda z: z @ factor.T), n
-
-
 def _draw_base(gen: np.random.Generator, n: int, p: int, shape: str) -> np.ndarray:
     if shape == "gaussian":
         return gen.standard_normal((n, p))
@@ -163,13 +138,14 @@ def _sample(spec: MixtureSpec, n: int, rng: RngStream, shape: str) -> Dataset:
     gen = rng.generator()
     labels = gen.choice(spec.k, size=n, p=spec.weights)
     points = _draw_base(gen, n, spec.p, shape)
-    # Each component reads and overwrites only its own rows of the draw.
+    # Each component scales and shifts only its own rows of the draw.
     for i, cov in enumerate(spec.covs):
-        transform, step = _component_transform(cov, n)
+        sd = np.sqrt(cov.variance if cov.kind == "spherical" else cov.eigenvalues)
         rows = np.flatnonzero(labels == i)
-        for start in range(0, rows.size, step):
-            chunk = rows[start:start + step]
-            values = transform(points[chunk])
+        for start in range(0, rows.size, ROW_BLOCK):
+            chunk = rows[start:start + ROW_BLOCK]
+            values = points[chunk]
+            values *= sd
             values += spec.means[i]
             points[chunk] = values
     generator_id = f"{shape}:stream={rng.stream_index}"
@@ -191,15 +167,10 @@ def sample_nongaussian_dataset(
 
     Coordinates follow the named zero-mean unit-variance shape and are
     scaled and shifted so the mixture's first two moments match the spec
-    exactly.  Supported for spherical and eigen covariances.
+    exactly.
     """
     if shape not in NONGAUSSIAN_SHAPES:
         raise DomainError(f"shape must be one of {NONGAUSSIAN_SHAPES}")
-    for cov in spec.covs:
-        if cov.kind == "full":
-            raise UnsupportedError(
-                "non-Gaussian coordinates require spherical or eigen covariances"
-            )
     return _sample(spec, n, rng, shape)
 
 

@@ -23,7 +23,3 @@ class DegenerateMixtureError(DomainError):
 
 class NoBoundaryError(ProjclustError):
     """The two components admit no finite decision threshold."""
-
-
-class UnsupportedError(ProjclustError, NotImplementedError):
-    """A valid input falls outside the supported feature set."""

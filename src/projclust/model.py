@@ -2,8 +2,8 @@
 
 Conventions used throughout:
 
-* points and means are row vectors; matrices are dense float64,
-  row-major except dataset points, which may have any layout;
+* points and means are row vectors; covariances are axis-aligned
+  (``CovarianceSpec``); dataset points may have any memory layout;
 * component labels are 0-based integers in ``[0, k)``;
 * a two-component 1-D mixture is the five-tuple ``(mu1, mu2, sigma1,
   sigma2, w)`` with ``w`` the weight of component 1 (label 0).
@@ -37,18 +37,12 @@ W_FLOOR = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSpec:
-    """One component covariance in spherical, eigen or full form.
-
-    ``eigen`` form stores eigenvalues plus an orthogonal basis whose
-    *columns* are eigenvectors; ``basis=None`` means the identity
-    (axis-aligned), which is what the rank-controlled generator emits.
-    """
+    """One axis-aligned component covariance: ``spherical`` (sigma^2 * I,
+    valid at any p) or ``eigen`` (one variance per coordinate)."""
 
     kind: str
     variance: float | None = None
     eigenvalues: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    matrix: np.ndarray | None = None
 
     @staticmethod
     def spherical(variance: float) -> "CovarianceSpec":
@@ -59,115 +53,46 @@ class CovarianceSpec:
         return CovarianceSpec(kind="spherical", variance=float(variance))
 
     @staticmethod
-    def eigen(eigenvalues, basis=None) -> "CovarianceSpec":
+    def eigen(eigenvalues) -> "CovarianceSpec":
         vals = np.asarray(eigenvalues, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("eigenvalues must be a nonempty 1-D array")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise DomainError("eigenvalues must be finite and >= 0")
-        if basis is not None:
-            basis = np.asarray(basis, dtype=float)
-            p = vals.size
-            if basis.shape != (p, p):
-                raise DimensionMismatchError("basis must be p x p")
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(p))) > 1e-9:
-                raise DomainError("basis is not orthogonal within 1e-9")
-        return CovarianceSpec(kind="eigen", eigenvalues=vals, basis=basis)
-
-    @staticmethod
-    def full(matrix) -> "CovarianceSpec":
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError("full covariance must be square")
-        if not np.all(np.isfinite(mat)):
-            raise DomainError("covariance entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.T)) > 1e-9 * scale:
-            raise DomainError("covariance is not symmetric within 1e-9")
-        mat = 0.5 * (mat + mat.T)
-        if float(np.linalg.eigvalsh(mat)[0]) < -1e-9 * scale:
-            raise DomainError("covariance is not positive semidefinite")
-        return CovarianceSpec(kind="full", matrix=mat)
+        return CovarianceSpec(kind="eigen", eigenvalues=vals)
 
     def dim(self) -> int | None:
         """Ambient dimension, or None for spherical (valid at any p)."""
         if self.kind == "eigen":
             return int(self.eigenvalues.size)
-        if self.kind == "full":
-            return int(self.matrix.shape[0])
         return None
 
 
 def lambda_max(cov: CovarianceSpec) -> float:
-    """Largest eigenvalue of a covariance.
-
-    Exact for spherical and eigen forms; full matrices use LAPACK's
-    symmetric eigensolver.
-    """
+    """Largest eigenvalue of a covariance: its largest diagonal entry."""
     if cov.kind == "spherical":
         return float(cov.variance)
-    if cov.kind == "eigen":
-        return float(np.max(cov.eigenvalues))
-    return float(np.linalg.eigvalsh(cov.matrix)[-1])
-
-
-def covariance_dense(cov: CovarianceSpec, p: int) -> np.ndarray:
-    """Materialise the covariance as a dense p x p matrix."""
-    if cov.kind == "spherical":
-        return float(cov.variance) * np.eye(p)
-    if cov.kind == "eigen":
-        if cov.eigenvalues.size != p:
-            raise DimensionMismatchError("eigenvalue count != p")
-        if cov.basis is None:
-            return np.diag(cov.eigenvalues)
-        return (cov.basis * cov.eigenvalues) @ cov.basis.T
-    if cov.matrix.shape[0] != p:
-        raise DimensionMismatchError("covariance dimension != p")
-    return cov.matrix
+    return float(np.max(cov.eigenvalues))
 
 
 def quadratic_form(cov: CovarianceSpec, a: np.ndarray) -> float:
-    """a' Sigma a without materialising Sigma when structure allows."""
+    """a' Sigma a, summed over the diagonal of Sigma."""
     a = np.asarray(a, dtype=float)
     if cov.kind == "spherical":
         return float(cov.variance) * float(a @ a)
-    if cov.kind == "eigen":
-        if cov.eigenvalues.size != a.size:
-            raise DimensionMismatchError("direction length != covariance dim")
-        proj = a if cov.basis is None else cov.basis.T @ a
-        return float(np.sum(cov.eigenvalues * proj * proj))
-    if cov.matrix.shape[0] != a.size:
+    if cov.eigenvalues.size != a.size:
         raise DimensionMismatchError("direction length != covariance dim")
-    return float(a @ (cov.matrix @ a))
+    return float(np.sum(cov.eigenvalues * a * a))
 
 
 def combined_lambda_max(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> float:
     """Largest eigenvalue of Sigma1 + Sigma2."""
-    if cov1.kind == "spherical" and cov2.kind == "spherical":
-        return float(cov1.variance + cov2.variance)
-    if _axis_aligned(cov1) and _axis_aligned(cov2):
-        return float(np.max(_diag_of(cov1, p) + _diag_of(cov2, p)))
-    total = covariance_dense(cov1, p) + covariance_dense(cov2, p)
-    return float(np.linalg.eigvalsh(total)[-1])
+    return float(np.max(_diag_of(cov1, p) + _diag_of(cov2, p)))
 
 
 def combined_rank(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> int:
-    """Rank of Sigma1 + Sigma2 (exact for axis-aligned structure)."""
-    if cov1.kind == "spherical" and cov2.kind == "spherical":
-        return p
-    if _axis_aligned(cov1) and _axis_aligned(cov2):
-        return int(np.count_nonzero(_diag_of(cov1, p) + _diag_of(cov2, p)))
-    total = covariance_dense(cov1, p) + covariance_dense(cov2, p)
-    vals = np.linalg.eigvalsh(total)
-    top = float(vals[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(vals > 1e-12 * top))
-
-
-def _axis_aligned(cov: CovarianceSpec) -> bool:
-    return cov.kind == "spherical" or (cov.kind == "eigen" and cov.basis is None)
+    """Rank of Sigma1 + Sigma2: its count of nonzero diagonal entries."""
+    return int(np.count_nonzero(_diag_of(cov1, p) + _diag_of(cov2, p)))
 
 
 def _diag_of(cov: CovarianceSpec, p: int) -> np.ndarray:
@@ -201,9 +126,12 @@ class MixtureSpec:
             raise DomainError(f"a mixture needs k >= 2 components, got {k}")
         if len(covs) != k or weights.size != k:
             raise DimensionMismatchError("means, covs and weights must agree on k")
-        if np.any(weights <= 0.0) or np.any(weights >= 1.0):
+        if not np.all(np.isfinite(means)):
+            raise DomainError("means must be finite")
+        # Phrased so that a NaN weight fails each check.
+        if not np.all((weights > 0.0) & (weights < 1.0)):
             raise DomainError("each weight must lie in (0, 1)")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(weights)) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
         for cov in covs:
             d = cov.dim()

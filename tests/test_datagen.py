@@ -23,7 +23,7 @@ from projclust.datagen import (
     sample_nongaussian_dataset,
     write_dataset,
 )
-from projclust.errors import DimensionMismatchError, DomainError, UnsupportedError
+from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream
 from projclust.model import (
     CovarianceSpec,
@@ -133,27 +133,6 @@ class TestSampleDataset:
             var = rows.var(axis=0, ddof=1)
             assert np.all(np.abs(var - sigma2) <= 0.1 * sigma2)
 
-    def test_eigen_with_basis_covariance(self):
-        p = 6
-        gen = np.random.default_rng(11)
-        q, r = np.linalg.qr(gen.standard_normal((p, p)))
-        basis = q * np.sign(np.diag(r))
-        vals = np.array([4.0, 2.0, 1.0, 0.5, 0.0, 0.0])
-        cov = CovarianceSpec.eigen(vals, basis)
-        spec = MixtureSpec.create(np.zeros((2, p)), (cov, cov), [0.5, 0.5])
-        data = sample_dataset(spec, 50_000, RngStream(12, 0))
-        emp = np.cov(data.points.T)
-        expected = (basis * vals) @ basis.T
-        assert float(np.max(np.abs(emp - expected))) < 0.15
-
-    def test_full_covariance_sampling(self):
-        mat = np.array([[2.0, 0.8], [0.8, 1.0]])
-        cov = CovarianceSpec.full(mat)
-        spec = MixtureSpec.create(np.zeros((2, 2)), (cov, cov), [0.5, 0.5])
-        data = sample_dataset(spec, 50_000, RngStream(13, 0))
-        emp = np.cov(data.points.T)
-        assert float(np.max(np.abs(emp - mat))) < 0.1
-
     def test_provenance(self):
         spec = make_spherical_spec(4, 1.0)
         data = sample_dataset(spec, 10, RngStream(99, 3))
@@ -191,12 +170,6 @@ class TestNonGaussian:
         spec = make_spherical_spec(2, 0.0, sigma=2.0)
         data = sample_nongaussian_dataset(spec, "rademacher", 1000, RngStream(16, 0))
         np.testing.assert_allclose(np.abs(data.points), 2.0)
-
-    def test_full_cov_unsupported(self):
-        cov = CovarianceSpec.full(np.eye(2))
-        spec = MixtureSpec.create(np.zeros((2, 2)), (cov, cov), [0.5, 0.5])
-        with pytest.raises(UnsupportedError):
-            sample_nongaussian_dataset(spec, "uniform", 10, RngStream(0, 0))
 
     def test_unknown_shape(self):
         spec = make_spherical_spec(2, 1.0)
@@ -332,37 +305,16 @@ GOLDEN_N = 1300   # not a multiple of datagen's 512-row block
 SHAPES = ("gaussian",) + NONGAUSSIAN_SHAPES
 
 
-def _rotation(p, seed):
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
-    return q * np.sign(np.diag(r))
-
-
 def _golden_spec(name):
     if name == "spherical":
         return make_spherical_spec(23, 0.8, sigma=1.7, w=0.3)
     if name == "rank":
         return make_rank_spec(40, 0.6, 0.1, RngStream(5, 1))[0]
-    if name == "rotated":
-        p = 9
-        covs = (CovarianceSpec.eigen(np.linspace(3.0, 0.0, p), _rotation(p, 1)),
-                CovarianceSpec.eigen(np.linspace(0.5, 2.0, p), _rotation(p, 2)))
-        return MixtureSpec.create(make_spherical_spec(p, 1.1).means, covs, [0.45, 0.55])
-    if name == "rotated-wide":
-        p = 300
-        cov = CovarianceSpec.eigen(np.linspace(2.0, 0.5, p), _rotation(p, 3))
-        return MixtureSpec.create(make_spherical_spec(p, 0.9).means,
-                                  (cov, CovarianceSpec.spherical(1.0)), [0.5, 0.5])
-    if name == "full":
-        a = np.random.default_rng(4).standard_normal((6, 6))
-        cov = CovarianceSpec.full(a @ a.T / 6.0)
-        return MixtureSpec.create(make_spherical_spec(6, 1.0).means,
-                                  (cov, CovarianceSpec.spherical(0.6)), [0.6, 0.4])
     if name == "mixed3":
         p = 10
-        a = np.random.default_rng(5).standard_normal((p, p))
         covs = (CovarianceSpec.spherical(1.3),
-                CovarianceSpec.eigen(np.linspace(2.0, 0.2, p), _rotation(p, 6)),
-                CovarianceSpec.full(a @ a.T / p))
+                CovarianceSpec.eigen(np.linspace(2.0, 0.2, p)),
+                CovarianceSpec.eigen(np.linspace(0.0, 1.5, p)))
         means = np.zeros((3, p))
         means[1, 0], means[2, 1] = 6.0, -5.0
         return MixtureSpec.create(means, covs, [0.5, 0.3, 0.2])
@@ -384,8 +336,8 @@ def _digest(array, dtype):
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-# sha256 prefixes of (points as <f8, labels as <i8).  These specs scale
-# each coordinate on its own, so their bytes involve no BLAS product.
+# sha256 prefixes of (points as <f8, labels as <i8).  Every spec scales
+# each coordinate on its own, so its bytes involve no BLAS product.
 GOLDEN_DIGESTS = {
     ("spherical", "gaussian"): ("c9cb0d766b685352", "6a9f32d727a2e476"),
     ("spherical", "uniform"): ("bc2c95ca89c50d9a", "6a9f32d727a2e476"),
@@ -395,6 +347,10 @@ GOLDEN_DIGESTS = {
     ("rank", "uniform"): ("4b43f5cb49becaa9", "ab34523520a06da3"),
     ("rank", "laplace"): ("496527658a6f375b", "ab34523520a06da3"),
     ("rank", "rademacher"): ("f86a588e93b599c0", "ab34523520a06da3"),
+    ("mixed3", "gaussian"): ("cf544a4bf44ac4d0", "e96e3731e9238ad4"),
+    ("mixed3", "uniform"): ("358b724fbaa202b3", "e96e3731e9238ad4"),
+    ("mixed3", "laplace"): ("244af52af3b4b39f", "e96e3731e9238ad4"),
+    ("mixed3", "rademacher"): ("612b03d250e0bd70", "e96e3731e9238ad4"),
 }
 
 
@@ -416,13 +372,8 @@ def _reference_points(spec, n, rng, shape):
         rows = labels == i
         if cov.kind == "spherical":
             out = math.sqrt(cov.variance) * z[rows]
-        elif cov.kind == "eigen" and cov.basis is None:
-            out = z[rows] * np.sqrt(cov.eigenvalues)
-        elif cov.kind == "eigen":
-            out = (z[rows] * np.sqrt(cov.eigenvalues)) @ cov.basis.T
         else:
-            vals, vecs = np.linalg.eigh(cov.matrix)
-            out = z[rows] @ (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
+            out = z[rows] * np.sqrt(cov.eigenvalues)
         points[rows] = spec.means[i] + out
     return points, labels
 
@@ -434,16 +385,13 @@ class TestGoldenBytes:
         got = (_digest(data.points, "<f8"), _digest(data.labels, "<i8"))
         assert got == GOLDEN_DIGESTS[name, shape]
 
-    @pytest.mark.parametrize("name,shape,n", [
-        ("rotated", shape, GOLDEN_N) for shape in SHAPES
-    ] + [("rotated-wide", "gaussian", 700), ("full", "gaussian", GOLDEN_N),
-         ("mixed3", "gaussian", GOLDEN_N), ("mixed3", "gaussian", 7)])
-    def test_product_specs_match_reference(self, name, shape, n):
-        # A BLAS product's rows can depend on how many rows share the
-        # call, so these bytes are compared with the per-component
-        # reference rather than pinned for one BLAS build.
-        data = _draw(name, shape, n)
-        points, labels = _reference_points(_golden_spec(name), n, RngStream(31, 2), shape)
+    @pytest.mark.parametrize("n", [7, GOLDEN_N])
+    def test_blocked_in_place_matches_reference(self, n):
+        # 7 rows fit in one block; the first component's GOLDEN_N rows span two.
+        data = _draw("mixed3", "gaussian", n)
+        points, labels = _reference_points(
+            _golden_spec("mixed3"), n, RngStream(31, 2), "gaussian"
+        )
         assert data.points.tobytes() == points.tobytes()
         np.testing.assert_array_equal(data.labels, labels)
 
@@ -471,12 +419,14 @@ class TestMemoryContract:
         ("rademacher", 2.1),   # the int64 draw is cast to float once
     ])
     def test_sample_holds_one_buffer(self, shape, limit):
-        spec = make_spherical_spec(self.P, 1.0, sigma=1.5, w=0.3)
-        data, peak = _traced_peak(
-            lambda: _sample(spec, shape, self.N, RngStream(40, 0))
-        )
-        assert data.points.shape == (self.N, self.P)
-        assert peak / (8 * self.N * self.P) <= limit
+        specs = (make_spherical_spec(self.P, 1.0, sigma=1.5, w=0.3),
+                 make_rank_spec(self.P, 1.0, 0.2, RngStream(40, 1))[0])
+        for spec in specs:
+            data, peak = _traced_peak(
+                lambda: _sample(spec, shape, self.N, RngStream(40, 0))
+            )
+            assert data.points.shape == (self.N, self.P)
+            assert peak / (8 * self.N * self.P) <= limit
 
     def test_write_copies_nothing(self, tmp_path):
         spec = make_spherical_spec(self.P, 1.0)

@@ -25,17 +25,10 @@ from projclust.model import (
     cluster_outcome_to_jsonable,
     combined_lambda_max,
     combined_rank,
-    covariance_dense,
     lambda_max,
     quadratic_form,
     to_json,
 )
-
-
-def random_rotation(p, seed):
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-    q, r = np.linalg.qr(gen.standard_normal((p, p)))
-    return q * np.sign(np.diag(r))
 
 
 def spherical_pair_spec(p, c, sigma=1.0, w=0.5):
@@ -59,63 +52,16 @@ class TestCovarianceSpec:
         assert lambda_max(cov) == 3.0
         with pytest.raises(DomainError):
             CovarianceSpec.eigen([1.0, -0.5])
-        with pytest.raises(DomainError):
-            CovarianceSpec.eigen([1.0, 2.0], basis=np.array([[1, 1], [0, 1.0]]))
-
-    def test_full_validation(self):
-        CovarianceSpec.full([[2.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(DomainError):
-            CovarianceSpec.full([[1.0, 2.0], [0.5, 1.0]])   # asymmetric
-        with pytest.raises(DomainError):
-            CovarianceSpec.full([[1.0, 2.0], [2.0, 1.0]])   # indefinite
-        with pytest.raises(DimensionMismatchError):
-            CovarianceSpec.full([[1.0, 2.0, 3.0]])
-
-    def test_full_lambda_max_hand_value(self):
-        # Characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 = 1 -> x in {1, 3}.
-        cov = CovarianceSpec.full([[2.0, 1.0], [1.0, 2.0]])
-        assert lambda_max(cov) == pytest.approx(3.0, rel=1e-12)
-
-    def test_full_agrees_with_eigen_form(self):
-        gen = np.random.default_rng(3)
-        a = gen.standard_normal((6, 6))
-        mat = a @ a.T
-        vals, vecs = np.linalg.eigh(mat)
-        as_full = CovarianceSpec.full(mat)
-        as_eigen = CovarianceSpec.eigen(np.clip(vals, 0, None), vecs)
-        assert lambda_max(as_full) == pytest.approx(lambda_max(as_eigen), rel=1e-8)
-
-    def test_full_rejects_indefinite_above_512(self):
-        mat = np.eye(513)
-        mat[0, 0] = -5.0
-        with pytest.raises(DomainError):
-            CovarianceSpec.full(mat)
-
-    def test_lambda_max_matches_eigvalsh_at_600(self):
-        gen = np.random.default_rng(4)
-        a = gen.standard_normal((600, 600))
-        mat = a @ a.T
-        assert lambda_max(CovarianceSpec.full(mat)) == pytest.approx(
-            float(np.linalg.eigvalsh(mat)[-1]), rel=1e-12
-        )
 
     def test_quadratic_form_consistency(self):
         gen = np.random.default_rng(5)
-        a = gen.standard_normal((5, 5))
-        mat = a @ a.T
-        vals, vecs = np.linalg.eigh(mat)
+        vals = np.abs(gen.standard_normal(5))
         v = gen.standard_normal(5)
-        dense = float(v @ mat @ v)
-        assert quadratic_form(CovarianceSpec.full(mat), v) == pytest.approx(dense)
-        assert quadratic_form(
-            CovarianceSpec.eigen(np.clip(vals, 0, None), vecs), v
-        ) == pytest.approx(dense)
-
-    def test_covariance_dense_roundtrip(self):
-        cov = CovarianceSpec.eigen([2.0, 0.5])
-        np.testing.assert_allclose(covariance_dense(cov, 2), np.diag([2.0, 0.5]))
-        sph = CovarianceSpec.spherical(1.5)
-        np.testing.assert_allclose(covariance_dense(sph, 3), 1.5 * np.eye(3))
+        dense = float(v @ np.diag(vals) @ v)
+        assert quadratic_form(CovarianceSpec.eigen(vals), v) == pytest.approx(dense)
+        assert quadratic_form(CovarianceSpec.spherical(1.5), v) == pytest.approx(
+            float(v @ (1.5 * np.eye(5)) @ v)
+        )
 
 
 class TestCombined:
@@ -131,16 +77,20 @@ class TestCombined:
         assert combined_lambda_max(c1, c2, 3) == 2.0
         assert combined_rank(c1, c2, 3) == 2
 
-    def test_dense_path(self):
-        rot = random_rotation(4, 9)
-        vals = np.array([1.0, 0.5, 0.0, 0.0])
-        c1 = CovarianceSpec.eigen(vals, rot)
-        c2 = CovarianceSpec.spherical(0.1)
-        total = covariance_dense(c1, 4) + 0.1 * np.eye(4)
-        assert combined_lambda_max(c1, c2, 4) == pytest.approx(
-            float(np.linalg.eigvalsh(total)[-1]), rel=1e-10
+    def test_unequal_diagonals_match_dense_sum(self):
+        c1 = CovarianceSpec.eigen([0.3, 2.5, 0.0, 1.0, 0.0, 0.7])
+        c2 = CovarianceSpec.eigen([1.9, 0.0, 0.0, 0.4, 0.0, 2.2])
+        total = np.diag(c1.eigenvalues) + np.diag(c2.eigenvalues)
+        assert combined_lambda_max(c1, c2, 6) == pytest.approx(
+            float(np.linalg.eigvalsh(total)[-1]), rel=1e-12
         )
-        assert combined_rank(c1, c2, 4) == 4
+        assert combined_rank(c1, c2, 6) == np.linalg.matrix_rank(total) == 4
+        sph = CovarianceSpec.spherical(0.5)
+        total = np.diag(c1.eigenvalues) + 0.5 * np.eye(6)
+        assert combined_lambda_max(c1, sph, 6) == pytest.approx(
+            float(np.linalg.eigvalsh(total)[-1]), rel=1e-12
+        )
+        assert combined_rank(c1, sph, 6) == np.linalg.matrix_rank(total) == 6
 
 
 class TestCSeparability:
@@ -167,18 +117,18 @@ class TestCSeparability:
         assert c_separability(spec, 0, 1) == c_separability(spec, 1, 0)
 
     def test_rotation_invariance(self):
+        # A signed coordinate permutation is orthogonal and keeps an
+        # axis-aligned covariance axis-aligned.
         p = 12
         gen = np.random.default_rng(11)
         means = gen.standard_normal((2, p))
         vals = np.abs(gen.standard_normal(p))
-        basis = random_rotation(p, 1)
-        covs = (CovarianceSpec.eigen(vals, basis), CovarianceSpec.spherical(0.5))
+        covs = (CovarianceSpec.eigen(vals), CovarianceSpec.spherical(0.5))
         spec = MixtureSpec.create(means, covs, [0.5, 0.5])
-        rot = random_rotation(p, 2)
-        covs_r = (
-            CovarianceSpec.eigen(vals, rot @ basis),
-            CovarianceSpec.spherical(0.5),
-        )
+        perm = gen.permutation(p)
+        signs = gen.choice([-1.0, 1.0], size=p)
+        rot = signs[:, None] * np.eye(p)[perm]
+        covs_r = (CovarianceSpec.eigen(vals[perm]), CovarianceSpec.spherical(0.5))
         spec_r = MixtureSpec.create(means @ rot.T, covs_r, [0.5, 0.5])
         assert c_separability(spec_r) == pytest.approx(
             c_separability(spec), abs=1e-9
@@ -208,8 +158,17 @@ class TestMixtureSpecValidation:
 
     def test_weight_range(self):
         cov = CovarianceSpec.spherical(1.0)
+        # NaN compares False both ways, so a NaN weight must still fail.
+        for weights in ([0.0, 1.0], [math.nan, math.nan], [math.nan, 0.5],
+                        [math.inf, -math.inf]):
+            with pytest.raises(DomainError):
+                MixtureSpec.create(np.zeros((2, 3)), (cov, cov), weights)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_means_must_be_finite(self, bad):
+        cov = CovarianceSpec.spherical(1.0)
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((2, 3)), (cov, cov), [0.0, 1.0])
+            MixtureSpec.create([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], (cov, cov), [0.5, 0.5])
 
     def test_k_and_dims(self):
         cov = CovarianceSpec.spherical(1.0)
