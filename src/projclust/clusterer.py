@@ -34,7 +34,7 @@ from .learner1d import (
     fit_mixture,
     region_component_labels,
 )
-from .mathkit import RngStream, q_inverse
+from .mathkit import q_inverse, stream_generators
 from .model import Boundary1D, ClusterOutcome, Dataset
 from .projection import project_block, sample_direction, separability_1d
 from . import bounds as _bounds
@@ -43,9 +43,11 @@ BUDGET_SAFETY_FACTOR = 3
 
 # Rows of the first projection block.  A block product streams the n x p
 # data once, so its cost grows far slower than its row count (n=50,000,
-# p=1000, column-major points, one thread: about 62 ms for 8 rows, 85 ms
-# for 21, 158 ms for 64).  Later blocks double to cut the passes of a
-# long scan, while an early stop still pays for at most 8 rows.
+# p=1000, column-major points, one thread: 28 ms for 1 row, a GEMV, then
+# 43, 40, 45, 70 and 136 ms for 2, 4, 8, 21 and 64 rows).  Two rows cost
+# as much as 8, so smaller first blocks (1, 1, 2, 4) would slow a scan
+# that stops at its second direction.  Later blocks double to cut the
+# passes of a long scan, while an early stop still pays for at most 8 rows.
 B = 8
 # Rows of the largest block: a block holds B_MAX * n floats, and a scan
 # keeps at most two blocks alive.
@@ -105,7 +107,8 @@ def _block_ranges(budget: int):
 
 def scan_directions(data: Dataset, cfg: ClusterConfig):
     """Yield DirectionScan for indices 1..budget in order, drawing
-    direction i from ``RngStream(cfg.seed, i)`` and fitting it lazily.
+    direction i from the start of ``RngStream(cfg.seed, i)`` (one Philox,
+    re-keyed per index) and fitting it lazily.
 
     Each scan's ``values`` is its own copy of a block row, so a scan the
     caller keeps does not keep its whole block alive."""
@@ -113,10 +116,9 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
         raise DomainError("dataset is empty")
     if data.p < 1:
         raise DomainError("dataset has dimension 0")
+    stream = stream_generators(cfg.seed)
     for indices in _block_ranges(cfg.budget):
-        dirs = np.stack(
-            [sample_direction(data.p, RngStream(cfg.seed, i)) for i in indices]
-        )
+        dirs = np.stack([sample_direction(data.p, stream(i)) for i in indices])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         block = project_block(data, dirs)
         for index, direction, row in zip(indices, dirs, block):
@@ -125,7 +127,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
             gamma_hat = separability_1d(fit.fitted)
             try:
                 thresholds = bayes_thresholds(fit.fitted)
-                est_error = bayes_error(fit.fitted)
+                est_error = bayes_error(fit.fitted, thresholds)
             except NoBoundaryError:
                 thresholds = None
                 est_error = _NO_BOUNDARY_ERROR

@@ -13,9 +13,9 @@ min(3*ceil(zeta*p), p) and is returned alongside the spec.
 
 Memory: a sample is drawn into one n x p float64 buffer (two for the
 rademacher shape, whose integer draw is cast once), which becomes
-``Dataset.points``.  Each component's rows of it are scaled and shifted
-in place, ROW_BLOCK rows at a time, so a sample holds that buffer plus
-one block whatever the spec.
+``Dataset.points``.  Its rows are scaled and shifted in place by their
+own component's standard deviations and mean, ROW_BLOCK rows at a time,
+so a sample holds that buffer plus two blocks whatever the spec.
 
 Dataset files are a raw little-endian float64 row-major payload plus a
 JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Both the
@@ -138,16 +138,15 @@ def _sample(spec: MixtureSpec, n: int, rng: RngStream, shape: str) -> Dataset:
     gen = rng.generator()
     labels = gen.choice(spec.k, size=n, p=spec.weights)
     points = _draw_base(gen, n, spec.p, shape)
-    # Each component scales and shifts only its own rows of the draw.
-    for i, cov in enumerate(spec.covs):
-        sd = np.sqrt(cov.variance if cov.kind == "spherical" else cov.eigenvalues)
-        rows = np.flatnonzero(labels == i)
-        for start in range(0, rows.size, ROW_BLOCK):
-            chunk = rows[start:start + ROW_BLOCK]
-            values = points[chunk]
-            values *= sd
-            values += spec.means[i]
-            points[chunk] = values
+    # Each row is scaled and shifted by its own component's parameters.
+    sd = np.empty((spec.k, spec.p))
+    for row, cov in zip(sd, spec.covs):
+        row[:] = np.sqrt(cov.variance if cov.kind == "spherical" else cov.eigenvalues)
+    for start in range(0, n, ROW_BLOCK):
+        rows = points[start:start + ROW_BLOCK]
+        block_labels = labels[start:start + ROW_BLOCK]
+        rows *= sd[block_labels]
+        rows += spec.means[block_labels]
     generator_id = f"{shape}:stream={rng.stream_index}"
     return Dataset(
         n=n, p=spec.p, points=points, labels=labels,

@@ -8,8 +8,10 @@ Two estimators are provided and usually chained:
   means), matching the first four central moments reduces, after
   Pearson-style elimination, to the depressed cubic
 
-      2*v^3 + (M4 - 3*M2^2)*v - M3^2 = 0.
+      2*v^3 + (M4 - 3*M2^2)*v - M3^2 = 0,
 
+  solved in closed form: Cardano's formula, or Viete's trigonometric form
+  when it has three real roots, each root finished by two Newton steps.
   Any positive root yields an admissible lam in (0, 1/4]; when several
   roots survive, the one whose implied fifth moment best matches the
   sample fifth moment wins (ties broken toward larger v).  If the system
@@ -43,7 +45,7 @@ equality condition; ``bayes_error`` integrates the misassigned mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -123,7 +125,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     moments = np.asarray(moments, dtype=float).ravel()
     if moments.size < 4:
         raise DomainError("need at least mean and central moments 2..4")
-    mean, m2, m3, m4 = moments[:4]
+    mean, m2, m3, m4 = moments[:4].tolist()
     m5 = float(moments[4]) if moments.size >= 5 else None
     if m2 <= 0.0:
         return _single_gaussian_report(mean, 0.0)
@@ -142,12 +144,8 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
         if abs(m3s) < gate_skew and abs(kurt) < gate_kurt:
             return _single_gaussian_report(mean, s)
 
-    roots = np.roots([2.0, 0.0, kurt, -skew_sq])
     candidates = []
-    for root in roots:
-        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
-            continue
-        v = float(root.real)
+    for v in _depressed_cubic_roots(0.5 * kurt, -0.5 * skew_sq):
         if v <= 1e-10:
             continue
         denom = kurt + 6.0 * v * v
@@ -189,6 +187,37 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     sigma = s * math.sqrt(max(var_within, 1e-18))
     fitted = clamped_mixture1d(mu1, mu2, sigma, sigma, w)
     return FitReport(fitted=fitted, method="mom", iterations=0)
+
+
+def _depressed_cubic_roots(p: float, q: float) -> list[float]:
+    """Real roots of t^3 + p*t + q, each finished by two Newton steps:
+    Viete's trigonometric form when there are three, else Cardano's
+    formula, whose complex pair counts as a double root at its real part
+    when its imaginary part is at most 1e-8 * (1 + |re|)."""
+    d = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if d < 0.0:   # so p < 0
+        r = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(min(max(3.0 * q / (p * r), -1.0), 1.0)) / 3.0
+        return [_newton_cubic(r * math.cos(phi - 2.0 * math.pi * k / 3.0), p, q)
+                for k in range(3)]
+    # u^3 and v^3 are the roots of z^2 + q*z - (p/3)^3, and u*v = -p/3;
+    # u takes the one formed without cancellation.
+    z = -0.5 * q - math.copysign(math.sqrt(d), q)
+    u = math.copysign(abs(z) ** (1.0 / 3.0), z)
+    v = -p / (3.0 * u) if u != 0.0 else 0.0
+    t = _newton_cubic(u + v, p, q)
+    re = -0.5 * t
+    if 0.5 * math.sqrt(3.0) * abs(u - v) <= 1e-8 * (1.0 + abs(re)):
+        return [t, re, re]
+    return [t]
+
+
+def _newton_cubic(t: float, p: float, q: float) -> float:
+    for _ in range(2):
+        slope = 3.0 * t * t + p
+        if slope != 0.0:
+            t -= ((t * t + p) * t + q) / slope
+    return t
 
 
 def _single_gaussian_report(mean: float, s: float) -> FitReport:
@@ -517,20 +546,19 @@ def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
         report = fit_em(z, Mixture1D(float(q25), float(q75), 0.5, 0.5, 0.5))
     else:
         report = fit_mom_from_moments(_unit_moments(z), n=z.size)
-        if method == "mom+em":
-            # Identical components (a single-Gaussian fallback) are EM's fixed point.
-            if report.fitted.mu1 != report.fitted.mu2:
-                report = fit_em(z, report.fitted)
-            report = replace(report, method=method)
+        # Identical components (a single-Gaussian fallback) are EM's fixed point.
+        if method == "mom+em" and report.fitted.mu1 != report.fitted.mu2:
+            report = fit_em(z, report.fitted)
     f = report.fitted
-    fitted = Mixture1D(
-        loc + unit * f.mu1, loc + unit * f.mu2,
-        unit * f.sigma1, unit * f.sigma2, f.w,
-    )
     trace = report.loglik_trace
     if trace is not None:
-        trace = trace - z.size * math.log(unit)
-    return replace(report, fitted=fitted, loglik_trace=trace)
+        trace -= z.size * math.log(unit)
+    return FitReport(
+        fitted=Mixture1D(loc + unit * f.mu1, loc + unit * f.mu2,
+                         unit * f.sigma1, unit * f.sigma2, f.w),
+        method=method, iterations=report.iterations, loglik_trace=trace,
+        capped=report.capped,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +649,13 @@ def region_component_labels(mix: Mixture1D, thresholds: np.ndarray) -> np.ndarra
     return np.array([1 - inner, inner, 1 - inner])
 
 
-def bayes_error(mix: Mixture1D) -> float:
+def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
     """Misclassification probability of the mixture's own Bayes rule.
 
     Always in [0, 0.5]; degenerate mixtures without a decision boundary
     yield min(w, 1-w), the error of always guessing the majority label.
+    ``thresholds``, the mixture's ``bayes_thresholds`` when the caller
+    has them, are not solved for again.
     """
     if mix.mu1 > mix.mu2:
         mix = mix.swapped()
@@ -639,10 +669,12 @@ def bayes_error(mix: Mixture1D) -> float:
         err = w * q_function(gamma + shift) + (1.0 - w) * q_function(gamma - shift)
         return float(min(max(err, 0.0), 0.5))
 
-    try:
-        t1, t2 = bayes_thresholds(mix)
-    except NoBoundaryError:
-        return min(w, 1.0 - w)
+    if thresholds is None:
+        try:
+            thresholds = bayes_thresholds(mix)
+        except NoBoundaryError:
+            return min(w, 1.0 - w)
+    t1, t2 = thresholds
     inner = 0 if mix.sigma1 <= mix.sigma2 else 1
     params = [(mix.mu1, mix.sigma1, w), (mix.mu2, mix.sigma2, 1.0 - w)]
 

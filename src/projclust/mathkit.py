@@ -43,6 +43,10 @@ def q_function(x):
     float or ndarray
         Q(x) in [0, 1], monotone decreasing in x.
     """
+    if isinstance(x, float):   # np.float64 too; the same bits as the array path
+        if not math.isfinite(x):
+            raise DomainError("q_function requires finite input")
+        return float(0.5 * special.erfc(x / _SQRT2))
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("q_function requires finite input")
@@ -113,3 +117,21 @@ class RngStream:
     def derive_seed(self) -> int:
         """First 63-bit draw of this stream, usable as a child master seed."""
         return int(self.generator().integers(0, 2**63, dtype=np.uint64))
+
+
+def stream_generators(master_seed: int):
+    """Return ``at(i)``: the bits of ``RngStream(master_seed, i).generator()``
+    from one shared Philox, re-keyed to [master_seed, i] at counter 0 for
+    a quarter of the cost of a new one, so each result lasts until the next
+    call."""
+    key = np.array([RngStream(master_seed).master_seed, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    start = bits.state
+    gen = np.random.Generator(bits)
+
+    def at(stream_index: int) -> np.random.Generator:
+        start["state"]["key"][1] = stream_index
+        bits.state = start
+        return gen
+
+    return at

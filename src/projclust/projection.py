@@ -17,11 +17,13 @@ from .mathkit import RngStream
 from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d, quadratic_form
 
 
-def sample_direction(p: int, rng: RngStream) -> np.ndarray:
-    """Draw a direction of p i.i.d. standard normal coordinates."""
+def sample_direction(p: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Draw a direction of p i.i.d. standard normal coordinates from the
+    start of stream ``rng``, or from a Generator already placed there."""
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got {p}")
-    return rng.generator().standard_normal(p)
+    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
+    return gen.standard_normal(p)
 
 
 def project_block(data: Dataset, directions: np.ndarray) -> np.ndarray:

@@ -159,6 +159,28 @@ class TestBlockPartition:
         assert [s.index for s in scan_directions(data, cfg)] == list(range(1, 101))
         assert rows == self.SIZES[100]
 
+    def test_directions_are_the_index_streams_bit_for_bit(self, monkeypatch):
+        # One Philox re-keyed per index draws what a fresh RngStream(seed, i)
+        # draws, at block starts and ends alike (blocks 1-8, 9-24, 25-56, 57-).
+        drawn = []
+        draw = clusterer.sample_direction
+
+        def recording_draw(p, rng):
+            drawn.append(draw(p, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(clusterer, "sample_direction", recording_draw)
+        data, _ = small_dataset(p=7, n=100)
+        cfg = ClusterConfig(target_error=1e-12, budget=60, seed=21,
+                            learner="mom")
+        scans = list(scan_directions(data, cfg))
+        for i in (1, 8, 9, 24, 25, 57):
+            want = sample_direction(data.p, RngStream(cfg.seed, i))
+            assert drawn[i - 1].tobytes() == want.tobytes()
+            unit = want[np.newaxis] / np.linalg.norm(want[np.newaxis], axis=1,
+                                                     keepdims=True)
+            assert scans[i - 1].direction.tobytes() == unit[0].tobytes()
+
 
 class TestMemoryContract:
     # numpy reports its buffers to tracemalloc.  At most two blocks are

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +22,7 @@ from projclust.learner1d import (
     EM_MAX_ITER,
     EM_TOL,
     FitReport,
+    _depressed_cubic_roots,
     _e_step,
     _gradient_hessian,
     _histogram,
@@ -135,6 +139,72 @@ class TestFitMoM:
         f = fit_mom(x).fitted
         assert f.mu1 < f.mu2
         assert f.w == pytest.approx(0.7, abs=0.05)
+
+
+def _cubic_candidates(roots):
+    """The roots ``fit_mom_from_moments`` keeps: real, and above 1e-10."""
+    return sorted(v for v in roots if v > 1e-10)
+
+
+def _np_roots(p, q):
+    """Oracle: the companion-matrix roots of t^3 + p*t + q, a complex pair
+    counted as real when its imaginary part is at most 1e-8 * (1 + |re|)."""
+    return [float(r.real) for r in np.roots([1.0, 0.0, p, q])
+            if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real))]
+
+
+class TestClosedFormCubic:
+    """``_depressed_cubic_roots`` against ``np.roots`` on the cubics the
+    moment system poses, p = kurt/2 and q = -skew^2/2 <= 0: the same
+    candidate roots, agreeing to 1e-13 relative."""
+
+    def assert_same_candidates(self, p, q):
+        got = _cubic_candidates(_depressed_cubic_roots(p, q))
+        want = _cubic_candidates(_np_roots(p, q))
+        assert len(got) == len(want), (p, q, got, want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w), (p, q, got, want)
+
+    def test_random_moments(self):
+        gen = RngStream(40, 0).generator()
+        for _ in range(10_000):
+            kurt = gen.uniform(-2.0, 30.0) * 10.0 ** gen.uniform(-6.0, 1.0)
+            skew = gen.standard_normal() * 10.0 ** gen.uniform(-6.0, 1.5)
+            self.assert_same_candidates(0.5 * kurt, -0.5 * skew * skew)
+
+    @pytest.mark.parametrize("a", [-1.0, -1e-3, -37.0])
+    @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-5, -1e-5])
+    def test_near_double_roots(self, a, rel):
+        # (t - a)^2 (t + 2a) has the double root a < 0 and the simple
+        # root -2a > 0; q moves the pair just apart, or just off the axis.
+        self.assert_same_candidates(-3.0 * a * a, 2.0 * a ** 3 * (1.0 + rel))
+
+    @pytest.mark.parametrize("q", [-1.0, -1e-6, -1e3, -0.0, 0.0])
+    def test_p_zero(self, q):
+        self.assert_same_candidates(0.0, q)
+        assert _cubic_candidates(_depressed_cubic_roots(0.0, q)) == (
+            [] if q == 0.0 else [pytest.approx((-q) ** (1.0 / 3.0), rel=1e-15)])
+
+    @pytest.mark.parametrize("p", [-3.0, -1e-6, -1e4, 2.0, 1e-6])
+    def test_q_zero(self, p):
+        self.assert_same_candidates(p, 0.0)
+        assert _cubic_candidates(_depressed_cubic_roots(p, 0.0)) == (
+            [pytest.approx(math.sqrt(-p), rel=1e-15)] if p < 0.0 else [])
+
+    @pytest.mark.parametrize("roots", [(3.0, -1.0, -2.0), (1e-3, -4e-4, -6e-4),
+                                       (50.0, -0.5, -49.5), (2.0, -0.9, -1.1)])
+    def test_three_real_roots(self, roots):
+        # Every root, negative ones included, matches when they are apart.
+        r1, r2, r3 = roots
+        p, q = r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        got = sorted(_depressed_cubic_roots(p, q))
+        want = sorted(_np_roots(p, q))
+        assert len(got) == 3 and len(want) == 3
+        scale = max(abs(r) for r in roots)
+        for g, w, r in zip(got, want, sorted(roots)):
+            assert abs(g - w) <= 1e-13 * scale
+            assert abs(g - r) <= 1e-13 * scale
+        self.assert_same_candidates(p, q)
 
 
 class TestFitEM:
@@ -672,6 +742,18 @@ class TestEMKernel:
 class TestNewton:
     """The Newton steps that finish ``fit_em``: their derivatives and the
     safeguards around them."""
+
+    def test_package_import_leaves_scipy_linalg_out(self):
+        # The Newton step solves with numpy.linalg: importing scipy.linalg
+        # alone adds about 5 MiB to the peak RSS of a small scan.
+        src = os.path.dirname(os.path.dirname(learner1d.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, projclust; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("x, theta", [
         (sample_mixture(0.0, 2.5, 1.0, 1.5, 0.6, 5_000, seed=19), (0.1, 2.4, 0.9, 1.6, 0.55)),

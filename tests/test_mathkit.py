@@ -81,10 +81,22 @@ class TestQFunction:
         out = q_function(np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan),
+                                     np.float64(np.inf), np.float64(-np.inf)])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(DomainError):
             q_function(bad)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_scalar_path_matches_array_path_bit_for_bit(self, kind):
+        xs = np.concatenate([
+            np.linspace(-40.0, 40.0, 801),
+            RngStream(8, 0).generator().standard_normal(1_000) * 5.0,
+            [0.0, -0.0, 5e-324, 1e-300, 37.5, -8.3],
+        ])
+        scalars = [q_function(kind(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == q_function(xs).tobytes()
 
 
 class TestQInverse:
