@@ -81,11 +81,15 @@ class TestQFunction:
         out = q_function(np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan),
-                                     np.float64(np.inf), np.float64(-np.inf)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(DomainError):
             q_function(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float64_scalar_rejected(self, bad):
+        with pytest.raises(DomainError):
+            q_function(np.float64(bad))
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_scalar_path_matches_array_path_bit_for_bit(self, kind):
