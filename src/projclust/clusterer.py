@@ -21,6 +21,7 @@ counts results agree to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ class ClusterConfig:
     def __post_init__(self):
         if not 0.0 < self.target_error < 0.5:
             raise DomainError("target_error must lie in (0, 0.5)")
-        if self.budget < 1:
-            raise DomainError("budget must be >= 1")
+        if not (isinstance(self.budget, numbers.Integral) and self.budget >= 1):
+            raise DomainError(f"budget must be an integer >= 1, got {self.budget!r}")
         if self.learner not in LEARNERS:
             raise DomainError(f"unknown learner {self.learner!r}")
 

@@ -24,6 +24,7 @@ from .datagen import (
     sample_nongaussian_dataset,
 )
 from .errors import DomainError
+from .learner1d import rule_error
 from .mathkit import RngStream, q_function, q_inverse
 from .projection import projected_mixture
 
@@ -68,18 +69,8 @@ def _population_error(spec, scan) -> float:
     """
     if scan.thresholds is None:
         return 0.5
-    mix = projected_mixture(spec, scan.direction)
-    ts = scan.thresholds
-    comps = ((mix.mu1, mix.sigma1, mix.w, 0), (mix.mu2, mix.sigma2, 1.0 - mix.w, 1))
-    err = 0.0
-    for mu, sigma, weight, label in comps:
-        if ts.size == 1:
-            mass_upper = q_function((ts[0] - mu) / sigma)
-            wrong = mass_upper if scan.orientation != label else 1.0 - mass_upper
-        else:
-            inside = q_function((ts[0] - mu) / sigma) - q_function((ts[1] - mu) / sigma)
-            wrong = inside if scan.orientation != label else 1.0 - inside
-        err += weight * wrong
+    err = rule_error(projected_mixture(spec, scan.direction), scan.thresholds,
+                     scan.orientation)
     return min(err, 1.0 - err)
 
 

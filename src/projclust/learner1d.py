@@ -8,15 +8,14 @@ Two estimators are provided and usually chained:
   means), matching the first four central moments reduces, after
   Pearson-style elimination, to the depressed cubic
 
-      2*v^3 + (M4 - 3*M2^2)*v - M3^2 = 0,
+      2*v^3 + (M4 - 3*M2^2)*v - M3^2 = 0.
 
-  solved in closed form: Cardano's formula, or Viete's trigonometric form
-  when it has three real roots, each root finished by two Newton steps.
-  Any positive root yields an admissible lam in (0, 1/4]; when several
-  roots survive, the one whose implied fifth moment best matches the
-  sample fifth moment wins (ties broken toward larger v).  If the system
-  has no meaningful positive root the fit falls back to a single
-  Gaussian.
+  Its coefficients change sign once, so by Descartes' rule at most one
+  root is positive, and only the largest real root can be.  That root is
+  taken in closed form (Viete's trigonometric form when there are three
+  real roots, else Cardano's formula) and finished by two Newton steps.
+  A positive root yields an admissible lam in (0, 1/4]; if there is none
+  the fit falls back to a single Gaussian.
 
 * ``fit_em`` runs two-component EM (unequal variances allowed) from a given
   initialiser on a histogram of the samples: one pass bins them into
@@ -83,8 +82,12 @@ class FitReport:
 
 def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(z, loc, unit)`` with z = (x - loc) / unit, loc the mean of x and
-    unit its RMS spread about loc (|loc|, or 1, when the spread is 0)."""
-    loc = float(x.sum() / x.size)
+    unit its RMS spread about loc (|loc|, or 1, when the spread is 0).
+    Raises ``DomainError`` unless the mean is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loc = float(x.sum() / x.size)
+    if not math.isfinite(loc):
+        raise DomainError(f"samples and their mean must be finite, got mean {loc}")
     z = x - loc
     unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
     z /= unit
@@ -92,20 +95,20 @@ def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def _unit_moments(z: np.ndarray) -> np.ndarray:
-    """[0, M2, .., M6] of a sample centred by ``_unit_coordinates``; its
+    """[0, M2, M3, M4] of a sample centred by ``_unit_coordinates``; its
     mean is 0 up to rounding, so powers are taken about 0."""
     power = z * z
     out = [0.0, float(power.sum() / z.size)]
-    for _ in range(3, 7):
+    for _ in range(3, 5):
         power *= z
         out.append(float(power.sum() / z.size))
     return np.array(out)
 
 
 def central_moments(samples: np.ndarray) -> np.ndarray:
-    """Mean followed by central moments of order 2..6."""
+    """Mean followed by central moments of order 2..4."""
     z, loc, unit = _unit_coordinates(np.asarray(samples, dtype=float).ravel())
-    moments = _unit_moments(z) * unit ** np.arange(1, 7)
+    moments = _unit_moments(z) * unit ** np.arange(1, 5)
     moments[0] = loc
     return moments
 
@@ -117,7 +120,8 @@ def fit_mom(samples: np.ndarray) -> FitReport:
 
 
 def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport:
-    """Solve the moment system given [mean, M2, M3, M4, (M5, M6)].
+    """Solve the moment system given [mean, M2, M3, M4]; further entries
+    are ignored.
 
     ``n`` enables the finite-sample noise gate on the third and fourth
     cumulants; pass None when feeding exact population moments.
@@ -126,17 +130,13 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     if moments.size < 4:
         raise DomainError("need at least mean and central moments 2..4")
     mean, m2, m3, m4 = moments[:4].tolist()
-    m5 = float(moments[4]) if moments.size >= 5 else None
     if m2 <= 0.0:
         return _single_gaussian_report(mean, 0.0)
     s = math.sqrt(m2)
 
     # Standardise so the cubic is solved in O(1)-sized quantities.
     m3s = m3 / s**3
-    m4s = m4 / s**4
-    m5s = None if m5 is None else m5 / s**5
-    kurt = m4s - 3.0
-    skew_sq = m3s * m3s
+    kurt = m4 / s**4 - 3.0
 
     if n is not None:
         gate_skew = _CUMULANT_GATE * math.sqrt(6.0 / n)
@@ -144,43 +144,23 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
         if abs(m3s) < gate_skew and abs(kurt) < gate_kurt:
             return _single_gaussian_report(mean, s)
 
-    candidates = []
-    for v in _depressed_cubic_roots(0.5 * kurt, -0.5 * skew_sq):
-        if v <= 1e-10:
-            continue
-        denom = kurt + 6.0 * v * v
-        if denom <= 0.0:
-            continue
-        lam = min(v * v / denom, 0.25)
-        if lam <= 0.0:
-            continue
-        candidates.append((v, lam))
-    if not candidates:
+    v = _largest_cubic_root(0.5 * kurt, -0.5 * (m3s * m3s))
+    denom = kurt + 6.0 * v * v
+    if v <= 1e-10 or denom <= 0.0:
+        return _single_gaussian_report(mean, s)
+    lam = min(v * v / denom, 0.25)
+    if lam <= 0.0:
         return _single_gaussian_report(mean, s)
 
-    scored = []
-    for v, lam in candidates:
-        disc = math.sqrt(max(0.0, 1.0 - 4.0 * lam))
-        if m3s > 0.0:
-            w = 0.5 * (1.0 + disc)
-        elif m3s < 0.0:
-            w = 0.5 * (1.0 - disc)
-        else:
-            w = 0.5
-        delta = math.sqrt(v / lam)
-        var_within = max(1.0 - v, 0.0)
-        if m5s is None:
-            score = 0.0
-        else:
-            model_m3 = lam * (2.0 * w - 1.0) * delta**3
-            model_m5 = (
-                lam * (2.0 * w - 1.0) * delta**5 * (1.0 - 2.0 * lam)
-                + 10.0 * var_within * model_m3
-            )
-            score = abs(model_m5 - m5s)
-        scored.append((score, -v, v, lam, w, delta, var_within))
-    scored.sort()
-    _, _, v, lam, w, delta, var_within = scored[0]
+    disc = math.sqrt(max(0.0, 1.0 - 4.0 * lam))
+    if m3s > 0.0:
+        w = 0.5 * (1.0 + disc)
+    elif m3s < 0.0:
+        w = 0.5 * (1.0 - disc)
+    else:
+        w = 0.5
+    delta = math.sqrt(v / lam)
+    var_within = max(1.0 - v, 0.0)
 
     mu1 = mean + s * (-(1.0 - w) * delta)
     mu2 = mean + s * (w * delta)
@@ -189,27 +169,21 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
-def _depressed_cubic_roots(p: float, q: float) -> list[float]:
-    """Real roots of t^3 + p*t + q, each finished by two Newton steps:
-    Viete's trigonometric form when there are three, else Cardano's
-    formula, whose complex pair counts as a double root at its real part
-    when its imaginary part is at most 1e-8 * (1 + |re|)."""
+def _largest_cubic_root(p: float, q: float) -> float:
+    """Largest real root of t^3 + p*t + q, finished by two Newton steps:
+    Viete's k = 0 term when there are three real roots, else Cardano's
+    real root."""
     d = (0.5 * q) ** 2 + (p / 3.0) ** 3
     if d < 0.0:   # so p < 0
         r = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(min(max(3.0 * q / (p * r), -1.0), 1.0)) / 3.0
-        return [_newton_cubic(r * math.cos(phi - 2.0 * math.pi * k / 3.0), p, q)
-                for k in range(3)]
+        t = r * math.cos(math.acos(min(max(3.0 * q / (p * r), -1.0), 1.0)) / 3.0)
+        return _newton_cubic(t, p, q)
     # u^3 and v^3 are the roots of z^2 + q*z - (p/3)^3, and u*v = -p/3;
     # u takes the one formed without cancellation.
     z = -0.5 * q - math.copysign(math.sqrt(d), q)
     u = math.copysign(abs(z) ** (1.0 / 3.0), z)
     v = -p / (3.0 * u) if u != 0.0 else 0.0
-    t = _newton_cubic(u + v, p, q)
-    re = -0.5 * t
-    if 0.5 * math.sqrt(3.0) * abs(u - v) <= 1e-8 * (1.0 + abs(re)):
-        return [t, re, re]
-    return [t]
+    return _newton_cubic(u + v, p, q)
 
 
 def _newton_cubic(t: float, p: float, q: float) -> float:
@@ -674,16 +648,23 @@ def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
             thresholds = bayes_thresholds(mix)
         except NoBoundaryError:
             return min(w, 1.0 - w)
-    t1, t2 = thresholds
-    inner = 0 if mix.sigma1 <= mix.sigma2 else 1
-    params = [(mix.mu1, mix.sigma1, w), (mix.mu2, mix.sigma2, 1.0 - w)]
-
-    def mass_inside(mu, sigma):
-        return q_function((t1 - mu) / sigma) - q_function((t2 - mu) / sigma)
-
-    mu_in, sig_in, w_in = params[inner]
-    mu_out, sig_out, w_out = params[1 - inner]
-    err = w_in * (1.0 - mass_inside(mu_in, sig_in)) + w_out * mass_inside(
-        mu_out, sig_out
-    )
+    err = rule_error(mix, thresholds, region_component_labels(mix, thresholds)[1])
     return float(min(max(err, 0.0), 0.5))
+
+
+def rule_error(mix: Mixture1D, thresholds: np.ndarray, orientation: int) -> float:
+    """Probability that the threshold rule mislabels a draw from ``mix``.
+
+    The rule gives label ``orientation`` (0 for the component of mu1, 1
+    for that of mu2) above a single threshold, or between two, and the
+    other label elsewhere.
+    """
+    err = 0.0
+    for label, (mu, sigma, weight) in enumerate(
+            ((mix.mu1, mix.sigma1, mix.w), (mix.mu2, mix.sigma2, 1.0 - mix.w))):
+        # The mass of this component that the rule labels ``orientation``.
+        mass = q_function((thresholds[0] - mu) / sigma)
+        if len(thresholds) == 2:
+            mass -= q_function((thresholds[1] - mu) / sigma)
+        err += weight * (mass if orientation != label else 1.0 - mass)
+    return err

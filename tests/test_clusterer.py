@@ -429,5 +429,9 @@ class TestConfigValidation:
             ClusterConfig(target_error=0.5, budget=5)
         with pytest.raises(DomainError):
             ClusterConfig(target_error=0.1, budget=0)
+        for budget in (2.5, float("nan")):
+            with pytest.raises(DomainError, match="budget"):
+                ClusterConfig(target_error=0.1, budget=budget)
+        assert ClusterConfig(target_error=0.1, budget=np.int64(5)).budget == 5
         with pytest.raises(DomainError):
             ClusterConfig(target_error=0.1, budget=5, learner="nope")
