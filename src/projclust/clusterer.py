@@ -35,7 +35,7 @@ from .learner1d import (
     fit_mixture,
     region_component_labels,
 )
-from .mathkit import q_inverse, stream_generators
+from .mathkit import check_seed, q_inverse, stream_generators
 from .model import Boundary1D, ClusterOutcome, Dataset
 from .projection import project_block, sample_direction, separability_1d
 from . import bounds as _bounds
@@ -61,7 +61,7 @@ _NO_BOUNDARY_ERROR = 0.5
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Scan settings: target error, budget and learner choice."""
+    """Scan settings: target error, budget, learner and seed in [0, 2**64)."""
 
     target_error: float
     budget: int
@@ -75,6 +75,7 @@ class ClusterConfig:
             raise DomainError(f"budget must be an integer >= 1, got {self.budget!r}")
         if self.learner not in LEARNERS:
             raise DomainError(f"unknown learner {self.learner!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -435,3 +435,17 @@ class TestConfigValidation:
         assert ClusterConfig(target_error=0.1, budget=np.int64(5)).budget == 5
         with pytest.raises(DomainError):
             ClusterConfig(target_error=0.1, budget=5, learner="nope")
+
+    @pytest.mark.parametrize("seed", [2.5, math.nan, -1, 2**64],
+                             ids=["2.5", "nan", "-1", "2**64"])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # Checked up front: 2.5 must not scan as seed 2, nor NaN fail mid-scan.
+        with pytest.raises(DomainError, match="seed"):
+            ClusterConfig(target_error=0.01, budget=3, seed=seed)
+
+    def test_numpy_integer_seed_scans_as_int(self):
+        data, _ = small_dataset()
+        a, b = (cluster_outcome_to_jsonable(cluster_gmm(
+            data, ClusterConfig(target_error=0.01, budget=3, seed=seed)))
+            for seed in (np.int64(3), 3))
+        assert to_json(a) == to_json(b)

@@ -1,11 +1,15 @@
 """Tail-function accuracy against independent oracles, plus stream checks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from projclust import mathkit
 from projclust.errors import DomainError
 from projclust.mathkit import (
     RngStream,
@@ -101,6 +105,47 @@ class TestQFunction:
         scalars = [q_function(kind(x)) for x in xs]
         assert all(type(v) is float for v in scalars)
         assert np.array(scalars).tobytes() == q_function(xs).tobytes()
+
+
+class TestScipyOracle:
+    """scipy's erfc and ndtri as oracles for the standard-library Q and Q⁻¹."""
+
+    def test_q_function_matches_scipy_erfc(self):
+        xs = np.linspace(-37.0, 37.0, 20_001)
+        ref = 0.5 * special.erfc(xs / math.sqrt(2.0))
+        keep = ref >= 1e-300
+        np.testing.assert_allclose(q_function(xs)[keep], ref[keep], rtol=1e-12, atol=0)
+
+    def test_q_inverse_matches_scipy_ndtri(self):
+        lower = np.logspace(-300, math.log10(0.5), 3_001)
+        upper = np.append(np.linspace(0.5, 1.0 - 2.0**-53, 3_001)[1:],
+                          [0.5 + 2.0**-53, 0.5 + 2.0**-40])
+        for e in np.concatenate([lower, upper]):
+            ref = -float(special.ndtri(e))
+            assert q_inverse(float(e)) == pytest.approx(ref, rel=4e-15, abs=0)
+
+    def test_deep_tail_nonincreasing_then_zero(self):
+        # The C library's erfc goes subnormal for x in about [37.5, 38.5]
+        # (Q(38) = 2.9e-316 with glibc; scipy's erfc gives 0 there).  From
+        # 38.5 on the exact Q is below half the smallest subnormal.
+        xs = np.linspace(37.0, 39.0, 2_001)
+        vals = q_function(xs)
+        assert vals[0] > 0.0
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.all(vals[xs >= 38.5] == 0.0)
+        assert q_function(38.5) == 0.0 and q_function(40.0) == 0.0
+
+
+def test_package_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is a test oracle only.
+    src = os.path.dirname(os.path.dirname(mathkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, projclust, projclust.cli; print(sorted(k for k in sys.modules"
+             " if k == 'scipy' or k.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestQInverse:
@@ -241,3 +286,17 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(DomainError):
             RngStream(0, 2**64)
+
+    @pytest.mark.parametrize("seed", [2.5, math.nan, -1, 2**64],
+                             ids=["2.5", "nan", "-1", "2**64"])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # A float must not be truncated (2.5 would key the stream as 2).
+        with pytest.raises(DomainError, match="master_seed must be an integer"):
+            RngStream(seed, 0)
+        with pytest.raises(DomainError, match="stream_index must be an integer"):
+            RngStream(0, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = RngStream(np.int64(3), np.uint64(1)).generator().standard_normal(8)
+        b = RngStream(3, 1).generator().standard_normal(8)
+        assert a.tobytes() == b.tobytes()
