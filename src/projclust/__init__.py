@@ -62,7 +62,6 @@ from .datagen import (
     make_spherical_spec,
     read_dataset,
     sample_dataset,
-    sample_nongaussian_dataset,
     write_dataset,
 )
 from .clusterer import (

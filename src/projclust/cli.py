@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--zeta", type=float, default=None,
                      help="rank-controlled covariances populating this fraction")
     gen.add_argument("--shape", default="gaussian",
-                     choices=("gaussian",) + datagen.NONGAUSSIAN_SHAPES)
+                     choices=datagen.SHAPES)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True,
                      help="base path; writes <out>.bin and <out>.json")
@@ -155,11 +155,7 @@ def _cmd_gen(args) -> int:
         spec, rank = datagen.make_spherical_spec(
             args.p, args.c, args.sigma, args.w
         ), None
-    rng = RngStream(args.seed, 0)
-    if args.shape == "gaussian":
-        data = datagen.sample_dataset(spec, args.n, rng)
-    else:
-        data = datagen.sample_nongaussian_dataset(spec, args.shape, args.n, rng)
+    data = datagen.sample_dataset(spec, args.n, RngStream(args.seed, 0), args.shape)
     bin_path, json_path = datagen.write_dataset(
         data, args.out, k=spec.k, r=rank, zeta=args.zeta
     )

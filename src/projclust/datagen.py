@@ -11,8 +11,9 @@ block and from each other, truncated when the blocks run out of
 coordinates).  The rank of the summed covariances is therefore exactly
 min(3*ceil(zeta*p), p) and is returned alongside the spec.
 
-Memory: a sample is drawn into one n x p float64 buffer (two for the
-rademacher shape, whose integer draw is cast once), which becomes
+``sample_dataset`` is the one sampler.  It draws coordinates of any of
+the zero-mean unit-variance ``SHAPES`` into one n x p float64 buffer (two
+for the rademacher shape, whose integer draw is cast once), which becomes
 ``Dataset.points``.  Its rows are scaled and shifted in place by their
 own component's standard deviations and mean, ROW_BLOCK rows at a time,
 so a sample holds that buffer plus two blocks whatever the spec.
@@ -45,7 +46,8 @@ from .model import (
     Provenance,
 )
 
-NONGAUSSIAN_SHAPES = ("uniform", "laplace", "rademacher")
+# Coordinate shapes that ``sample_dataset`` draws.
+SHAPES = ("gaussian", "uniform", "laplace", "rademacher")
 ROW_BLOCK = 512
 
 
@@ -124,15 +126,20 @@ def _draw_base(gen: np.random.Generator, n: int, p: int, shape: str) -> np.ndarr
         return gen.uniform(-half, half, size=(n, p))
     if shape == "laplace":
         return gen.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, p))
-    if shape == "rademacher":
-        z = gen.integers(0, 2, size=(n, p)).astype(float)
-        z *= 2.0
-        z -= 1.0
-        return z
-    raise DomainError(f"unknown coordinate shape {shape!r}")
+    z = gen.integers(0, 2, size=(n, p)).astype(float)   # rademacher
+    z *= 2.0
+    z -= 1.0
+    return z
 
 
-def _sample(spec: MixtureSpec, n: int, rng: RngStream, shape: str) -> Dataset:
+def sample_dataset(
+    spec: MixtureSpec, n: int, rng: RngStream, shape: str = "gaussian"
+) -> Dataset:
+    """Draw n labelled points from the mixture, with coordinates of the
+    named zero-mean unit-variance ``shape`` (one of ``SHAPES``) scaled and
+    shifted so the mixture's first two moments match the spec exactly."""
+    if shape not in SHAPES:
+        raise DomainError(f"shape must be one of {SHAPES}")
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
@@ -152,25 +159,6 @@ def _sample(spec: MixtureSpec, n: int, rng: RngStream, shape: str) -> Dataset:
         n=n, p=spec.p, points=points, labels=labels,
         provenance=Provenance(seed=rng.master_seed, generator=generator_id),
     )
-
-
-def sample_dataset(spec: MixtureSpec, n: int, rng: RngStream) -> Dataset:
-    """Draw n labelled points from the Gaussian mixture."""
-    return _sample(spec, n, rng, "gaussian")
-
-
-def sample_nongaussian_dataset(
-    spec: MixtureSpec, shape: str, n: int, rng: RngStream
-) -> Dataset:
-    """Draw n labelled points with non-Gaussian coordinates.
-
-    Coordinates follow the named zero-mean unit-variance shape and are
-    scaled and shifted so the mixture's first two moments match the spec
-    exactly.
-    """
-    if shape not in NONGAUSSIAN_SHAPES:
-        raise DomainError(f"shape must be one of {NONGAUSSIAN_SHAPES}")
-    return _sample(spec, n, rng, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,9 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .clusterer import ClusterConfig, classify_values, clustering_error, scan_directions
-from .datagen import (
-    make_rank_spec,
-    make_spherical_spec,
-    sample_dataset,
-    sample_nongaussian_dataset,
-)
+from .clusterer import (_NO_BOUNDARY_ERROR, ClusterConfig, classify_values,
+                        clustering_error, scan_directions)
+from .datagen import make_rank_spec, make_spherical_spec, sample_dataset
 from .errors import DomainError
 from .learner1d import rule_error
 from .mathkit import RngStream, q_function, q_inverse
@@ -55,7 +51,7 @@ def _cells(seed: int, params_list, repeats: int):
 def _realized_error(scan, labels) -> float:
     """Clustering error of the scanned boundary on the sampled points."""
     if scan.thresholds is None:
-        return 0.5
+        return _NO_BOUNDARY_ERROR
     predicted = classify_values(scan.values, scan.thresholds, scan.orientation)
     return clustering_error(predicted, labels)
 
@@ -68,7 +64,7 @@ def _population_error(spec, scan) -> float:
     exact projected component parameters.
     """
     if scan.thresholds is None:
-        return 0.5
+        return _NO_BOUNDARY_ERROR
     err = rule_error(projected_mixture(spec, scan.direction), scan.thresholds,
                      scan.orientation)
     return min(err, 1.0 - err)
@@ -192,10 +188,7 @@ def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
     pairs = [(p, c) for p in p_list for c in c_list]
     for (p, c), rep, data_stream, scan_seed in _cells(seed, pairs, repeats):
         spec = make_spherical_spec(p, c)
-        if shape == "gaussian":
-            data = sample_dataset(spec, n, data_stream)
-        else:
-            data = sample_nongaussian_dataset(spec, shape, n, data_stream)
+        data = sample_dataset(spec, n, data_stream, shape)
         cfg = ClusterConfig(
             target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
             seed=scan_seed,

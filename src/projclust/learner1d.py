@@ -38,7 +38,9 @@ they are given.  ``fit_mom`` and ``central_moments`` stay public because
 
 The Bayes rule of a known mixture has a single threshold when the
 variances agree and otherwise the (up to) two real roots of the density
-equality condition; ``bayes_error`` integrates the misassigned mass.
+equality condition.  ``rule_error`` scores any threshold rule from upper
+tails alone, so a small error keeps its relative accuracy deep in the
+tails, and ``bayes_error`` is the ``rule_error`` of the Bayes rule.
 """
 
 from __future__ import annotations
@@ -539,12 +541,6 @@ def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
 # Bayes rule of a known 1-D mixture
 # ---------------------------------------------------------------------------
 
-def _is_equal_sigma(mix: Mixture1D) -> bool:
-    return abs(mix.sigma1 - mix.sigma2) <= _EQUAL_SIGMA_RTOL * max(
-        mix.sigma1, mix.sigma2
-    )
-
-
 def _log_density_gap(mix: Mixture1D, t: float) -> float:
     """ln(w * phi1(t)) - ln((1-w) * phi2(t))."""
     s1 = 1.0 / mix.sigma1**2
@@ -570,7 +566,7 @@ def bayes_thresholds(mix: Mixture1D) -> np.ndarray:
     """
     scale = max(abs(mix.mu1), abs(mix.mu2), mix.sigma1, mix.sigma2)
     delta = mix.mu2 - mix.mu1
-    if _is_equal_sigma(mix):
+    if abs(mix.sigma1 - mix.sigma2) <= _EQUAL_SIGMA_RTOL * max(mix.sigma1, mix.sigma2):
         if abs(delta) <= 1e-15 * scale:
             raise NoBoundaryError("identical components have no threshold")
         sigma2 = mix.sigma1 * mix.sigma2
@@ -624,30 +620,21 @@ def region_component_labels(mix: Mixture1D, thresholds: np.ndarray) -> np.ndarra
 
 
 def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
-    """Misclassification probability of the mixture's own Bayes rule.
+    """Misclassification probability of the mixture's own Bayes rule: the
+    ``rule_error`` of its thresholds with the labels of
+    ``region_component_labels``, so small errors keep their relative
+    accuracy.
 
     Always in [0, 0.5]; degenerate mixtures without a decision boundary
     yield min(w, 1-w), the error of always guessing the majority label.
     ``thresholds``, the mixture's ``bayes_thresholds`` when the caller
     has them, are not solved for again.
     """
-    if mix.mu1 > mix.mu2:
-        mix = mix.swapped()
-    w = mix.w
-    if _is_equal_sigma(mix):
-        sigma = 0.5 * (mix.sigma1 + mix.sigma2)
-        gamma = (mix.mu2 - mix.mu1) / (2.0 * sigma)
-        if gamma <= 1e-12:
-            return min(w, 1.0 - w)
-        shift = math.log(w / (1.0 - w)) / (2.0 * gamma)
-        err = w * q_function(gamma + shift) + (1.0 - w) * q_function(gamma - shift)
-        return float(min(max(err, 0.0), 0.5))
-
     if thresholds is None:
         try:
             thresholds = bayes_thresholds(mix)
         except NoBoundaryError:
-            return min(w, 1.0 - w)
+            return min(mix.w, 1.0 - mix.w)
     err = rule_error(mix, thresholds, region_component_labels(mix, thresholds)[1])
     return float(min(max(err, 0.0), 0.5))
 
@@ -657,14 +644,22 @@ def rule_error(mix: Mixture1D, thresholds: np.ndarray, orientation: int) -> floa
 
     The rule gives label ``orientation`` (0 for the component of mu1, 1
     for that of mu2) above a single threshold, or between two, and the
-    other label elsewhere.
+    other label elsewhere.  Each mislabelled mass is a sum or difference
+    of upper tails Q, taken on the side where they are small, so small
+    masses keep their relative accuracy.
     """
     err = 0.0
     for label, (mu, sigma, weight) in enumerate(
             ((mix.mu1, mix.sigma1, mix.w), (mix.mu2, mix.sigma2, 1.0 - mix.w))):
-        # The mass of this component that the rule labels ``orientation``.
-        mass = q_function((thresholds[0] - mu) / sigma)
-        if len(thresholds) == 2:
-            mass -= q_function((thresholds[1] - mu) / sigma)
-        err += weight * (mass if orientation != label else 1.0 - mass)
+        lo = (thresholds[0] - mu) / sigma
+        hi = (thresholds[1] - mu) / sigma if len(thresholds) == 2 else None
+        if label == orientation:    # the mass outside the rule's region
+            mass = q_function(-lo) + (0.0 if hi is None else q_function(hi))
+        elif hi is None:
+            mass = q_function(lo)
+        elif lo + hi >= 0.0:        # the interval's mass, from its smaller tails
+            mass = q_function(lo) - q_function(hi)
+        else:
+            mass = q_function(-hi) - q_function(-lo)
+        err += weight * mass
     return err

@@ -13,14 +13,13 @@ from scipy import stats
 
 from projclust import datagen
 from projclust.datagen import (
-    NONGAUSSIAN_SHAPES,
     ROW_BLOCK,
+    SHAPES,
     export_csv,
     make_rank_spec,
     make_spherical_spec,
     read_dataset,
     sample_dataset,
-    sample_nongaussian_dataset,
     write_dataset,
 )
 from projclust.errors import DimensionMismatchError, DomainError
@@ -149,7 +148,7 @@ class TestNonGaussian:
     def test_uniform_support_width(self):
         sigma = 1.3
         spec = make_spherical_spec(3, 0.0, sigma)
-        data = sample_nongaussian_dataset(spec, "uniform", 200_000, RngStream(14, 0))
+        data = sample_dataset(spec, 200_000, RngStream(14, 0), "uniform")
         width = float(data.points.max() - data.points.min())
         assert width <= math.sqrt(12.0) * sigma + 1e-9
         assert width >= 0.999 * math.sqrt(12.0) * sigma
@@ -158,7 +157,7 @@ class TestNonGaussian:
     def test_first_two_moments_match(self, shape):
         spec = make_spherical_spec(10, 1.0, sigma=0.9, w=0.4)
         n = 100_000
-        data = sample_nongaussian_dataset(spec, shape, n, RngStream(15, 0))
+        data = sample_dataset(spec, n, RngStream(15, 0), shape)
         for i in (0, 1):
             rows = data.points[data.labels == i]
             mean_err = float(np.max(np.abs(rows.mean(axis=0) - spec.means[i])))
@@ -168,20 +167,20 @@ class TestNonGaussian:
 
     def test_rademacher_support(self):
         spec = make_spherical_spec(2, 0.0, sigma=2.0)
-        data = sample_nongaussian_dataset(spec, "rademacher", 1000, RngStream(16, 0))
+        data = sample_dataset(spec, 1000, RngStream(16, 0), "rademacher")
         np.testing.assert_allclose(np.abs(data.points), 2.0)
 
     def test_unknown_shape(self):
         spec = make_spherical_spec(2, 1.0)
         with pytest.raises(DomainError):
-            sample_nongaussian_dataset(spec, "cauchy", 10, RngStream(0, 0))
+            sample_dataset(spec, 10, RngStream(0, 0), "cauchy")
 
     def test_projected_coordinates_normalise(self):
         # Central limit along a random direction at p=1000: per-component
         # skewness of the projected values is tiny.
         p, n = 1000, 100_000
         spec = make_spherical_spec(p, 1.0)
-        data = sample_nongaussian_dataset(spec, "uniform", n, RngStream(17, 0))
+        data = sample_dataset(spec, n, RngStream(17, 0), "uniform")
         direction = RngStream(18, 0).generator().standard_normal(p)
         values = project_block(data, direction[np.newaxis])[0]
         for i in (0, 1):
@@ -302,7 +301,6 @@ class TestFiles:
 # ---------------------------------------------------------------------------
 
 GOLDEN_N = 1300   # not a multiple of datagen's 512-row block
-SHAPES = ("gaussian",) + NONGAUSSIAN_SHAPES
 
 
 def _golden_spec(name):
@@ -321,14 +319,8 @@ def _golden_spec(name):
     raise KeyError(name)
 
 
-def _sample(spec, shape, n, rng):
-    if shape == "gaussian":
-        return sample_dataset(spec, n, rng)
-    return sample_nongaussian_dataset(spec, shape, n, rng)
-
-
 def _draw(name, shape, n=GOLDEN_N):
-    return _sample(_golden_spec(name), shape, n, RngStream(31, 2))
+    return sample_dataset(_golden_spec(name), n, RngStream(31, 2), shape)
 
 
 def _digest(array, dtype):
@@ -423,7 +415,7 @@ class TestMemoryContract:
                  make_rank_spec(self.P, 1.0, 0.2, RngStream(40, 1))[0])
         for spec in specs:
             data, peak = _traced_peak(
-                lambda: _sample(spec, shape, self.N, RngStream(40, 0))
+                lambda: sample_dataset(spec, self.N, RngStream(40, 0), shape)
             )
             assert data.points.shape == (self.N, self.P)
             assert peak / (8 * self.N * self.P) <= limit

@@ -1302,6 +1302,41 @@ class TestBayesError:
         assert learner1d.rule_error(mix, ts, orientation) == pytest.approx(
             bayes_error(mix), rel=1e-12)
 
+    def test_rule_error_far_tail_counts_both_components(self):
+        # Each component puts Q(20) on the wrong side of the threshold.
+        got = learner1d.rule_error(Mixture1D(0.0, 40.0, 1.0, 1.0, 0.5), [20.0], 1)
+        assert got == pytest.approx(norm.sf(20.0), rel=1e-12, abs=0.0)
+
+    def test_rule_error_at_small_targets(self):
+        # Errors near 1e-12, the scale of a tight scan target, keep their
+        # relative accuracy under the mixture's own Bayes rule.
+        mix = Mixture1D(0.0, 14.0, 1.0, 1.0, 0.5)
+        ts = bayes_thresholds(mix)
+        got = learner1d.rule_error(mix, ts, region_component_labels(mix, ts)[1])
+        assert got == pytest.approx(norm.sf(7.0), rel=1e-12, abs=0.0)
+        assert bayes_error(mix, ts) == pytest.approx(norm.sf(7.0), rel=1e-12, abs=0.0)
+
+    def test_rule_error_interval_in_lower_tail(self):
+        # The rule's interval [-12, -11] lies in the lower tail of the
+        # component at 0, which puts mass Phi(-11) - Phi(-12) = 1.9e-28
+        # there; the narrow component at -11.5 has none outside it.
+        mix = Mixture1D(0.0, -11.5, 1.0, 0.01, 0.5)
+        ts = np.array([-12.0, -11.0])
+        want = 0.5 * (norm.cdf(-11.0) - norm.cdf(-12.0))
+        got = learner1d.rule_error(mix, ts, 1)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want == pytest.approx(0.5 * 1.9106e-28, rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("w", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 2.5, 5.0, 7.0, 8.0])
+    def test_equal_sigma_closed_form(self, w, gamma):
+        # The closed form w*Q(gamma + s) + (1-w)*Q(gamma - s),
+        # s = ln(w/(1-w))/(2*gamma), of an equal-sigma Bayes error.
+        s = math.log(w / (1.0 - w)) / (2.0 * gamma)
+        want = min(w * q_function(gamma + s) + (1.0 - w) * q_function(gamma - s), 0.5)
+        got = bayes_error(Mixture1D(-1.0, 2.0 * gamma - 1.0, 1.0, 1.0, w))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_within_half(self):
         for w in (0.1, 0.3, 0.5):
             for g in (0.01, 0.5, 3.0):
