@@ -20,13 +20,11 @@ from .mathkit import (
 from .model import (
     Boundary1D,
     ClusterOutcome,
-    CovarianceSpec,
     Dataset,
     Mixture1D,
     MixtureSpec,
     Provenance,
     c_separability,
-    lambda_max,
 )
 from .projection import (
     projected_mixture,
@@ -43,7 +41,6 @@ from .learner1d import (
 )
 from .bounds import (
     BoundReport,
-    beta_full_rank,
     error_gap_bound,
     estimated_separability_bound,
     expected_projections_nonspherical,

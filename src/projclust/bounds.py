@@ -43,7 +43,7 @@ from .mathkit import (
     chi2_upper_tail_exponent,
     q_function,
 )
-from .model import MixtureSpec, combined_lambda_max, combined_rank
+from .model import MixtureSpec
 
 TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64))
 TAU1_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -310,6 +310,7 @@ def _beta(
         raise DomainError("beta is defined for two-component mixtures")
     if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
+    summed = spec.variances[0] + spec.variances[1]   # diag(Sigma1 + Sigma2)
     if mode == "full":
         r = None
     elif mode == "rank":
@@ -319,21 +320,16 @@ def _beta(
             raise DomainError("tau1 must lie in (0, 1)")
         if tau2 <= 0.0:
             raise DomainError("tau2 must be positive")
-        r = combined_rank(spec.covs[0], spec.covs[1], spec.p)
+        r = int(np.count_nonzero(summed))
     else:
         raise DomainError(f"unknown mode {mode!r}")
     diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
     if diff_sq == 0.0:
         return math.inf, r
-    lmax = combined_lambda_max(spec.covs[0], spec.covs[1], spec.p)
+    lmax = float(np.max(summed))
     if r is None:
         return 2.0 * gamma * gamma * lmax * spec.p / diff_sq, r
     return 2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq), r
-
-
-def beta_full_rank(spec: MixtureSpec, gamma: float) -> float:
-    """beta = 2*gamma^2*lmax(Sigma1+Sigma2)*p / ||m1-m2||^2."""
-    return _beta(spec, gamma, "full", None, None)[0]
 
 
 def _nonspherical_prob_fn(
@@ -368,7 +364,7 @@ def nonspherical_direction_prob(
 ) -> BoundReport:
     """Lower bound on the gamma-separation probability of one direction.
     It holds for any PSD pair (Sigma1, Sigma2); the package represents
-    spherical and axis-aligned ones.
+    axis-aligned ones.
 
     ``mode="full"`` uses the full-dimension beta.  ``mode="rank"``
     recomputes beta from rank(Sigma1+Sigma2) with concentration slack

@@ -234,12 +234,14 @@ def projections_budget_default(
     known spherical mixture with a running c estimate: twice the finite-p
     expected-projection bound at gamma = Q^{-1}(e).
     """
-    if p < 2:
-        raise DomainError("p must be >= 2")
+    if p < 1:
+        raise DomainError("p must be >= 1")
     if not 0.0 < e < 0.5:
         raise DomainError("e must lie in (0, 0.5)")
     fallback = BUDGET_SAFETY_FACTOR * math.ceil(math.log(p))
     if spherical_known and c_hat is not None:
+        if p < 2:
+            raise DomainError("p must be >= 2")
         if c_hat <= 0.0:
             raise DomainError("c_hat must be positive")
         gamma = q_inverse(e)

@@ -39,12 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .mathkit import RngStream
-from .model import (
-    CovarianceSpec,
-    Dataset,
-    MixtureSpec,
-    Provenance,
-)
+from .model import Dataset, MixtureSpec, Provenance
 
 # Coordinate shapes that ``sample_dataset`` draws.
 SHAPES = ("gaussian", "uniform", "laplace", "rademacher")
@@ -69,8 +64,8 @@ def make_spherical_spec(
         raise DomainError("w must lie in (0, 1)")
     means = np.zeros((2, p))
     means[1, 0] = 2.0 * c * math.sqrt(p) * sigma
-    cov = CovarianceSpec.spherical(sigma * sigma)
-    return MixtureSpec.create(means, (cov, cov), np.array([w, 1.0 - w]))
+    variances = np.full((2, p), sigma * sigma)
+    return MixtureSpec.create(means, variances, np.array([w, 1.0 - w]))
 
 
 def make_rank_spec(
@@ -110,11 +105,7 @@ def make_rank_spec(
 
     means = np.zeros((2, p))
     means[1, shared[0]] = 2.0 * c * math.sqrt(p)
-    spec = MixtureSpec.create(
-        means,
-        (CovarianceSpec.eigen(eig1), CovarianceSpec.eigen(eig2)),
-        np.array([0.5, 0.5]),
-    )
+    spec = MixtureSpec.create(means, np.stack([eig1, eig2]), np.array([0.5, 0.5]))
     return spec, rank
 
 
@@ -146,9 +137,7 @@ def sample_dataset(
     labels = gen.choice(spec.k, size=n, p=spec.weights)
     points = _draw_base(gen, n, spec.p, shape)
     # Each row is scaled and shifted by its own component's parameters.
-    sd = np.empty((spec.k, spec.p))
-    for row, cov in zip(sd, spec.covs):
-        row[:] = np.sqrt(cov.variance if cov.kind == "spherical" else cov.eigenvalues)
+    sd = np.sqrt(spec.variances)
     for start in range(0, n, ROW_BLOCK):
         rows = points[start:start + ROW_BLOCK]
         block_labels = labels[start:start + ROW_BLOCK]

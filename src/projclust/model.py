@@ -2,8 +2,9 @@
 
 Conventions used throughout:
 
-* points and means are row vectors; covariances are axis-aligned
-  (``CovarianceSpec``); dataset points may have any memory layout;
+* points and means are row vectors; covariances are axis-aligned, so a
+  mixture stores each one as its diagonal (``MixtureSpec.variances``);
+  dataset points may have any memory layout;
 * component labels are 0-based integers in ``[0, k)``;
 * a two-component 1-D mixture is the five-tuple ``(mu1, mu2, sigma1,
   sigma2, w)`` with ``w`` the weight of component 1 (label 0).
@@ -32,112 +33,45 @@ W_FLOOR = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# Covariances
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CovarianceSpec:
-    """One axis-aligned component covariance: ``spherical`` (sigma^2 * I,
-    valid at any p) or ``eigen`` (one variance per coordinate)."""
-
-    kind: str
-    variance: float | None = None
-    eigenvalues: np.ndarray | None = None
-
-    @staticmethod
-    def spherical(variance: float) -> "CovarianceSpec":
-        if not (isinstance(variance, (int, float)) and math.isfinite(variance)):
-            raise DomainError("spherical variance must be finite")
-        if variance <= 0.0:
-            raise DomainError(f"spherical variance must be > 0, got {variance}")
-        return CovarianceSpec(kind="spherical", variance=float(variance))
-
-    @staticmethod
-    def eigen(eigenvalues) -> "CovarianceSpec":
-        vals = np.asarray(eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("eigenvalues must be a nonempty 1-D array")
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise DomainError("eigenvalues must be finite and >= 0")
-        return CovarianceSpec(kind="eigen", eigenvalues=vals)
-
-    def dim(self) -> int | None:
-        """Ambient dimension, or None for spherical (valid at any p)."""
-        if self.kind == "eigen":
-            return int(self.eigenvalues.size)
-        return None
-
-
-def lambda_max(cov: CovarianceSpec) -> float:
-    """Largest eigenvalue of a covariance: its largest diagonal entry."""
-    if cov.kind == "spherical":
-        return float(cov.variance)
-    return float(np.max(cov.eigenvalues))
-
-
-def quadratic_form(cov: CovarianceSpec, a: np.ndarray) -> float:
-    """a' Sigma a, summed over the diagonal of Sigma."""
-    a = np.asarray(a, dtype=float)
-    if cov.kind == "spherical":
-        return float(cov.variance) * float(a @ a)
-    if cov.eigenvalues.size != a.size:
-        raise DimensionMismatchError("direction length != covariance dim")
-    return float(np.sum(cov.eigenvalues * a * a))
-
-
-def combined_lambda_max(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> float:
-    """Largest eigenvalue of Sigma1 + Sigma2."""
-    return float(np.max(_diag_of(cov1, p) + _diag_of(cov2, p)))
-
-
-def combined_rank(cov1: CovarianceSpec, cov2: CovarianceSpec, p: int) -> int:
-    """Rank of Sigma1 + Sigma2: its count of nonzero diagonal entries."""
-    return int(np.count_nonzero(_diag_of(cov1, p) + _diag_of(cov2, p)))
-
-
-def _diag_of(cov: CovarianceSpec, p: int) -> np.ndarray:
-    if cov.kind == "spherical":
-        return np.full(p, float(cov.variance))
-    if cov.eigenvalues.size != p:
-        raise DimensionMismatchError("eigenvalue count != p")
-    return cov.eigenvalues
-
-
-# ---------------------------------------------------------------------------
 # Mixtures and datasets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
-    """Ground-truth mixture in R^p: means, covariances and weights."""
+    """Ground-truth mixture in R^p: means, covariances and weights.
+
+    Component i has the axis-aligned covariance diag(variances[i]), so
+    lambda_max of a covariance is the maximum of its row and the rank of
+    a sum of covariances is the nonzero count of the summed rows.
+    """
 
     p: int
     k: int
     means: np.ndarray           # (k, p)
-    covs: tuple[CovarianceSpec, ...]
+    variances: np.ndarray       # (k, p), each covariance's diagonal
     weights: np.ndarray         # (k,)
 
     @staticmethod
-    def create(means, covs, weights) -> "MixtureSpec":
+    def create(means, variances, weights) -> "MixtureSpec":
         means = np.atleast_2d(np.asarray(means, dtype=float))
+        variances = np.asarray(variances, dtype=float)
         weights = np.asarray(weights, dtype=float)
         k, p = means.shape
         if k < 2:
             raise DomainError(f"a mixture needs k >= 2 components, got {k}")
-        if len(covs) != k or weights.size != k:
-            raise DimensionMismatchError("means, covs and weights must agree on k")
+        if variances.shape != (k, p) or weights.size != k:
+            raise DimensionMismatchError(
+                "variances must have the means' (k, p) shape and weights k entries")
         if not np.all(np.isfinite(means)):
             raise DomainError("means must be finite")
-        # Phrased so that a NaN weight fails each check.
+        # Phrased so that a NaN variance or weight fails each check.
+        if not np.all((variances >= 0.0) & (variances < math.inf)):
+            raise DomainError("variances must be finite and >= 0")
         if not np.all((weights > 0.0) & (weights < 1.0)):
             raise DomainError("each weight must lie in (0, 1)")
         if not abs(float(np.sum(weights)) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
-        for cov in covs:
-            d = cov.dim()
-            if d is not None and d != p:
-                raise DimensionMismatchError("covariance dimension != p")
-        return MixtureSpec(p=p, k=k, means=means, covs=tuple(covs), weights=weights)
+        return MixtureSpec(p=p, k=k, means=means, variances=variances, weights=weights)
 
 
 def c_separability(spec: MixtureSpec, i: int = 0, j: int = 1) -> float:
@@ -149,8 +83,8 @@ def c_separability(spec: MixtureSpec, i: int = 0, j: int = 1) -> float:
         raise DomainError("component indices must differ")
     if not (0 <= i < spec.k and 0 <= j < spec.k):
         raise DomainError("component index out of range")
-    li = lambda_max(spec.covs[i])
-    lj = lambda_max(spec.covs[j])
+    li = float(np.max(spec.variances[i]))
+    lj = float(np.max(spec.variances[j]))
     denom = math.sqrt(spec.p) * (math.sqrt(li) + math.sqrt(lj))
     if denom == 0.0:
         raise DegenerateMixtureError("both components have zero covariance")

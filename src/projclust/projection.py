@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .mathkit import RngStream
-from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d, quadratic_form
+from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d
 
 
 def sample_direction(p: int, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -66,11 +66,11 @@ def projected_mixture(
         raise DomainError("direction must be nonzero")
     mu_i = float(spec.means[i] @ direction) / norm
     mu_j = float(spec.means[j] @ direction) / norm
-    var_i = quadratic_form(spec.covs[i], direction) / (norm * norm)
-    var_j = quadratic_form(spec.covs[j], direction) / (norm * norm)
+    var_i = float(np.sum(spec.variances[i] * direction * direction)) / (norm * norm)
+    var_j = float(np.sum(spec.variances[j] * direction * direction)) / (norm * norm)
     w = float(spec.weights[i]) / float(spec.weights[i] + spec.weights[j])
     return clamped_mixture1d(
-        mu_i, mu_j, math.sqrt(max(var_i, 0.0)), math.sqrt(max(var_j, 0.0)), w
+        mu_i, mu_j, math.sqrt(var_i), math.sqrt(var_j), w
     )
 
 

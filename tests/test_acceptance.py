@@ -29,7 +29,7 @@ from projclust.experiments import (
 )
 from projclust.learner1d import bayes_error, fit_mom
 from projclust.mathkit import RngStream, q_function
-from projclust.model import CovarianceSpec, Mixture1D, MixtureSpec
+from projclust.model import Mixture1D, MixtureSpec
 from projclust.projection import separability_1d
 
 SEED = 0
@@ -205,8 +205,7 @@ def test_criterion_7_three_component_pairwise_failure():
     means[1, 0] = side
     means[2, 0] = 0.5 * side
     means[2, 1] = side * math.sqrt(3.0) / 2.0
-    cov = CovarianceSpec.spherical(1.0)
-    spec = MixtureSpec.create(means, (cov, cov, cov), [1 / 3, 1 / 3, 1 / 3])
+    spec = MixtureSpec.create(means, np.ones((3, p)), [1 / 3, 1 / 3, 1 / 3])
     pairs = [(0, 1), (0, 2), (1, 2)]
     diffs = np.stack([spec.means[i] - spec.means[j] for i, j in pairs])
 

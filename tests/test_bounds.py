@@ -11,7 +11,6 @@ from projclust.bounds import (
     TAU1_GRID,
     TAU2_GRID,
     TAU_GRID,
-    beta_full_rank,
     error_gap_bound,
     expected_projections_nonspherical,
     expected_projections_spherical,
@@ -27,7 +26,7 @@ from projclust.bounds import (
 from projclust.datagen import make_rank_spec, make_spherical_spec
 from projclust.errors import DomainError
 from projclust.mathkit import RngStream, chi2_upper_tail_exponent, q_function, q_inverse
-from projclust.model import CovarianceSpec, MixtureSpec
+from projclust.model import MixtureSpec
 
 
 def empirical_direction_prob(gamma, c, p, n_dirs, seed):
@@ -238,6 +237,11 @@ class TestKgmmProjectionBound:
             kgmm_projection_bound(1.0, 2, 1.0)
 
 
+def beta_full_rank(spec, gamma):
+    """The full-rank beta that a full-mode direction bound reports."""
+    return nonspherical_direction_prob(spec, gamma, 0.1).inputs["beta"]
+
+
 class TestBetaFullRank:
     def test_spherical_reduces_to_alpha(self):
         spec = make_spherical_spec(50, 0.7)
@@ -257,8 +261,7 @@ class TestBetaFullRank:
         )
 
     def test_identical_means_infinite(self):
-        cov = CovarianceSpec.spherical(1.0)
-        spec = MixtureSpec.create(np.zeros((2, 5)), (cov, cov), [0.5, 0.5])
+        spec = MixtureSpec.create(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
         assert math.isinf(beta_full_rank(spec, 1.0))
 
 
@@ -348,8 +351,7 @@ class TestNonsphericalInputChecks:
     """Every path of the nonspherical bounds checks its inputs alike."""
 
     def test_equal_means_rank_mode_matches_full_mode(self):
-        cov = CovarianceSpec.spherical(1.0)
-        spec = MixtureSpec.create(np.zeros((2, 5)), (cov, cov), [0.5, 0.5])
+        spec = MixtureSpec.create(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
         for mode, taus in (("full", {}), ("rank", {"tau1": 0.2, "tau2": 0.5})):
             prob = nonspherical_direction_prob(spec, 1.0, 0.1, mode=mode, **taus)
             assert prob.value == 0.0 and prob.clamped
@@ -367,9 +369,8 @@ class TestNonsphericalInputChecks:
                 )
 
     def test_three_components_rejected_in_every_path(self):
-        cov = CovarianceSpec.spherical(1.0)
         spec = MixtureSpec.create(
-            np.arange(15.0).reshape(3, 5), (cov, cov, cov), [0.3, 0.3, 0.4]
+            np.arange(15.0).reshape(3, 5), np.ones((3, 5)), [0.3, 0.3, 0.4]
         )
         for mode in ("full", "rank"):
             for asymptotic in (False, True):
@@ -415,7 +416,6 @@ class TestNonsphericalInputChecks:
         spec = make_spherical_spec(50, 1.0)
         nan, taus = math.nan, {"tau1": 0.2, "tau2": 0.5}
         calls = [
-            partial(beta_full_rank, spec, nan),
             partial(spherical_direction_prob, nan, 1.0, 50, 0.1),
             partial(expected_projections_spherical, nan, 1.0),
             partial(expected_projections_spherical, nan, 1.0, 50),

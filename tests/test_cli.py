@@ -143,6 +143,18 @@ class TestCluster:
         # 3 * ceil(ln 60) = 15
         assert json.loads(stdout)["projections_used"] <= 15
 
+    def test_default_budget_at_p1(self, capsys, tmp_path):
+        # The unknown-shape budget 3 * ceil(ln p) floors at 1 when p = 1;
+        # only the spherical budget needs p >= 2.
+        out = os.path.join(tmp_path, "line")
+        main(["gen", "--p", "1", "--n", "500", "--c", "2", "--seed", "1",
+              "--out", out])
+        capsys.readouterr()
+        code, stdout, err = run_main(capsys, "cluster", "--in", out, "--error", "0.1")
+        assert code == EXIT_OK, err
+        payload = json.loads(stdout)
+        assert payload["projections_used"] == 1 and payload["achieved"] is True
+
 
 class TestBounds:
     def test_projections_asymptotic(self, capsys):

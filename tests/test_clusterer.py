@@ -404,6 +404,9 @@ class TestEstimateCHat:
 class TestBudgetDefault:
     def test_unknown_shape(self):
         assert projections_budget_default(10_000, False, 0.1) == 30
+        # 3 * ceil(ln p), at least 1: p = 1 gets one direction.
+        budgets = [projections_budget_default(p, False, 0.1) for p in (1, 2, 3, 8, 60)]
+        assert budgets == [1, 3, 6, 9, 15]
 
     def test_spherical_with_c_estimate(self):
         e = 0.0681
@@ -418,7 +421,9 @@ class TestBudgetDefault:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            projections_budget_default(1, False, 0.1)
+            projections_budget_default(0, False, 0.1)
+        with pytest.raises(DomainError):
+            projections_budget_default(1, True, 0.1, c_hat=1.0)
         with pytest.raises(DomainError):
             projections_budget_default(100, True, 0.1, c_hat=0.0)
 

@@ -24,12 +24,7 @@ from projclust.datagen import (
 )
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream
-from projclust.model import (
-    CovarianceSpec,
-    MixtureSpec,
-    c_separability,
-    combined_rank,
-)
+from projclust.model import MixtureSpec, c_separability
 from projclust.projection import project_block
 
 
@@ -76,20 +71,19 @@ class TestRankSpec:
     def test_reported_rank_matches_eigen_representation(self):
         for seed in range(5):
             spec, r = make_rank_spec(200, 0.5, 0.07, RngStream(seed, 0))
-            assert combined_rank(spec.covs[0], spec.covs[1], 200) == r
+            assert set(np.unique(spec.variances)) == {0.0, 1.0}
+            assert np.count_nonzero(spec.variances[0] + spec.variances[1]) == r
 
     def test_deterministic(self):
         a, ra = make_rank_spec(100, 0.5, 0.1, RngStream(9, 0))
         b, rb = make_rank_spec(100, 0.5, 0.1, RngStream(9, 0))
         assert ra == rb
         np.testing.assert_array_equal(a.means, b.means)
-        np.testing.assert_array_equal(a.covs[0].eigenvalues, b.covs[0].eigenvalues)
+        np.testing.assert_array_equal(a.variances, b.variances)
 
     def test_lambda_max_is_unit(self):
         spec, _ = make_rank_spec(100, 0.5, 0.1, RngStream(4, 0))
-        from projclust.model import lambda_max
-        assert lambda_max(spec.covs[0]) == 1.0
-        assert lambda_max(spec.covs[1]) == 1.0
+        assert spec.variances.max(axis=1).tolist() == [1.0, 1.0]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -310,12 +304,10 @@ def _golden_spec(name):
         return make_rank_spec(40, 0.6, 0.1, RngStream(5, 1))[0]
     if name == "mixed3":
         p = 10
-        covs = (CovarianceSpec.spherical(1.3),
-                CovarianceSpec.eigen(np.linspace(2.0, 0.2, p)),
-                CovarianceSpec.eigen(np.linspace(0.0, 1.5, p)))
+        variances = [np.full(p, 1.3), np.linspace(2.0, 0.2, p), np.linspace(0.0, 1.5, p)]
         means = np.zeros((3, p))
         means[1, 0], means[2, 1] = 6.0, -5.0
-        return MixtureSpec.create(means, covs, [0.5, 0.3, 0.2])
+        return MixtureSpec.create(means, variances, [0.5, 0.3, 0.2])
     raise KeyError(name)
 
 
@@ -360,13 +352,9 @@ def _reference_points(spec, n, rng, shape):
     else:
         z = gen.integers(0, 2, size=(n, spec.p)).astype(float) * 2.0 - 1.0
     points = np.empty((n, spec.p))
-    for i, cov in enumerate(spec.covs):
+    for i in range(spec.k):
         rows = labels == i
-        if cov.kind == "spherical":
-            out = math.sqrt(cov.variance) * z[rows]
-        else:
-            out = z[rows] * np.sqrt(cov.eigenvalues)
-        points[rows] = spec.means[i] + out
+        points[rows] = spec.means[i] + z[rows] * np.sqrt(spec.variances[i])
     return points, labels
 
 

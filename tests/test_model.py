@@ -1,4 +1,4 @@
-"""Domain type validation, separability, eigenvalue routines, JSON."""
+"""Domain type validation, separability, covariance sums, JSON."""
 
 import json
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from projclust.bounds import nonspherical_direction_prob
 from projclust.errors import (
     DegenerateMixtureError,
     DimensionMismatchError,
@@ -14,7 +15,6 @@ from projclust.errors import (
 from projclust.model import (
     Boundary1D,
     ClusterOutcome,
-    CovarianceSpec,
     Dataset,
     Mixture1D,
     MixtureSpec,
@@ -23,10 +23,6 @@ from projclust.model import (
     c_separability,
     clamped_mixture1d,
     cluster_outcome_to_jsonable,
-    combined_lambda_max,
-    combined_rank,
-    lambda_max,
-    quadratic_form,
     to_json,
 )
 
@@ -34,63 +30,70 @@ from projclust.model import (
 def spherical_pair_spec(p, c, sigma=1.0, w=0.5):
     means = np.zeros((2, p))
     means[1, 0] = 2.0 * c * math.sqrt(p) * sigma
-    cov = CovarianceSpec.spherical(sigma**2)
-    return MixtureSpec.create(means, (cov, cov), [w, 1 - w])
+    return MixtureSpec.create(means, np.full((2, p), sigma**2), [w, 1 - w])
 
 
-class TestCovarianceSpec:
+UNIT_APART = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]   # ||m1 - m2|| = 1
+
+
+class TestVariances:
     def test_spherical(self):
-        cov = CovarianceSpec.spherical(3.0)
-        assert lambda_max(cov) == 3.0
-        with pytest.raises(DomainError):
-            CovarianceSpec.spherical(0.0)
-        with pytest.raises(DomainError):
-            CovarianceSpec.spherical(float("nan"))
+        spec = MixtureSpec.create(UNIT_APART, np.full((2, 3), 3.0), [0.5, 0.5])
+        assert spec.variances.shape == (2, 3)
+        # lambda_max is 3 in both components: 1 / (sqrt(3) * 2 sqrt(3)).
+        assert c_separability(spec) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
-    def test_eigen(self):
-        cov = CovarianceSpec.eigen([1.0, 2.0, 3.0])
-        assert lambda_max(cov) == 3.0
-        with pytest.raises(DomainError):
-            CovarianceSpec.eigen([1.0, -0.5])
-
-    def test_quadratic_form_consistency(self):
-        gen = np.random.default_rng(5)
-        vals = np.abs(gen.standard_normal(5))
-        v = gen.standard_normal(5)
-        dense = float(v @ np.diag(vals) @ v)
-        assert quadratic_form(CovarianceSpec.eigen(vals), v) == pytest.approx(dense)
-        assert quadratic_form(CovarianceSpec.spherical(1.5), v) == pytest.approx(
-            float(v @ (1.5 * np.eye(5)) @ v)
+    def test_axis_aligned(self):
+        variances = [[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]]
+        spec = MixtureSpec.create(UNIT_APART, variances, [0.5, 0.5])
+        # lambda_max is the row maximum: 1 / (sqrt(3) * (2 + 1)).
+        assert c_separability(spec) == pytest.approx(
+            1.0 / (3.0 * math.sqrt(3.0)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_entries_must_be_finite_and_nonnegative(self, bad):
+        variances = np.ones((2, 3))
+        variances[1, 2] = bad
+        with pytest.raises(DomainError):
+            MixtureSpec.create(np.zeros((2, 3)), variances, [0.5, 0.5])
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3), (1, 3), (3,)])
+    def test_shape_must_be_k_by_p(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            MixtureSpec.create(np.zeros((2, 3)), np.ones(shape), [0.5, 0.5])
+
+
+def _combined(var1, var2):
+    """(lambda_max, rank) of Sigma1 + Sigma2 as the bounds read them: beta
+    of the full-mode report and r of the rank-mode report of a pair whose
+    means are 1 apart."""
+    p = len(var1)
+    means = np.zeros((2, p))
+    means[1, 0] = 1.0
+    spec = MixtureSpec.create(means, [var1, var2], [0.5, 0.5])
+    full = nonspherical_direction_prob(spec, 1.0, 0.1)
+    rank = nonspherical_direction_prob(spec, 1.0, 0.1, mode="rank", tau1=0.2, tau2=0.5)
+    # Full-mode beta is 2 * gamma^2 * lambda_max * p / ||m1 - m2||^2.
+    return full.inputs["beta"] / (2.0 * p), rank.inputs["r"]
 
 
 class TestCombined:
     def test_spherical_pair(self):
-        c1 = CovarianceSpec.spherical(1.0)
-        c2 = CovarianceSpec.spherical(2.0)
-        assert combined_lambda_max(c1, c2, 7) == 3.0
-        assert combined_rank(c1, c2, 7) == 7
+        assert _combined([1.0] * 7, [2.0] * 7) == (3.0, 7)
 
     def test_axis_aligned(self):
-        c1 = CovarianceSpec.eigen([1.0, 0.0, 0.0])
-        c2 = CovarianceSpec.eigen([1.0, 1.0, 0.0])
-        assert combined_lambda_max(c1, c2, 3) == 2.0
-        assert combined_rank(c1, c2, 3) == 2
+        assert _combined([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]) == (2.0, 2)
 
     def test_unequal_diagonals_match_dense_sum(self):
-        c1 = CovarianceSpec.eigen([0.3, 2.5, 0.0, 1.0, 0.0, 0.7])
-        c2 = CovarianceSpec.eigen([1.9, 0.0, 0.0, 0.4, 0.0, 2.2])
-        total = np.diag(c1.eigenvalues) + np.diag(c2.eigenvalues)
-        assert combined_lambda_max(c1, c2, 6) == pytest.approx(
-            float(np.linalg.eigvalsh(total)[-1]), rel=1e-12
-        )
-        assert combined_rank(c1, c2, 6) == np.linalg.matrix_rank(total) == 4
-        sph = CovarianceSpec.spherical(0.5)
-        total = np.diag(c1.eigenvalues) + 0.5 * np.eye(6)
-        assert combined_lambda_max(c1, sph, 6) == pytest.approx(
-            float(np.linalg.eigvalsh(total)[-1]), rel=1e-12
-        )
-        assert combined_rank(c1, sph, 6) == np.linalg.matrix_rank(total) == 6
+        v1 = np.array([0.3, 2.5, 0.0, 1.0, 0.0, 0.7])
+        v2 = np.array([1.9, 0.0, 0.0, 0.4, 0.0, 2.2])
+        sph = np.full(6, 0.5)
+        for other, rank in ((v2, 4), (sph, 6)):
+            total = np.diag(v1) + np.diag(other)
+            lmax, r = _combined(v1, other)
+            assert lmax == pytest.approx(float(np.linalg.eigvalsh(total)[-1]), rel=1e-12)
+            assert r == np.linalg.matrix_rank(total) == rank
 
 
 class TestCSeparability:
@@ -101,15 +104,13 @@ class TestCSeparability:
         assert c_separability(spec) == pytest.approx(0.5, rel=1e-12)
 
     def test_identical_means(self):
-        cov = CovarianceSpec.spherical(1.0)
-        spec = MixtureSpec.create(np.zeros((2, 3)), (cov, cov), [0.4, 0.6])
+        spec = MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.4, 0.6])
         assert c_separability(spec) == 0.0
 
     def test_p100_norm20(self):
         means = np.zeros((2, 100))
         means[1, 0] = 20.0
-        cov = CovarianceSpec.spherical(1.0)
-        spec = MixtureSpec.create(means, (cov, cov), [0.5, 0.5])
+        spec = MixtureSpec.create(means, np.ones((2, 100)), [0.5, 0.5])
         assert c_separability(spec) == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetry(self):
@@ -123,21 +124,20 @@ class TestCSeparability:
         gen = np.random.default_rng(11)
         means = gen.standard_normal((2, p))
         vals = np.abs(gen.standard_normal(p))
-        covs = (CovarianceSpec.eigen(vals), CovarianceSpec.spherical(0.5))
-        spec = MixtureSpec.create(means, covs, [0.5, 0.5])
+        spec = MixtureSpec.create(means, [vals, np.full(p, 0.5)], [0.5, 0.5])
         perm = gen.permutation(p)
         signs = gen.choice([-1.0, 1.0], size=p)
         rot = signs[:, None] * np.eye(p)[perm]
-        covs_r = (CovarianceSpec.eigen(vals[perm]), CovarianceSpec.spherical(0.5))
-        spec_r = MixtureSpec.create(means @ rot.T, covs_r, [0.5, 0.5])
+        spec_r = MixtureSpec.create(
+            means @ rot.T, [vals[perm], np.full(p, 0.5)], [0.5, 0.5]
+        )
         assert c_separability(spec_r) == pytest.approx(
             c_separability(spec), abs=1e-9
         )
 
     def test_degenerate(self):
-        zero = CovarianceSpec.eigen([0.0, 0.0])
         spec = MixtureSpec.create(
-            np.array([[0.0, 0.0], [1.0, 0.0]]), (zero, zero), [0.5, 0.5]
+            np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)), [0.5, 0.5]
         )
         with pytest.raises(DegenerateMixtureError):
             c_separability(spec)
@@ -152,32 +152,28 @@ class TestCSeparability:
 
 class TestMixtureSpecValidation:
     def test_weights_must_sum_to_one(self):
-        cov = CovarianceSpec.spherical(1.0)
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((2, 3)), (cov, cov), [0.5, 0.6])
+            MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.6])
 
     def test_weight_range(self):
-        cov = CovarianceSpec.spherical(1.0)
         # NaN compares False both ways, so a NaN weight must still fail.
         for weights in ([0.0, 1.0], [math.nan, math.nan], [math.nan, 0.5],
                         [math.inf, -math.inf]):
             with pytest.raises(DomainError):
-                MixtureSpec.create(np.zeros((2, 3)), (cov, cov), weights)
+                MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), weights)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_means_must_be_finite(self, bad):
-        cov = CovarianceSpec.spherical(1.0)
         with pytest.raises(DomainError):
-            MixtureSpec.create([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], (cov, cov), [0.5, 0.5])
+            MixtureSpec.create(
+                [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], np.ones((2, 3)), [0.5, 0.5]
+            )
 
     def test_k_and_dims(self):
-        cov = CovarianceSpec.spherical(1.0)
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((1, 3)), (cov,), [1.0])
+            MixtureSpec.create(np.zeros((1, 3)), np.ones((1, 3)), [1.0])
         with pytest.raises(DimensionMismatchError):
-            MixtureSpec.create(
-                np.zeros((2, 3)), (cov, CovarianceSpec.eigen([1.0, 1.0])), [0.5, 0.5]
-            )
+            MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.3, 0.3, 0.4])
 
 
 class TestSmallTypes:

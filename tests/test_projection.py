@@ -9,7 +9,7 @@ from projclust.bounds import optimize_tau, spherical_direction_prob
 from projclust.datagen import make_spherical_spec
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream, q_function
-from projclust.model import CovarianceSpec, Dataset, MixtureSpec
+from projclust.model import Dataset, MixtureSpec
 from projclust.projection import (
     project_block,
     projected_mixture,
@@ -22,8 +22,8 @@ def direct_gamma(spec, directions):
     """Oracle for the projected separation of a two-spherical-component
     spec: |<dm, A>| / ((s1+s2) ||A||), vectorised over direction rows."""
     dm = spec.means[0] - spec.means[1]
-    s1 = math.sqrt(spec.covs[0].variance)
-    s2 = math.sqrt(spec.covs[1].variance)
+    s1 = math.sqrt(spec.variances[0, 0])
+    s2 = math.sqrt(spec.variances[1, 0])
     return np.abs(directions @ dm) / ((s1 + s2) * np.linalg.norm(directions, axis=1))
 
 
@@ -92,8 +92,27 @@ class TestProjectedMixture:
         spec = make_spherical_spec(8, 1.0, sigma=1.3)
         a = sample_direction(8, RngStream(5, 0))
         mix = projected_mixture(spec, a)
-        assert mix.sigma1 == pytest.approx(1.3, rel=1e-12)
-        assert mix.sigma2 == pytest.approx(1.3, rel=1e-12)
+        assert mix.sigma1 == pytest.approx(1.3, rel=1e-15, abs=0.0)
+        assert mix.sigma2 == pytest.approx(1.3, rel=1e-15, abs=0.0)
+
+    def test_spherical_sigma_is_closed_form_at_large_p(self):
+        # sum(sigma^2 * a_i^2) / ||a||^2 rounds once per term; the closed
+        # form is sigma whatever the direction.
+        spec = make_spherical_spec(1000, 1.0, sigma=0.7)
+        for i in range(50):
+            mix = projected_mixture(spec, sample_direction(1000, RngStream(5, i)))
+            assert mix.sigma1 == mix.sigma2 == pytest.approx(0.7, rel=1e-15, abs=0.0)
+
+    def test_quadratic_form_consistency(self):
+        gen = np.random.default_rng(5)
+        variances = np.abs(gen.standard_normal((2, 5)))
+        variances[1, 2] = 0.0
+        spec = MixtureSpec.create(np.zeros((2, 5)), variances, [0.5, 0.5])
+        v = gen.standard_normal(5)
+        mix = projected_mixture(spec, v)
+        for sigma, var in zip((mix.sigma1, mix.sigma2), variances):
+            dense = float(v @ np.diag(var) @ v) / float(v @ v)
+            assert sigma**2 == pytest.approx(dense, rel=1e-12)
 
     def test_aligned_direction_hits_c_sqrt_p(self):
         p, c = 16, 0.75
@@ -115,10 +134,7 @@ class TestProjectedMixture:
             projected_mixture(spec, np.zeros(4))
 
     def test_pair_weight_renormalised(self):
-        cov = CovarianceSpec.spherical(1.0)
-        spec = MixtureSpec.create(
-            np.zeros((3, 4)), (cov, cov, cov), [0.2, 0.3, 0.5]
-        )
+        spec = MixtureSpec.create(np.zeros((3, 4)), np.ones((3, 4)), [0.2, 0.3, 0.5])
         mix = projected_mixture(spec, np.ones(4), i=0, j=2)
         assert mix.w == pytest.approx(0.2 / 0.7)
 
@@ -154,7 +170,7 @@ class TestSeparability1D:
         q, r = np.linalg.qr(gen.standard_normal((p, p)))
         rot = q * np.sign(np.diag(r))
         spec = make_spherical_spec(p, 1.2)
-        spec_rot = MixtureSpec.create(spec.means @ rot.T, spec.covs, spec.weights)
+        spec_rot = MixtureSpec.create(spec.means @ rot.T, spec.variances, spec.weights)
         a = sample_direction(p, RngStream(7, 0))
         g1 = separability_1d(projected_mixture(spec, a))
         g2 = separability_1d(projected_mixture(spec_rot, rot @ a))
