@@ -3,9 +3,9 @@
 The scan draws directions from per-index random streams (stream i for
 the i-th direction), projects the data in O(np), fits a two-component
 1-D mixture to the projected values and evaluates the fit's plug-in
-error estimate.  The first direction whose estimate beats the target
-wins; if the budget M is exhausted the best direction found is returned
-with ``achieved=False``.
+error estimate, which sets the direction's verdict.  The first direction
+whose verdict is ``"pass"`` wins; if the budget M is exhausted the best
+direction found is returned with ``achieved=False``.
 
 Directions are projected in blocks, one matrix product per block: block
 j holds min(B * 2**j, B_MAX) directions (indices 1-8, 9-24, 25-56,
@@ -80,7 +80,7 @@ class ClusterConfig:
 
 @dataclass(frozen=True, eq=False)
 class DirectionScan:
-    """One scanned direction with its fit and quality estimates."""
+    """One scanned direction with its fit, quality estimates and verdict."""
 
     index: int
     direction: np.ndarray            # unit norm
@@ -89,6 +89,7 @@ class DirectionScan:
     gamma_hat: float
     estimated_error: float
     thresholds: np.ndarray | None    # None when the fit has no boundary
+    verdict: str                     # "pass" or "above-target"
 
     @property
     def orientation(self) -> int:
@@ -113,7 +114,8 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
     re-keyed per index) and fitting it lazily.
 
     Each scan's ``values`` is its own copy of a block row, so a scan the
-    caller keeps does not keep its whole block alive."""
+    caller keeps does not keep its whole block alive.  The verdict set here
+    is the scan's only acceptance decision."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
@@ -141,6 +143,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
                 gamma_hat=gamma_hat,
                 estimated_error=est_error,
                 thresholds=thresholds,
+                verdict="pass" if est_error < cfg.target_error else "above-target",
             )
 
 
@@ -148,42 +151,40 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
     """Scan up to ``cfg.budget`` random directions for one whose fitted
     1-D mixture promises error below ``cfg.target_error``.
 
-    Returns the first passing direction, or the best one with
-    ``achieved=False`` when the budget runs out.  Deterministic given
-    (data, cfg) and the BLAS thread count.
+    Stops at the first ``"pass"`` verdict and describes ``best``, the
+    direction with the lowest estimated error (earliest on ties).  A passer
+    is always ``best``, so ``achieved == (estimated_error < target_error)``,
+    which the benchmark's outcome check enforces; a rule that rejects a
+    direction below the target must keep it from becoming ``best``.
+    Deterministic given (data, cfg) and the BLAS thread count.
     """
     gammas = []
     best: DirectionScan | None = None
-    winner: DirectionScan | None = None
     for scan in scan_directions(data, cfg):
         gammas.append(scan.gamma_hat)
         if best is None or scan.estimated_error < best.estimated_error:
             best = scan
-        if scan.estimated_error < cfg.target_error:
-            winner = scan
+        if scan.verdict == "pass":
             break
-    achieved = winner is not None
-    chosen = winner if achieved else best
-    used = len(gammas)
     c_hat = estimate_c_hat(np.array(gammas))
 
-    if chosen.thresholds is not None:
+    if best.thresholds is not None:
         boundary = Boundary1D.create(
-            chosen.direction, chosen.thresholds, chosen.orientation
+            best.direction, best.thresholds, best.orientation
         )
     else:
         # No scanned fit admitted a boundary; fall back to the sample
-        # median on the chosen direction so the outcome stays usable.
-        median = float(np.median(chosen.values))
-        boundary = Boundary1D.create(chosen.direction, [median], 1)
+        # median on the best direction so the outcome stays usable.
+        median = float(np.median(best.values))
+        boundary = Boundary1D.create(best.direction, [median], 1)
     return ClusterOutcome(
         boundary=boundary,
-        fitted=chosen.fit.fitted,
-        estimated_error=chosen.estimated_error,
-        gamma_hat=chosen.gamma_hat,
-        projections_used=used,
+        fitted=best.fit.fitted,
+        estimated_error=best.estimated_error,
+        gamma_hat=best.gamma_hat,
+        projections_used=len(gammas),
         c_hat=c_hat,
-        achieved=achieved,
+        achieved=best.verdict == "pass",
     )
 
 

@@ -187,8 +187,7 @@ def write_dataset(
     if zeta is not None:
         header["zeta"] = zeta
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
     return bin_path, json_path
 
 

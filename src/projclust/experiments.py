@@ -79,13 +79,13 @@ def _scan_errors(data, cfg):
     return rows
 
 
-def _count_until(data, cfg, target: float, spec) -> tuple[int, bool]:
-    """Directions scanned until both the true (population) and the
-    estimated error drop below the target."""
+def _count_until(data, cfg, spec) -> tuple[int, bool]:
+    """Directions scanned until one passes the scan's verdict and its true
+    (population) error is also below the target."""
     for scan in scan_directions(data, cfg):
         if (
-            scan.estimated_error < target
-            and _population_error(spec, scan) < target
+            scan.verdict == "pass"
+            and _population_error(spec, scan) < cfg.target_error
         ):
             return scan.index, True
     return cfg.budget, False
@@ -234,7 +234,7 @@ def proj_vs_sep(p: int = 100, c_list=(0.6, 0.8, 1.0, 1.5), n: int = 10_000,
             target_error=target_error, budget=max_budget, learner=learner,
             seed=scan_seed,
         )
-        count, achieved = _count_until(data, cfg, target_error, spec)
+        count, achieved = _count_until(data, cfg, spec)
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "n": n,
             "target_error": target_error,
@@ -358,7 +358,7 @@ def rank_proj(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
             target_error=target_error, budget=max_budget, learner=learner,
             seed=scan_seed,
         )
-        count, achieved = _count_until(data, cfg, target_error, spec)
+        count, achieved = _count_until(data, cfg, spec)
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "zeta": zeta, "r": rank,
             "n": n, "target_error": target_error,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,7 @@ class MixtureSpec:
     Component i has the axis-aligned covariance diag(variances[i]), so
     lambda_max of a covariance is the maximum of its row and the rank of
     a sum of covariances is the nonzero count of the summed rows.
+    ``create`` keeps read-only copies, out of reach of its caller's writes.
     """
 
     p: int
@@ -53,9 +54,11 @@ class MixtureSpec:
 
     @staticmethod
     def create(means, variances, weights) -> "MixtureSpec":
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        variances = np.asarray(variances, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        means = np.atleast_2d(np.array(means, dtype=float))
+        variances = np.array(variances, dtype=float)
+        weights = np.array(weights, dtype=float)
+        for array in (means, variances, weights):
+            array.flags.writeable = False
         k, p = means.shape
         if k < 2:
             raise DomainError(f"a mixture needs k >= 2 components, got {k}")
@@ -103,6 +106,9 @@ class Dataset:
     ``points`` may have any memory layout.  ``datagen.read_dataset``
     returns it column-major, because the scan's projection kernel reads
     that layout fastest.
+
+    ``points`` and ``labels`` are the caller's arrays, not copies (points
+    can fill gigabytes); the checks see them only here, so never write to them.
     """
 
     n: int
@@ -220,13 +226,6 @@ class ClusterOutcome:
 # JSON serialisation
 # ---------------------------------------------------------------------------
 
-def mixture1d_to_jsonable(mix: Mixture1D) -> dict:
-    return {
-        "mu1": mix.mu1, "mu2": mix.mu2,
-        "sigma1": mix.sigma1, "sigma2": mix.sigma2, "w": mix.w,
-    }
-
-
 def cluster_outcome_to_jsonable(outcome: ClusterOutcome) -> dict:
     return {
         "boundary": {
@@ -234,7 +233,7 @@ def cluster_outcome_to_jsonable(outcome: ClusterOutcome) -> dict:
             "thresholds": outcome.boundary.thresholds.tolist(),
             "orientation": outcome.boundary.orientation,
         },
-        "fitted": mixture1d_to_jsonable(outcome.fitted),
+        "fitted": asdict(outcome.fitted),
         "estimated_error": outcome.estimated_error,
         "gamma_hat": outcome.gamma_hat,
         "projections_used": outcome.projections_used,

@@ -111,8 +111,8 @@ class TestCluster:
 
     @pytest.mark.xfail(strict=True, reason=(
         "em false success on weakly separated data: the quartile-start fit "
-        "(w 0.32) reads its plug-in error 0.188 below the 0.2 target while "
-        "the clustering error is 0.383; the acceptance guards of ROADMAP "
+        "(w 0.33) reads its plug-in error 0.189 below the 0.2 target while "
+        "the clustering error is 0.382; the acceptance guards of ROADMAP "
         "items 2 (w_min, goodness of fit) and 3 (upper confidence bound) "
         "are not in place yet"))
     def test_em_achieved_means_target_met(self, capsys, tmp_path):

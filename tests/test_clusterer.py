@@ -242,6 +242,34 @@ class TestBudgetSemantics:
         assert out.projections_used == 10
         assert out.estimated_error >= 0.01
 
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
+    @pytest.mark.parametrize("c, target, achieved", [
+        (2.0, 0.05, True),
+        (1.0, 0.001, False),    # every fit has a boundary, none meets the target
+        (0.0, 0.05, False),     # the moment learners' fits admit no boundary
+    ], ids=["achieved", "exhausted", "c0"])
+    def test_achieved_iff_estimate_below_target(self, learner, c, target, achieved):
+        # The benchmark's outcome check enforces the first assertion on
+        # every op; an unachieved outcome describes the earliest direction
+        # of least estimated error.
+        data, _ = small_dataset(c=c)
+        cfg = ClusterConfig(target_error=target, budget=10, seed=16, learner=learner)
+        out = cluster_gmm(data, cfg)
+        assert out.achieved is achieved
+        assert out.achieved == (out.estimated_error < cfg.target_error)
+        scans = list(scan_directions(data, cfg))[:out.projections_used]
+        assert [s.verdict for s in scans] == [
+            "pass" if s.estimated_error < target else "above-target" for s in scans]
+        if c == 0.0 and learner != "em":
+            assert all(s.thresholds is None for s in scans)
+        if not achieved:
+            assert out.projections_used == cfg.budget
+            least = min(s.estimated_error for s in scans)
+            best = next(s for s in scans if s.estimated_error == least)
+            assert out.estimated_error == least
+            assert out.fitted == best.fit.fitted
+            assert out.gamma_hat == best.gamma_hat
+
     def test_first_passing_index_wins(self):
         data, _ = small_dataset(c=2.0)
         cfg = ClusterConfig(target_error=0.05, budget=40, seed=17)

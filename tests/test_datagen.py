@@ -24,7 +24,7 @@ from projclust.datagen import (
 )
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream
-from projclust.model import MixtureSpec, c_separability
+from projclust.model import Dataset, MixtureSpec, Provenance, c_separability
 from projclust.projection import project_block
 
 
@@ -209,6 +209,15 @@ class TestFiles:
         b2, j2 = write_dataset(data, os.path.join(tmp_path, "b"))
         assert open(b1, "rb").read() == open(b2, "rb").read()
         assert open(j1).read() == open(j2).read()
+
+    def test_sidecar_bytes(self, tmp_path):
+        data = Dataset(n=2, p=1, points=np.zeros((2, 1)), labels=np.array([1, 0]),
+                       provenance=Provenance(7, "spherical"))
+        _, json_path = write_dataset(data, os.path.join(tmp_path, "s"), r=3, zeta=0.25)
+        with open(json_path, "rb") as fh:
+            assert fh.read() == (
+                b'{"generator": "spherical", "k": 2, "labels": [1, 0], "n": 2, '
+                b'"p": 1, "r": 3, "seed": 7, "zeta": 0.25}\n')
 
     def test_payload_is_little_endian_rowmajor(self, tmp_path):
         points = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -64,6 +64,24 @@ class TestVariances:
             MixtureSpec.create(np.zeros((2, 3)), np.ones(shape), [0.5, 0.5])
 
 
+class TestSpecArrays:
+    @pytest.mark.parametrize("field", ["means", "variances", "weights"])
+    def test_caller_writes_do_not_reach_the_spec(self, field):
+        # Regression: create kept the caller's arrays, so a later write
+        # could put a negative variance in a spec that no check had seen.
+        arrays = {"means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
+                  "weights": np.array([0.5, 0.5])}
+        spec = MixtureSpec.create(**arrays)
+        arrays[field].flat[0] = -1.0
+        assert getattr(spec, field).flat[0] != -1.0
+
+    @pytest.mark.parametrize("field", ["means", "variances", "weights"])
+    def test_spec_arrays_are_read_only(self, field):
+        spec = MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, field).flat[0] = -1.0
+
+
 def _combined(var1, var2):
     """(lambda_max, rank) of Sigma1 + Sigma2 as the bounds read them: beta
     of the full-mode report and r of the rank-mode report of a pair whose
