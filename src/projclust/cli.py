@@ -16,6 +16,7 @@ import sys
 from . import bounds as bnd
 from . import datagen, experiments, model
 from .clusterer import (
+    SCAN_LEARNER,
     ClusterConfig,
     classify,
     cluster_gmm,
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
     cluster.add_argument("--error", type=float, required=True)
     cluster.add_argument("--budget", type=int, default=None,
                          help="default: 3*ceil(ln p)")
-    cluster.add_argument("--learner", default="mom+em", choices=LEARNERS)
+    cluster.add_argument("--learner", default=SCAN_LEARNER, choices=LEARNERS)
     cluster.add_argument("--seed", type=int, default=0)
 
     bounds_p = sub.add_parser("bounds", help="bound calculators")
@@ -149,7 +150,7 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.zeta is not None:
         spec, rank = datagen.make_rank_spec(
-            args.p, args.c, args.zeta, RngStream(args.seed, 42)
+            args.p, args.c, args.zeta, RngStream(args.seed, datagen.RANK_SPEC_STREAM)
         )
     else:
         spec, rank = datagen.make_spherical_spec(
@@ -211,7 +212,7 @@ def _cmd_bounds(args) -> int:
         report = bnd.kgmm_projection_bound(args.c_min, args.k, args.alpha)
     elif args.bound == "rank":
         spec, _rank = datagen.make_rank_spec(
-            args.p, args.c, args.zeta, RngStream(args.seed, 42)
+            args.p, args.c, args.zeta, RngStream(args.seed, datagen.RANK_SPEC_STREAM)
         )
         report = bnd.nonspherical_direction_prob(
             spec, args.gamma, args.tau, mode="rank",
@@ -257,7 +258,9 @@ def _cmd_experiment(args) -> int:
         if name.endswith("_list"):
             value = tuple(value) if isinstance(value, list) else (value,)
         elif isinstance(value, list):
-            value = value[-1]
+            if len(value) > 1:
+                raise UsageError(f"experiment {args.name} takes one --{flag}")
+            value = value[0]
         kwargs[name] = value
     rows = runner(**kwargs)
     experiments.write_csv(args.out, fields, rows)

@@ -42,6 +42,8 @@ from . import bounds as _bounds
 
 BUDGET_SAFETY_FACTOR = 3
 
+SCAN_LEARNER = "mom+em"
+
 # Rows of the first projection block.  A block product streams the n x p
 # data once, so its cost grows far slower than its row count (n=50,000,
 # p=1000, column-major points, one thread: 28 ms for 1 row, a GEMV, then
@@ -65,7 +67,7 @@ class ClusterConfig:
 
     target_error: float
     budget: int
-    learner: str = "mom+em"
+    learner: str = SCAN_LEARNER
     seed: int = 0
 
     def __post_init__(self):

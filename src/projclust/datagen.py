@@ -44,6 +44,8 @@ from .model import Dataset, MixtureSpec, Provenance
 # Coordinate shapes that ``sample_dataset`` draws.
 SHAPES = ("gaussian", "uniform", "laplace", "rademacher")
 ROW_BLOCK = 512
+# Stream, under a master seed, that places a rank spec's coordinate blocks.
+RANK_SPEC_STREAM = 42
 
 
 def make_spherical_spec(

@@ -18,7 +18,8 @@ import numpy as np
 from . import bounds as bnd
 from .clusterer import (_NO_BOUNDARY_ERROR, ClusterConfig, classify_values,
                         clustering_error, scan_directions)
-from .datagen import make_rank_spec, make_spherical_spec, sample_dataset
+from .datagen import (RANK_SPEC_STREAM, make_rank_spec, make_spherical_spec,
+                      sample_dataset)
 from .errors import DomainError
 from .learner1d import rule_error
 from .mathkit import RngStream, q_function, q_inverse
@@ -27,25 +28,30 @@ from .projection import projected_mixture
 _DATA_STREAM_BASE = 1_000_000
 _SEED_STREAM_BASE = 2_000_000
 _GAMMA_CHUNK = 5_000
+HARNESS_LEARNER = "mom"
 
 # Scans below consume the full budget themselves, so the config target is
 # inert; any valid value works.
 _FULL_SCAN_TARGET = 0.25
 
 
-def _cell_streams(seed: int, cell: int) -> tuple[RngStream, int]:
-    """Data stream and derived scan seed for one experiment cell."""
-    data_stream = RngStream(seed, _DATA_STREAM_BASE + cell)
-    scan_seed = RngStream(seed, _SEED_STREAM_BASE + cell).derive_seed()
-    return data_stream, scan_seed
-
-
-def _cells(seed: int, params_list, repeats: int):
-    """Yield ``(params, rep, data_stream, scan_seed)`` for every parameter
-    combination x repetition, in cell-index order."""
+def _scanned_cells(seed: int, params_list, repeats: int, spec_of, n: int,
+                   budget: int, learner: str, target_error: float = _FULL_SCAN_TARGET,
+                   shape: str = "gaussian"):
+    """Yield ``(params, rep, spec, data, cfg)`` for every parameter
+    combination x repetition in cell-index order: cell i samples n points of
+    ``spec_of(params)`` from stream ``_DATA_STREAM_BASE + i`` and scans them
+    with the seed derived from stream ``_SEED_STREAM_BASE + i``."""
     combos = ((params, rep) for params in params_list for rep in range(repeats))
     for cell, (params, rep) in enumerate(combos):
-        yield (params, rep) + _cell_streams(seed, cell)
+        spec = spec_of(params)
+        data = sample_dataset(spec, n, RngStream(seed, _DATA_STREAM_BASE + cell),
+                              shape)
+        cfg = ClusterConfig(
+            target_error=target_error, budget=budget, learner=learner,
+            seed=RngStream(seed, _SEED_STREAM_BASE + cell).derive_seed(),
+        )
+        yield params, rep, spec, data, cfg
 
 
 def _realized_error(scan, labels) -> float:
@@ -70,12 +76,18 @@ def _population_error(spec, scan) -> float:
     return min(err, 1.0 - err)
 
 
-def _scan_errors(data, cfg):
-    """Realized and estimated error for every direction in the budget."""
+def _running_errors(data, cfg):
+    """``(m, best_true, true_at_best_estimate)`` for each scanned direction
+    m: the least realized error over directions 1..m, and the realized
+    error of the earliest of them with the least estimated error."""
     rows = []
+    best_true = best_est = math.inf
     for scan in scan_directions(data, cfg):
-        rows.append((scan.index, _realized_error(scan, data.labels),
-                     scan.estimated_error))
+        true_err = _realized_error(scan, data.labels)
+        best_true = min(best_true, true_err)
+        if scan.estimated_error < best_est:
+            best_est, true_at_best_est = scan.estimated_error, true_err
+        rows.append((scan.index, best_true, true_at_best_est))
     return rows
 
 
@@ -95,8 +107,7 @@ def write_csv(path: str, fieldnames, rows) -> str:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path
 
 
@@ -175,7 +186,7 @@ ACC_VS_SEP_FIELDS = (
 
 def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
                budget: int = 50, repeats: int = 10, seed: int = 0,
-               learner: str = "mom", shape: str = "gaussian") -> list[dict]:
+               learner: str = HARNESS_LEARNER, shape: str = "gaussian") -> list[dict]:
     """Minimum true clustering error over a fixed number of directions,
     next to the 1-D bound Q(c) and the high-dimensional bound
     Q(c*sqrt(p)/2).
@@ -186,20 +197,14 @@ def acc_vs_sep(p_list=(3, 100), c_list=(0.5, 1.0, 1.5, 2.0), n: int = 10_000,
     """
     rows = []
     pairs = [(p, c) for p in p_list for c in c_list]
-    for (p, c), rep, data_stream, scan_seed in _cells(seed, pairs, repeats):
-        spec = make_spherical_spec(p, c)
-        data = sample_dataset(spec, n, data_stream, shape)
-        cfg = ClusterConfig(
-            target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
-            seed=scan_seed,
-        )
-        errors = _scan_errors(data, cfg)
-        min_true = min(e for _, e, _ in errors)
-        best_est = min(errors, key=lambda row: (row[2], row[0]))
+    for (p, c), rep, _, data, cfg in _scanned_cells(
+            seed, pairs, repeats, lambda pc: make_spherical_spec(*pc), n, budget,
+            learner, shape=shape):
+        _, min_true, true_at_best_est = _running_errors(data, cfg)[-1]
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "n": n, "budget": budget,
             "min_true_error": min_true,
-            "true_error_at_best_estimate": best_est[1],
+            "true_error_at_best_estimate": true_at_best_est,
             "bound_q_1d": q_function(c),
             "bound_q_hd": bnd.hd_bayes_error_bound(c, p).value,
         })
@@ -218,7 +223,7 @@ PROJ_VS_SEP_FIELDS = (
 
 def proj_vs_sep(p: int = 100, c_list=(0.6, 0.8, 1.0, 1.5), n: int = 10_000,
                 target_error: float = 0.2, repeats: int = 30, seed: int = 0,
-                max_budget: int = 500, learner: str = "mom") -> list[dict]:
+                max_budget: int = 500, learner: str = HARNESS_LEARNER) -> list[dict]:
     """Directions scanned until both the true and the estimated error of
     some projection drop below the target, next to the finite-p inverse
     probability bound."""
@@ -227,13 +232,9 @@ def proj_vs_sep(p: int = 100, c_list=(0.6, 0.8, 1.0, 1.5), n: int = 10_000,
         c: bnd.expected_projections_spherical(gamma, c, p).value for c in c_list
     }
     rows = []
-    for c, rep, data_stream, scan_seed in _cells(seed, c_list, repeats):
-        spec = make_spherical_spec(p, c)
-        data = sample_dataset(spec, n, data_stream)
-        cfg = ClusterConfig(
-            target_error=target_error, budget=max_budget, learner=learner,
-            seed=scan_seed,
-        )
+    for c, rep, spec, data, cfg in _scanned_cells(
+            seed, c_list, repeats, lambda c: make_spherical_spec(p, c), n,
+            max_budget, learner, target_error):
         count, achieved = _count_until(data, cfg, spec)
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "n": n,
@@ -257,7 +258,7 @@ ERR_VS_PROJ_FIELDS = (
 
 def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
                 repeats: int = 10, seed: int = 0,
-                learner: str = "mom") -> list[dict]:
+                learner: str = HARNESS_LEARNER) -> list[dict]:
     """Prefix-minimum true error after m = 1..budget directions, plus the
     true error of the best-estimate direction seen so far.
 
@@ -268,20 +269,10 @@ def err_vs_proj(p: int = 100, c: float = 2.0, n: int = 10_000, budget: int = 50,
     """
     bound_q_hd = bnd.hd_bayes_error_bound(c, p).value
     rows = []
-    for _, rep, data_stream, scan_seed in _cells(seed, [None], repeats):
-        data = sample_dataset(make_spherical_spec(p, c), n, data_stream)
-        cfg = ClusterConfig(
-            target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
-            seed=scan_seed,
-        )
-        best_true = math.inf
-        best_est = math.inf
-        true_at_best_est = 0.5
-        for index, true_err, est_err in _scan_errors(data, cfg):
-            best_true = min(best_true, true_err)
-            if est_err < best_est:
-                best_est = est_err
-                true_at_best_est = true_err
+    for _, rep, _, data, cfg in _scanned_cells(
+            seed, (c,), repeats, lambda c: make_spherical_spec(p, c), n, budget,
+            learner):
+        for index, best_true, true_at_best_est in _running_errors(data, cfg):
             rows.append({
                 "seed": seed, "rep": rep, "p": p, "c": c, "n": n, "m": index,
                 "best_true_error": best_true,
@@ -304,25 +295,18 @@ RANK_ACC_FIELDS = (
 
 def rank_acc(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
              n: int = 5000, budget: int = 50, repeats: int = 10, seed: int = 0,
-             learner: str = "mom") -> list[dict]:
+             learner: str = HARNESS_LEARNER) -> list[dict]:
     """Best true error at a fixed budget as the covariance rank varies."""
-    specs = {
-        zeta: make_rank_spec(p, c, zeta, RngStream(seed, 42))
-        for zeta in zeta_list
-    }
+    cells = [(zeta, *make_rank_spec(p, c, zeta, RngStream(seed, RANK_SPEC_STREAM)))
+             for zeta in zeta_list]
     rows = []
-    for zeta, rep, data_stream, scan_seed in _cells(seed, zeta_list, repeats):
-        spec, rank = specs[zeta]
-        data = sample_dataset(spec, n, data_stream)
-        cfg = ClusterConfig(
-            target_error=_FULL_SCAN_TARGET, budget=budget, learner=learner,
-            seed=scan_seed,
-        )
-        errors = _scan_errors(data, cfg)
+    for (zeta, _, rank), rep, _, data, cfg in _scanned_cells(
+            seed, cells, repeats, lambda cell: cell[1], n, budget, learner):
+        _, min_true, _ = _running_errors(data, cfg)[-1]
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "zeta": zeta, "r": rank,
             "n": n, "budget": budget,
-            "min_true_error": min(e for _, e, _ in errors),
+            "min_true_error": min_true,
             "bound_q_1d": q_function(c),
         })
     return rows
@@ -337,27 +321,23 @@ RANK_PROJ_FIELDS = (
 def rank_proj(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
               n: int = 5000, target_error: float = 0.04, repeats: int = 20,
               seed: int = 0, max_budget: int = 2000, tau1: float = 0.2,
-              tau2: float = 0.5, learner: str = "mom") -> list[dict]:
+              tau2: float = 0.5, learner: str = HARNESS_LEARNER) -> list[dict]:
     """Directions needed for a prescribed error as the rank varies, next
     to the rank-mode inverse probability bound at the given (tau1, tau2).
     An infinite bound means the concentration terms swallow the main term
     at this scale."""
     gamma = q_inverse(target_error)
-    specs = {}
+    cells = []
     for zeta in zeta_list:
-        spec, rank = make_rank_spec(p, c, zeta, RngStream(seed, 42))
+        spec, rank = make_rank_spec(p, c, zeta, RngStream(seed, RANK_SPEC_STREAM))
         bound = bnd.expected_projections_nonspherical(
             spec, gamma, mode="rank", tau1=tau1, tau2=tau2
         )
-        specs[zeta] = (spec, rank, bound.value)
+        cells.append((zeta, spec, rank, bound.value))
     rows = []
-    for zeta, rep, data_stream, scan_seed in _cells(seed, zeta_list, repeats):
-        spec, rank, bound_value = specs[zeta]
-        data = sample_dataset(spec, n, data_stream)
-        cfg = ClusterConfig(
-            target_error=target_error, budget=max_budget, learner=learner,
-            seed=scan_seed,
-        )
+    for (zeta, _, rank, bound_value), rep, spec, data, cfg in _scanned_cells(
+            seed, cells, repeats, lambda cell: cell[1], n, max_budget, learner,
+            target_error):
         count, achieved = _count_until(data, cfg, spec)
         rows.append({
             "seed": seed, "rep": rep, "p": p, "c": c, "zeta": zeta, "r": rank,

@@ -287,6 +287,28 @@ class TestExperimentCommand:
         assert err == f"error: experiment {name} takes no {flag}\n"
         assert stdout == "" and not os.path.exists(out)
 
+    @pytest.mark.parametrize("name, small", [
+        ("gamma-cdf", ["--p", "10", "--directions", "100"]),
+        ("err-vs-proj", ["--p", "10", "--n", "200", "--budget", "2",
+                         "--repeats", "1"]),
+        ("rank-acc", ["--p", "10", "--zeta", "0.5", "--n", "200", "--budget",
+                      "2", "--repeats", "1"]),
+        ("rank-proj", ["--p", "10", "--zeta", "0.5", "--n", "200", "--budget",
+                       "2", "--repeats", "1"]),
+    ])
+    def test_repeated_scalar_flag_is_usage_error(self, capsys, tmp_path, name,
+                                                 small):
+        # These experiments take one c; a second --c must not silently
+        # replace the first.
+        out = os.path.join(tmp_path, "x.csv")
+        code, stdout, err = run_main(
+            capsys, "experiment", name, "--c", "1", "--c", "2", *small,
+            "--out", out,
+        )
+        assert code == EXIT_USAGE_OR_IO
+        assert err == f"error: experiment {name} takes one --c\n"
+        assert stdout == "" and not os.path.exists(out)
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):

@@ -23,6 +23,7 @@ from projclust.experiments import (
     sample_gamma_values,
     write_csv,
 )
+from projclust.learner1d import LEARNERS
 from projclust.mathkit import q_function
 
 # Every experiment at a size that runs in well under a second.
@@ -120,6 +121,24 @@ class TestErrVsProj:
             series = [r["best_true_error"] for r in rows if r["rep"] == rep]
             assert len(series) == 10
             assert all(a >= b - 1e-15 for a, b in zip(series, series[1:]))
+
+
+class TestFixedBudgetTablesAgree:
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_acc_rows_match_err_rows_at_the_budget(self, learner):
+        # One (p, c) cell of acc_vs_sep and err_vs_proj use the same cell
+        # indices, hence the same data and directions, so each acc row is
+        # the err row at m = budget, earliest-on-ties choice included.
+        for p, c in ((10, 1.0), (30, 0.5), (5, 2.0)):
+            kwargs = dict(n=600, budget=7, repeats=3, seed=11, learner=learner)
+            acc = acc_vs_sep(p_list=(p,), c_list=(c,), **kwargs)
+            err = err_vs_proj(p, c, **kwargs)
+            at_budget = [r for r in err if r["m"] == kwargs["budget"]]
+            assert [r["rep"] for r in at_budget] == [r["rep"] for r in acc]
+            for a, e in zip(acc, at_budget):
+                assert a["min_true_error"] == e["best_true_error"]
+                assert (a["true_error_at_best_estimate"]
+                        == e["true_error_at_best_estimate"])
 
 
 class TestRankExperiments:
