@@ -34,6 +34,7 @@ from .projection import (
 from .learner1d import (
     FitReport,
     bayes_error,
+    bayes_orientation,
     bayes_thresholds,
     fit_em,
     fit_mixture,

@@ -70,22 +70,6 @@ class BoundReport:
         if self.kind in _COUNT_KINDS and not self.value >= 1.0:
             raise DomainError(f"{self.kind} value below 1: {self.value}")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "kind": self.kind,
-            "inputs": {k: _plain(v) for k, v in self.inputs.items()},
-            "citation": self.citation,
-            "clamped": self.clamped,
-            "note": self.note,
-        }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
 
 def _clamp_probability(value: float) -> tuple[float, bool]:
     if value < 0.0:
@@ -177,13 +161,13 @@ def spherical_direction_prob(
     return _direction_prob(alpha, p, tau, inputs, "spherical-direction-prob", "alpha")
 
 
-def optimize_tau(prob_fn, grid=TAU_GRID) -> tuple[float, BoundReport]:
-    """Maximise a tau-parametrised bound over a fixed deterministic grid.
+def optimize_tau(prob_fn) -> tuple[float, BoundReport]:
+    """Maximise a tau-parametrised bound over ``TAU_GRID``.
 
     ``prob_fn`` maps tau to a BoundReport; the first grid point achieving
     the maximum wins, so the result is reproducible.
     """
-    return max(((float(tau), prob_fn(float(tau))) for tau in grid),
+    return max(((float(tau), prob_fn(float(tau))) for tau in TAU_GRID),
                key=lambda pair: pair[1].value)
 
 
@@ -426,12 +410,10 @@ def expected_projections_nonspherical(
 SAMPLE_SIZE_CONSTANT = 64
 
 
-def sample_size_required(
-    epsilon: float, delta: float, gamma_min: float,
-    constant: float = SAMPLE_SIZE_CONSTANT,
-) -> int:
+def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> int:
     """Samples sufficient for parameter accuracy epsilon at confidence
-    1 - delta: max(ceil(C/eps^2 * ln(1/delta)), ceil(1/(2*gamma_min)^12)).
+    1 - delta: max(ceil(C/eps^2 * ln(1/delta)), ceil(1/(2*gamma_min)^12))
+    with C = ``SAMPLE_SIZE_CONSTANT``.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -439,7 +421,7 @@ def sample_size_required(
         raise DomainError("delta must lie in (0, 1)")
     if gamma_min <= 0.0:
         raise DomainError("gamma_min must be positive")
-    first = math.ceil(constant / epsilon**2 * math.log(1.0 / delta))
+    first = math.ceil(SAMPLE_SIZE_CONSTANT / epsilon**2 * math.log(1.0 / delta))
     second = math.ceil(1.0 / (2.0 * gamma_min) ** 12)
     return max(int(first), int(second), 1)
 

@@ -12,6 +12,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import asdict
 
 from . import bounds as bnd
 from . import datagen, experiments, model
@@ -50,8 +51,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--p", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--c", type=float, required=True)
-    gen.add_argument("--sigma", type=float, default=1.0)
-    gen.add_argument("--w", type=float, default=0.5)
+    gen.add_argument("--sigma", type=float, default=None, help="default: 1")
+    gen.add_argument("--w", type=float, default=None, help="default: 0.5")
     gen.add_argument("--zeta", type=float, default=None,
                      help="rank-controlled covariances populating this fraction")
     gen.add_argument("--shape", default="gaussian",
@@ -148,14 +149,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    sigma = 1.0 if args.sigma is None else args.sigma
+    w = 0.5 if args.w is None else args.w
     if args.zeta is not None:
+        # The rank spec has unit variances and equal weights of its own.
+        for flag in ("sigma", "w"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"gen --zeta takes no --{flag}")
         spec, rank = datagen.make_rank_spec(
             args.p, args.c, args.zeta, RngStream(args.seed, datagen.RANK_SPEC_STREAM)
         )
     else:
-        spec, rank = datagen.make_spherical_spec(
-            args.p, args.c, args.sigma, args.w
-        ), None
+        spec, rank = datagen.make_spherical_spec(args.p, args.c, sigma, w), None
     data = datagen.sample_dataset(spec, args.n, RngStream(args.seed, 0), args.shape)
     bin_path, json_path = datagen.write_dataset(
         data, args.out, k=spec.k, r=rank, zeta=args.zeta
@@ -164,7 +169,7 @@ def _cmd_gen(args) -> int:
         datagen.export_csv(data, args.csv)
     echo = {
         "bin": bin_path, "json": json_path, "n": args.n, "p": args.p,
-        "c": args.c, "sigma": args.sigma, "w": args.w, "zeta": args.zeta,
+        "c": args.c, "sigma": sigma, "w": w, "zeta": args.zeta,
         "shape": args.shape, "seed": args.seed,
     }
     if rank is not None:
@@ -183,7 +188,7 @@ def _cmd_cluster(args) -> int:
         seed=args.seed,
     )
     outcome = cluster_gmm(data, cfg)
-    payload = model.cluster_outcome_to_jsonable(outcome)
+    payload = asdict(outcome)
     if data.labels is not None:
         predicted = classify(data, outcome.boundary)
         payload["clustering_error"] = clustering_error(predicted, data.labels)
@@ -231,7 +236,7 @@ def _cmd_bounds(args) -> int:
         report = bnd.error_gap_bound(args.gamma, args.gamma_max, args.w_min, args.eps)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown bound {args.bound!r}")
-    print(model.to_json(report.to_jsonable()))
+    print(model.to_json(report))
     return EXIT_OK
 
 

@@ -31,9 +31,9 @@ from .learner1d import (
     LEARNERS,
     FitReport,
     bayes_error,
+    bayes_orientation,
     bayes_thresholds,
     fit_mixture,
-    region_component_labels,
 )
 from .mathkit import check_seed, q_inverse, stream_generators
 from .model import Boundary1D, ClusterOutcome, Dataset
@@ -58,7 +58,7 @@ B_MAX = 64
 
 # Directions whose fit admits no decision threshold cannot cluster and are
 # recorded with this estimated error so they never win a scan.
-_NO_BOUNDARY_ERROR = 0.5
+NO_BOUNDARY_ERROR = 0.5
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ class ClusterConfig:
 
 @dataclass(frozen=True, eq=False)
 class DirectionScan:
-    """One scanned direction with its fit, quality estimates and verdict."""
+    """One scanned direction with its fit, Bayes rule, quality estimates
+    and verdict."""
 
     index: int
     direction: np.ndarray            # unit norm
@@ -90,14 +91,8 @@ class DirectionScan:
     fit: FitReport
     gamma_hat: float
     estimated_error: float
-    thresholds: np.ndarray | None    # None when the fit has no boundary
+    boundary: Boundary1D | None      # the fit's Bayes rule; None if it has none
     verdict: str                     # "pass" or "above-target"
-
-    @property
-    def orientation(self) -> int:
-        if self.thresholds is None:
-            return 1
-        return int(region_component_labels(self.fit.fitted, self.thresholds)[1])
 
 
 def _block_ranges(budget: int):
@@ -116,8 +111,9 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
     re-keyed per index) and fitting it lazily.
 
     Each scan's ``values`` is its own copy of a block row, so a scan the
-    caller keeps does not keep its whole block alive.  The verdict set here
-    is the scan's only acceptance decision."""
+    caller keeps does not keep its whole block alive.  The boundary built
+    here is the scan's only Bayes rule, and the verdict its only acceptance
+    decision."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
@@ -133,10 +129,12 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
             gamma_hat = separability_1d(fit.fitted)
             try:
                 thresholds = bayes_thresholds(fit.fitted)
-                est_error = bayes_error(fit.fitted, thresholds)
             except NoBoundaryError:
-                thresholds = None
-                est_error = _NO_BOUNDARY_ERROR
+                boundary, est_error = None, NO_BOUNDARY_ERROR
+            else:
+                est_error = bayes_error(fit.fitted, thresholds)
+                boundary = Boundary1D.create(
+                    direction, thresholds, bayes_orientation(fit.fitted, thresholds))
             yield DirectionScan(
                 index=index,
                 direction=direction,
@@ -144,7 +142,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
                 fit=fit,
                 gamma_hat=gamma_hat,
                 estimated_error=est_error,
-                thresholds=thresholds,
+                boundary=boundary,
                 verdict="pass" if est_error < cfg.target_error else "above-target",
             )
 
@@ -170,15 +168,11 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
             break
     c_hat = estimate_c_hat(np.array(gammas))
 
-    if best.thresholds is not None:
-        boundary = Boundary1D.create(
-            best.direction, best.thresholds, best.orientation
-        )
-    else:
+    boundary = best.boundary
+    if boundary is None:
         # No scanned fit admitted a boundary; fall back to the sample
         # median on the best direction so the outcome stays usable.
-        median = float(np.median(best.values))
-        boundary = Boundary1D.create(best.direction, [median], 1)
+        boundary = Boundary1D.create(best.direction, [np.median(best.values)], 1)
     return ClusterOutcome(
         boundary=boundary,
         fitted=best.fit.fitted,

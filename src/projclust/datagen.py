@@ -71,15 +71,15 @@ def make_spherical_spec(
 
 
 def make_rank_spec(
-    p: int, c: float, zeta: float, rng: RngStream | None = None
+    p: int, c: float, zeta: float, rng: RngStream
 ) -> tuple[MixtureSpec, int]:
     """Rank-controlled two-component spec; returns (spec, rank(S1+S2)).
 
     A fraction ``zeta`` of the coordinates is shared by both components
     with unit variance; each component additionally populates a disjoint
-    uniformly drawn block of the same size.  The mean difference lies
-    along the first shared coordinate so the separation is exactly c
-    (both components have lambda_max = 1).
+    block of the same size, and ``rng`` draws all three blocks uniformly.
+    The mean difference lies along the first shared coordinate so the
+    separation is exactly c (both components have lambda_max = 1).
     """
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -90,8 +90,6 @@ def make_rank_spec(
     block = math.ceil(zeta * p)
     if block < 1:
         raise DomainError("zeta * p must be at least 1")
-    if rng is None:
-        rng = RngStream(0, 0)
     perm = rng.generator().permutation(p)
     shared = perm[:block]
     own1 = perm[block: min(2 * block, p)]

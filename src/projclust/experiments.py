@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .clusterer import (_NO_BOUNDARY_ERROR, ClusterConfig, classify_values,
+from .clusterer import (NO_BOUNDARY_ERROR, ClusterConfig, classify_values,
                         clustering_error, scan_directions)
 from .datagen import (RANK_SPEC_STREAM, make_rank_spec, make_spherical_spec,
                       sample_dataset)
@@ -56,9 +56,10 @@ def _scanned_cells(seed: int, params_list, repeats: int, spec_of, n: int,
 
 def _realized_error(scan, labels) -> float:
     """Clustering error of the scanned boundary on the sampled points."""
-    if scan.thresholds is None:
-        return _NO_BOUNDARY_ERROR
-    predicted = classify_values(scan.values, scan.thresholds, scan.orientation)
+    b = scan.boundary
+    if b is None:
+        return NO_BOUNDARY_ERROR
+    predicted = classify_values(scan.values, b.thresholds, b.orientation)
     return clustering_error(predicted, labels)
 
 
@@ -69,10 +70,11 @@ def _population_error(spec, scan) -> float:
     :func:`projected_mixture`, so the thresholds apply directly to the
     exact projected component parameters.
     """
-    if scan.thresholds is None:
-        return _NO_BOUNDARY_ERROR
-    err = rule_error(projected_mixture(spec, scan.direction), scan.thresholds,
-                     scan.orientation)
+    b = scan.boundary
+    if b is None:
+        return NO_BOUNDARY_ERROR
+    err = rule_error(projected_mixture(spec, scan.direction), b.thresholds,
+                     b.orientation)
     return min(err, 1.0 - err)
 
 

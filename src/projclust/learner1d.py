@@ -36,11 +36,13 @@ learners is a constant.  ``fit_mom(x)`` is ``fit_mixture(x, "mom")``;
 they are given.  ``fit_mom`` and ``central_moments`` stay public because
 ``perfbench``'s tracer wraps them, with ``fit_mom_from_moments``, by name.
 
-The Bayes rule of a known mixture has a single threshold when the
-variances agree and otherwise the (up to) two real roots of the density
-equality condition.  ``rule_error`` scores any threshold rule from upper
-tails alone, so a small error keeps its relative accuracy deep in the
-tails, and ``bayes_error`` is the ``rule_error`` of the Bayes rule.
+The Bayes rule of a known mixture is its ``bayes_thresholds``, a single
+one when the variances agree and otherwise the (up to) two real roots of
+the density equality condition, plus ``bayes_orientation``, the component
+it labels above or between them.  ``rule_error`` scores any threshold
+rule from upper tails alone, so a small error keeps its relative accuracy
+deep in the tails, and ``bayes_error`` is the ``rule_error`` of the Bayes
+rule.
 """
 
 from __future__ import annotations
@@ -369,12 +371,8 @@ def _newton_step(g: list, hess: np.ndarray) -> tuple | None:
     return (step.tolist(), gain) if math.isfinite(gain) else None
 
 
-def fit_em(
-    samples: np.ndarray,
-    init: Mixture1D,
-    max_iter: int = EM_MAX_ITER,
-    tol: float = EM_TOL,
-) -> FitReport:
+def fit_em(samples: np.ndarray, init: Mixture1D,
+           max_iter: int = EM_MAX_ITER) -> FitReport:
     """Two-component EM from ``init`` on a histogram of ``samples``: the
     MLE of the binned likelihood (McLachlan & Jones 1988, Biometrics
     44:571-578).  ``EM_BINS`` equal-width bins of width h span [min, max];
@@ -403,8 +401,8 @@ def fit_em(
     So ``loglik_trace``, over the accepted points, never drops.
 
     The fit stops when an attempt finds -H positive definite with a
-    predicted gain g^T (-H)^-1 g / 2 of at most ``tol`` * |ll|, or when a
-    step, EM or Newton, gains at most ``tol`` relative from its input to
+    predicted gain g^T (-H)^-1 g / 2 of at most ``EM_TOL`` * |ll|, or when a
+    step, EM or Newton, gains at most ``EM_TOL`` relative from its input to
     its image; it returns the EM image of the last point.  ``iterations``
     counts passes over the bins: E-steps (EM maps, extrapolated points and
     Newton trial points) and gradient-Hessian builds, never above
@@ -442,7 +440,7 @@ def fit_em(
             taken = False
             if newton is not None:
                 step, gain = newton
-                converged = gain <= tol * (abs(ll) + 1e-12)
+                converged = gain <= EM_TOL * (abs(ll) + 1e-12)
                 u = _u(theta)
                 # The full step, then halved at most 3 times, while passes remain.
                 for half in range(0 if converged else min(4, max_iter - iterations)):
@@ -452,7 +450,7 @@ def fit_em(
                     iterations += 1
                     if math.isfinite(ll_x) and ll_x >= ll:
                         trace.append(ll_x)
-                        converged = ll_x - ll <= tol * (abs(ll) + 1e-12)
+                        converged = ll_x - ll <= EM_TOL * (abs(ll) + 1e-12)
                         theta, ll, ll_prev, chain = point, ll_x, None, [point]
                         rows, spare = spare, rows
                         taken = True
@@ -466,7 +464,7 @@ def fit_em(
         if image is None:
             break
         converged = converged or (
-            ll_prev is not None and ll - ll_prev <= tol * (abs(ll_prev) + 1e-12))
+            ll_prev is not None and ll - ll_prev <= EM_TOL * (abs(ll_prev) + 1e-12))
         theta, ll_prev, ll = image, ll, None
         if converged:
             break
@@ -605,25 +603,19 @@ def bayes_thresholds(mix: Mixture1D) -> np.ndarray:
     return np.sort(np.array(ts))
 
 
-def region_component_labels(mix: Mixture1D, thresholds: np.ndarray) -> np.ndarray:
-    """Winning component (0 or 1) for each interval cut by the thresholds.
-
-    One threshold: the component with the smaller mean wins below.  Two
-    thresholds: the narrower component wins the middle interval.
-    """
-    thresholds = np.asarray(thresholds, dtype=float).ravel()
-    if thresholds.size == 1:
-        low = 0 if mix.mu1 <= mix.mu2 else 1
-        return np.array([low, 1 - low])
-    inner = 0 if mix.sigma1 <= mix.sigma2 else 1
-    return np.array([1 - inner, inner, 1 - inner])
+def bayes_orientation(mix: Mixture1D, thresholds: np.ndarray) -> int:
+    """The component (0 or 1) that the Bayes rule labels above a single
+    threshold, the one with the larger mean, or between two thresholds,
+    the narrower one."""
+    if len(thresholds) == 1:
+        return 0 if mix.mu1 > mix.mu2 else 1
+    return 0 if mix.sigma1 <= mix.sigma2 else 1
 
 
 def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
     """Misclassification probability of the mixture's own Bayes rule: the
-    ``rule_error`` of its thresholds with the labels of
-    ``region_component_labels``, so small errors keep their relative
-    accuracy.
+    ``rule_error`` of its thresholds with the orientation of
+    ``bayes_orientation``, so small errors keep their relative accuracy.
 
     Always in [0, 0.5]; degenerate mixtures without a decision boundary
     yield min(w, 1-w), the error of always guessing the majority label.
@@ -635,7 +627,7 @@ def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
             thresholds = bayes_thresholds(mix)
         except NoBoundaryError:
             return min(mix.w, 1.0 - mix.w)
-    err = rule_error(mix, thresholds, region_component_labels(mix, thresholds)[1])
+    err = rule_error(mix, thresholds, bayes_orientation(mix, thresholds))
     return float(min(max(err, 0.0), 0.5))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -226,22 +226,15 @@ class ClusterOutcome:
 # JSON serialisation
 # ---------------------------------------------------------------------------
 
-def cluster_outcome_to_jsonable(outcome: ClusterOutcome) -> dict:
-    return {
-        "boundary": {
-            "direction": outcome.boundary.direction.tolist(),
-            "thresholds": outcome.boundary.thresholds.tolist(),
-            "orientation": outcome.boundary.orientation,
-        },
-        "fitted": asdict(outcome.fitted),
-        "estimated_error": outcome.estimated_error,
-        "gamma_hat": outcome.gamma_hat,
-        "projections_used": outcome.projections_used,
-        "c_hat": outcome.c_hat,
-        "achieved": outcome.achieved,
-    }
+def to_json(obj) -> str:
+    """Serialise a dataclass or a dict with sorted keys; arrays and numpy
+    scalars inside it go through ``.tolist()``."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    return json.dumps(obj, sort_keys=True, default=_numpy_tolist)
 
 
-def to_json(obj, **kwargs) -> str:
-    """Serialise a jsonable dict with stable key order."""
-    return json.dumps(obj, sort_keys=True, **kwargs)
+def _numpy_tolist(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")

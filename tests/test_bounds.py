@@ -1,5 +1,6 @@
 """Bound calculators against Q-oracles, algebraic identities and Monte Carlo."""
 
+import json
 import math
 from functools import partial
 
@@ -26,7 +27,7 @@ from projclust.bounds import (
 from projclust.datagen import make_rank_spec, make_spherical_spec
 from projclust.errors import DomainError
 from projclust.mathkit import RngStream, chi2_upper_tail_exponent, q_function, q_inverse
-from projclust.model import MixtureSpec
+from projclust.model import MixtureSpec, to_json
 
 
 def empirical_direction_prob(gamma, c, p, n_dirs, seed):
@@ -484,10 +485,9 @@ class TestBoundReportValidation:
 
     def test_jsonable_carries_citation(self):
         rep = hd_bayes_error_bound(1.0, 4)
-        obj = rep.to_jsonable()
+        obj = json.loads(to_json(rep))
         assert obj["citation"] == "hd-bayes-error"
-        import json
-        json.dumps(obj)
+        assert obj["inputs"] == {"c": 1.0, "p": 4}
 
 
 class TestLowerBoundsAgainstMonteCarlo:

@@ -51,9 +51,25 @@ class TestGen:
             "--zeta", "0.02", "--seed", "1", "--out", out,
         )
         assert code == EXIT_OK
-        assert json.loads(stdout)["r"] == 60
+        echo = json.loads(stdout)
+        assert echo["r"] == 60
+        # The echo names the spec sampled: unit variances, equal weights.
+        assert echo["sigma"] == 1.0 and echo["w"] == 0.5
         header = json.loads(open(out + ".json").read())
         assert header["r"] == 60 and header["zeta"] == 0.02
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--w"])
+    def test_zeta_takes_no_sigma_or_w(self, capsys, tmp_path, flag):
+        # The rank spec ignores both, so echoing them would misreport it.
+        out = os.path.join(tmp_path, "rank")
+        code, stdout, err = run_main(
+            capsys, "gen", "--p", "20", "--n", "200", "--c", "1",
+            "--zeta", "0.1", flag, "0.3", "--out", out,
+        )
+        assert code == EXIT_USAGE_OR_IO
+        assert err == f"error: gen --zeta takes no {flag}\n"
+        assert stdout == ""
+        assert os.listdir(tmp_path) == []
 
     def test_csv_export_flag(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "d")
@@ -218,6 +234,20 @@ class TestBounds:
         )
         assert code == EXIT_OK
         assert json.loads(stdout)["value"] > 0.0
+
+    def test_kgmm_projections_stdout_bytes(self, capsys):
+        # The bound takes no libm function (sqrt is correctly rounded), so
+        # these bytes hold on every platform.
+        code, stdout, _ = run_main(
+            capsys, "bounds", "kgmm-projections", "--c-min", "1", "--k", "3",
+            "--alpha", "0.2",
+        )
+        assert code == EXIT_OK
+        assert stdout == (
+            '{"citation": "kgmm-projection-count", "clamped": false, '
+            '"inputs": {"alpha": 0.2, "c_min": 1.0, '
+            '"gamma_min_threshold": 0.2124423364449676, "k": 3}, '
+            '"kind": "count_upper", "note": "", "value": 5.0}\n')
 
     def test_domain_error_exit(self, capsys):
         code, _, err = run_main(

@@ -14,6 +14,7 @@ from projclust import clusterer
 from projclust.bounds import expected_projections_spherical
 from projclust.clusterer import (
     B_MAX,
+    NO_BOUNDARY_ERROR,
     ClusterConfig,
     _block_ranges,
     classify,
@@ -26,9 +27,10 @@ from projclust.clusterer import (
 )
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DimensionMismatchError, DomainError, NoBoundaryError
-from projclust.learner1d import bayes_error, bayes_thresholds, fit_mixture
+from projclust.learner1d import (bayes_error, bayes_orientation, bayes_thresholds,
+                                 fit_mixture)
 from projclust.mathkit import RngStream, q_inverse
-from projclust.model import Boundary1D, Dataset, cluster_outcome_to_jsonable, to_json
+from projclust.model import Boundary1D, Dataset, to_json
 from projclust.projection import sample_direction
 
 
@@ -73,8 +75,8 @@ class TestDeterminism:
     def test_rerun_identical(self):
         data, _ = small_dataset()
         cfg = ClusterConfig(target_error=0.05, budget=20, seed=12)
-        a = to_json(cluster_outcome_to_jsonable(cluster_gmm(data, cfg)))
-        b = to_json(cluster_outcome_to_jsonable(cluster_gmm(data, cfg)))
+        a = to_json(cluster_gmm(data, cfg))
+        b = to_json(cluster_gmm(data, cfg))
         assert a == b
 
     def test_block_rows_match_matrix_vector_products(self):
@@ -229,7 +231,7 @@ class TestBudgetSemantics:
         data, _ = small_dataset(c=2.0, seed=6)
         cfg = ClusterConfig(target_error=0.4999, budget=50, seed=22)
         first = next(iter(scan_directions(data, cfg)))
-        assert first.thresholds is not None
+        assert first.boundary is not None
         out = cluster_gmm(data, cfg)
         assert out.achieved and out.projections_used == 1
 
@@ -261,7 +263,7 @@ class TestBudgetSemantics:
         assert [s.verdict for s in scans] == [
             "pass" if s.estimated_error < target else "above-target" for s in scans]
         if c == 0.0 and learner != "em":
-            assert all(s.thresholds is None for s in scans)
+            assert all(s.boundary is None for s in scans)
         if not achieved:
             assert out.projections_used == cfg.budget
             least = min(s.estimated_error for s in scans)
@@ -269,6 +271,39 @@ class TestBudgetSemantics:
             assert out.estimated_error == least
             assert out.fitted == best.fit.fitted
             assert out.gamma_hat == best.gamma_hat
+
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
+    @pytest.mark.parametrize("c", [2.0, 0.0])
+    def test_each_scan_carries_its_bayes_rule(self, learner, c):
+        # A direction's boundary is its fit's Bayes rule, or None exactly
+        # when the fit has none; the outcome reports the best one's.
+        data, _ = small_dataset(c=c)
+        cfg = ClusterConfig(target_error=0.05, budget=10, seed=16, learner=learner)
+        scans = list(scan_directions(data, cfg))
+        for scan in scans:
+            try:
+                ts = bayes_thresholds(scan.fit.fitted)
+            except NoBoundaryError:
+                assert scan.boundary is None
+                assert scan.estimated_error == NO_BOUNDARY_ERROR
+                assert scan.verdict == "above-target"
+                continue
+            b = scan.boundary
+            np.testing.assert_array_equal(b.thresholds, ts)
+            assert b.orientation == bayes_orientation(scan.fit.fitted, ts)
+            np.testing.assert_array_equal(
+                b.direction, scan.direction / np.linalg.norm(scan.direction))
+        out = cluster_gmm(data, cfg)
+        best = min(scans[:out.projections_used], key=lambda s: s.estimated_error)
+        if best.boundary is None:
+            # The median split on the best direction stands in.
+            assert out.boundary.thresholds.tolist() == [np.median(best.values)]
+            assert out.boundary.orientation == 1
+        else:
+            assert out.boundary.thresholds.tobytes() == best.boundary.thresholds.tobytes()
+            assert out.boundary.orientation == best.boundary.orientation
+        assert out.boundary.direction.tobytes() == (
+            best.direction / np.linalg.norm(best.direction)).tobytes()
 
     def test_first_passing_index_wins(self):
         data, _ = small_dataset(c=2.0)
@@ -478,7 +513,6 @@ class TestConfigValidation:
 
     def test_numpy_integer_seed_scans_as_int(self):
         data, _ = small_dataset()
-        a, b = (cluster_outcome_to_jsonable(cluster_gmm(
-            data, ClusterConfig(target_error=0.01, budget=3, seed=seed)))
-            for seed in (np.int64(3), 3))
+        a, b = (cluster_gmm(data, ClusterConfig(target_error=0.01, budget=3, seed=seed))
+                for seed in (np.int64(3), 3))
         assert to_json(a) == to_json(b)

@@ -87,9 +87,9 @@ class TestRankSpec:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            make_rank_spec(100, 0.5, 0.0)
+            make_rank_spec(100, 0.5, 0.0, RngStream(0, 0))
         with pytest.raises(DomainError):
-            make_rank_spec(100, 0.5, 1.0001)
+            make_rank_spec(100, 0.5, 1.0001, RngStream(0, 0))
 
 
 class TestSampleDataset:

@@ -9,12 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import norm
 
 from projclust import learner1d
 from projclust.bounds import estimated_separability_bound
-from projclust.clusterer import ClusterConfig, cluster_gmm, scan_directions
+from projclust.clusterer import (ClusterConfig, classify_values, cluster_gmm,
+                                 scan_directions)
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DomainError, InsufficientSampleError, NoBoundaryError
 from projclust.learner1d import (
@@ -32,13 +34,13 @@ from projclust.learner1d import (
     _unit_coordinates,
     _unit_moments,
     bayes_error,
+    bayes_orientation,
     bayes_thresholds,
     central_moments,
     fit_em,
     fit_mixture,
     fit_mom,
     fit_mom_from_moments,
-    region_component_labels,
 )
 from projclust.mathkit import RngStream, q_function
 from projclust.model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
@@ -1072,7 +1074,7 @@ class TestFitMixtureDispatcher:
             start = fit_mixture(scan.values, "mom").fitted
             assert start.mu1 == start.mu2
             assert scan.fit.method == "mom+em" and not scan.fit.capped
-            assert scan.thresholds is None and scan.estimated_error == 0.5
+            assert scan.boundary is None and scan.estimated_error == 0.5
             # EM from that start keeps the two components identical.
             z = _unit_coordinates(scan.values)[0]
             em = fit_em(z, _mom_start(z)).fitted
@@ -1211,19 +1213,65 @@ class TestBayesThresholds:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def _log_density_ratio(mix, x):
+    """Oracle: ln(w*phi1(x)) - ln((1-w)*phi2(x)) from scipy's log-densities."""
+    return (norm.logpdf(x, mix.mu1, mix.sigma1) + math.log(mix.w)
+            - norm.logpdf(x, mix.mu2, mix.sigma2) - math.log1p(-mix.w))
+
+
+# Weights near the floor, at either end, and in between.
+WEIGHTS = st.one_of(st.floats(W_FLOOR, 2 * W_FLOOR), st.floats(0.01, 0.99),
+                    st.floats(1.0 - 2 * W_FLOOR, 1.0 - W_FLOOR))
+
+
+def _region_labels(mix):
+    """The Bayes rule's label in each region between its thresholds, left
+    to right, read off one point inside each region."""
+    ts = bayes_thresholds(mix)
+    points = np.concatenate([[ts[0] - 1.0], (ts[:-1] + ts[1:]) / 2.0, [ts[-1] + 1.0]])
+    return classify_values(points, ts, bayes_orientation(mix, ts))
+
+
 class TestRegionLabels:
     def test_single_threshold(self):
         mix = Mixture1D(0.0, 2.0, 1.0, 1.0, 0.5)
-        labels = region_component_labels(mix, bayes_thresholds(mix))
-        np.testing.assert_array_equal(labels, [0, 1])
-        swapped = mix.swapped()
-        labels_sw = region_component_labels(swapped, bayes_thresholds(swapped))
-        np.testing.assert_array_equal(labels_sw, [1, 0])
+        np.testing.assert_array_equal(_region_labels(mix), [0, 1])
+        np.testing.assert_array_equal(_region_labels(mix.swapped()), [1, 0])
 
     def test_two_thresholds_narrow_wins_middle(self):
         mix = Mixture1D(0.0, 2.0, 1.0, 2.0, 0.5)
-        labels = region_component_labels(mix, bayes_thresholds(mix))
-        np.testing.assert_array_equal(labels, [1, 0, 1])
+        np.testing.assert_array_equal(_region_labels(mix), [1, 0, 1])
+
+
+class TestBayesOrientation:
+    @settings(max_examples=300, deadline=None)
+    @given(mu1=st.floats(-10.0, 10.0), gap=st.floats(-10.0, 10.0),
+           sigma1=st.floats(0.1, 5.0),
+           sigma_ratio=st.one_of(st.just(1.0), st.floats(0.2, 5.0)), w=WEIGHTS)
+    def test_rule_labels_the_larger_weighted_density(self, mu1, gap, sigma1,
+                                                     sigma_ratio, w):
+        # The Bayes rule, thresholds plus orientation, gives each point the
+        # label of the larger of w*phi1 and (1-w)*phi2, for equal sigmas
+        # (ratio 1) and unequal ones.
+        mix = Mixture1D(mu1, mu1 + gap, sigma1, sigma1 * sigma_ratio, w)
+        spread = max(mix.sigma1, mix.sigma2)
+        x = np.linspace(min(mix.mu1, mix.mu2) - 8.0 * spread,
+                        max(mix.mu1, mix.mu2) + 8.0 * spread, 4001)
+        ratio = _log_density_ratio(mix, x)
+        try:
+            ts = bayes_thresholds(mix)
+        except NoBoundaryError:
+            # One weighted density is the larger everywhere.
+            assert np.all(ratio > -1e-9) or np.all(ratio < 1e-9)
+            return
+        # The rounding band: within 1e-7 of the mixture's scale of a
+        # threshold, or where the weighted densities agree to 1e-9
+        # relative, rounding decides the label.
+        band = 1e-7 * max(abs(mix.mu1), abs(mix.mu2), spread)
+        keep = (np.abs(ratio) > 1e-9) & np.all(
+            np.abs(x[:, np.newaxis] - ts) > band, axis=1)
+        got = classify_values(x, ts, bayes_orientation(mix, ts))
+        np.testing.assert_array_equal(got[keep], np.where(ratio > 0.0, 0, 1)[keep])
 
 
 class TestBayesError:
@@ -1267,9 +1315,7 @@ class TestBayesError:
         labels_true = np.where(take_first, 0, 1)
 
         ts = bayes_thresholds(mix)
-        regions = region_component_labels(mix, ts)
-        idx = np.searchsorted(ts, x, side="right")
-        predicted = regions[idx]
+        predicted = classify_values(x, ts, bayes_orientation(mix, ts))
         mc_err = float(np.mean(predicted != labels_true))
         expected = bayes_error(mix)
         se = math.sqrt(expected * (1 - expected) / n)
@@ -1298,7 +1344,7 @@ class TestBayesError:
                                      Mixture1D(-1.0, 2.0, 2.0, 0.7, 0.6)])
     def test_bayes_error_is_its_rule_error(self, mix):
         ts = bayes_thresholds(mix)
-        orientation = region_component_labels(mix, ts)[1]
+        orientation = bayes_orientation(mix, ts)
         assert learner1d.rule_error(mix, ts, orientation) == pytest.approx(
             bayes_error(mix), rel=1e-12)
 
@@ -1312,7 +1358,7 @@ class TestBayesError:
         # relative accuracy under the mixture's own Bayes rule.
         mix = Mixture1D(0.0, 14.0, 1.0, 1.0, 0.5)
         ts = bayes_thresholds(mix)
-        got = learner1d.rule_error(mix, ts, region_component_labels(mix, ts)[1])
+        got = learner1d.rule_error(mix, ts, bayes_orientation(mix, ts))
         assert got == pytest.approx(norm.sf(7.0), rel=1e-12, abs=0.0)
         assert bayes_error(mix, ts) == pytest.approx(norm.sf(7.0), rel=1e-12, abs=0.0)
 

@@ -22,7 +22,6 @@ from projclust.model import (
     SIGMA_FLOOR_REL,
     c_separability,
     clamped_mixture1d,
-    cluster_outcome_to_jsonable,
     to_json,
 )
 
@@ -263,14 +262,23 @@ class TestJson:
         mix = Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5)
         outcome = ClusterOutcome(boundary, mix, 0.1, 1.2, 3, c_hat=0.9,
                                  achieved=False)
-        obj = cluster_outcome_to_jsonable(outcome)
-        text = to_json(obj)
-        parsed = json.loads(text)
-        for key in ("boundary", "fitted", "estimated_error", "gamma_hat",
-                    "projections_used", "c_hat", "achieved"):
-            assert key in parsed
+        parsed = json.loads(to_json(outcome))
+        assert set(parsed) == {"boundary", "fitted", "estimated_error", "gamma_hat",
+                               "projections_used", "c_hat", "achieved"}
+        assert parsed["boundary"] == {"direction": [1.0, 0.0], "thresholds": [0.5],
+                                      "orientation": 1}
         assert parsed["projections_used"] == 3
         assert parsed["achieved"] is False
+
+    def test_numpy_values_encode_as_their_python_values(self):
+        obj = {"i": np.int64(3), "f": np.float32(0.5), "b": np.bool_(True),
+               "a": np.array([[1.0, 2.5]]), "x": np.float64(0.1)}
+        assert to_json(obj) == (
+            '{"a": [[1.0, 2.5]], "b": true, "f": 0.5, "i": 3, "x": 0.1}')
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="set"):
+            to_json({"s": {1}})
 
     def test_dataset_provenance(self):
         ds = Dataset(n=1, p=2, points=np.zeros((1, 2)),
