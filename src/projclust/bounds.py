@@ -5,7 +5,7 @@ its kind, the inputs it was computed from and a short citation tag naming
 the bound.  Probability bounds are clamped into [0, 1] and count bounds
 are at least 1; any clamping is flagged on the report, never silent.
 
-The direction and count bounds rest on three statements, each written
+The direction and count bounds rest on two statements, each written
 once, in a private helper:
 
 * The direction probability, :func:`_direction_prob`.  One random
@@ -20,14 +20,16 @@ once, in a private helper:
   beta = 2*gamma^2*lmax(S1+S2)*p / ||m1-m2||^2, or its rank variant
   beta_r = 2*(1+tau2)*gamma^2*lmax*r / ((1-tau1)*||m1-m2||^2) with
   r = rank(S1+S2), which subtracts two chi-square concentration terms as
-  its corrections.  :func:`_beta` computes beta and beta_r.
+  its corrections.  :func:`_nonspherical_prob_fn` computes beta and beta_r.
 * The count bound, :func:`_count_bound`.  The expected number of
   directions to scan is at most 1/P for any such probability bound P, and
-  unbounded (reported as inf) when P is zero.  In the large-p limit P is
-  2*Q(gamma/c), or 2*Q(sqrt(beta)).
-* The regime rule, :func:`_within_regime`.  The count grows as o(ln p)
-  when gamma/c (or sqrt(beta)) is at most (ln ln p)^((1-eta)/2), and as
-  o(p) when it is at most (ln p)^((1-eta)/2).
+  unbounded (reported as inf) when P is zero.
+
+In the large-p limit P is 2*Q(gamma/c), and the count grows as o(ln p)
+when gamma/c is at most (ln ln p)^((1-eta)/2) and as o(p) when it is at
+most (ln p)^((1-eta)/2).  :func:`expected_projections_spherical` and
+:func:`sublog_regime_check` evaluate the limit and the regime for gamma/c
+and, called at (sqrt(beta), 1), for a general covariance's sqrt(beta).
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from .mathkit import (
 from .model import MixtureSpec
 
 TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64))
-TAU1_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
-TAU2_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
 
 _PROB_KINDS = ("probability_lower", "probability_upper", "error_upper")
 _COUNT_KINDS = ("count_upper",)
@@ -80,7 +80,7 @@ def _clamp_probability(value: float) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# The direction probability, the count bound and the regime rule
+# The direction probability and the count bound
 # ---------------------------------------------------------------------------
 
 def _direction_prob(
@@ -107,12 +107,6 @@ def _count_bound(prob: float, inputs: dict, citation: str) -> BoundReport:
         return BoundReport(math.inf, "count_upper", inputs, citation,
                            note="probability bound is zero: count unbounded")
     return BoundReport(max(1.0, 1.0 / prob), "count_upper", inputs, citation)
-
-
-def _within_regime(ratio: float, scale: float, eta: float) -> bool:
-    """The regime rule ratio <= scale^((1-eta)/2), with scale = ln ln p for
-    the o(ln p) regime and ln p for the o(p) regime."""
-    return ratio <= scale ** (0.5 * (1.0 - eta))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +205,8 @@ def sublog_regime_check(
         raise DomainError("c must be positive")
     if not gamma >= 0.0:
         raise DomainError("gamma must be nonnegative")
-    in_o_ln_p = _within_regime(gamma / c, math.log(math.log(p)), eta)
-    in_o_p = _within_regime(gamma / c, math.log(p), eta)
+    in_o_ln_p = gamma / c <= math.log(math.log(p)) ** (0.5 * (1.0 - eta))
+    in_o_p = gamma / c <= math.log(p) ** (0.5 * (1.0 - eta))
     count = expected_projections_spherical(gamma, c, p)
     report = replace(
         count,
@@ -283,54 +277,40 @@ def kgmm_projection_bound(c_min: float, k: int, alpha: float) -> BoundReport:
 # Non-spherical bounds
 # ---------------------------------------------------------------------------
 
-def _beta(
-    spec: MixtureSpec, gamma: float, mode: str,
-    tau1: float | None, tau2: float | None,
-) -> tuple[float, int | None]:
-    """(beta, None) for ``mode="full"``, (beta_r, r) for ``mode="rank"``;
-    beta is inf when the two means coincide.  Checks every input of both
-    modes, so each caller gets the same errors."""
-    if spec.k != 2:
-        raise DomainError("beta is defined for two-component mixtures")
-    if not gamma >= 0.0:
-        raise DomainError("gamma must be nonnegative")
-    summed = spec.variances[0] + spec.variances[1]   # diag(Sigma1 + Sigma2)
-    if mode == "full":
-        r = None
-    elif mode == "rank":
-        if tau1 is None or tau2 is None:
-            raise DomainError("rank mode requires tau1 and tau2")
-        if not 0.0 < tau1 < 1.0:
-            raise DomainError("tau1 must lie in (0, 1)")
-        if tau2 <= 0.0:
-            raise DomainError("tau2 must be positive")
-        r = int(np.count_nonzero(summed))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
-    if diff_sq == 0.0:
-        return math.inf, r
-    lmax = float(np.max(summed))
-    if r is None:
-        return 2.0 * gamma * gamma * lmax * spec.p / diff_sq, r
-    return 2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq), r
-
-
 def _nonspherical_prob_fn(
     spec: MixtureSpec, gamma: float, mode: str,
     tau1: float | None, tau2: float | None,
 ):
     """The map tau -> :func:`nonspherical_direction_prob` at fixed (mode,
-    tau1, tau2).  beta, r and the chi-square corrections do not depend on
-    tau, so they are computed once, here."""
+    tau1, tau2).  beta (inf when the two means coincide), r and the
+    chi-square corrections do not depend on tau, so they are computed
+    once, here."""
     p = spec.p
     if p < 2:
         raise DomainError("p must be >= 2")
-    beta, r = _beta(spec, gamma, mode, tau1, tau2)
+    if spec.k != 2:
+        raise DomainError("beta is defined for two-component mixtures")
+    if not gamma >= 0.0:
+        raise DomainError("gamma must be nonnegative")
+    summed = spec.variances[0] + spec.variances[1]   # diag(Sigma1 + Sigma2)
+    lmax = float(np.max(summed))
+    diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
     if mode == "full":
+        beta = math.inf if diff_sq == 0.0 else 2.0 * gamma * gamma * lmax * p / diff_sq
         return lambda tau: _direction_prob(
             beta, p, tau, {"gamma": gamma, "p": p, "tau": tau, "beta": beta},
             "nonspherical-direction-prob", "beta")
+    if mode != "rank":
+        raise DomainError(f"unknown mode {mode!r}")
+    if tau1 is None or tau2 is None:
+        raise DomainError("rank mode requires tau1 and tau2")
+    if not 0.0 < tau1 < 1.0:
+        raise DomainError("tau1 must lie in (0, 1)")
+    if tau2 <= 0.0:
+        raise DomainError("tau2 must be positive")
+    r = int(np.count_nonzero(summed))
+    beta = math.inf if diff_sq == 0.0 else (
+        2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq))
     corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
     return lambda tau: _direction_prob(
         beta, p, tau, {"gamma": gamma, "p": p, "r": r, "tau": tau,
@@ -364,43 +344,23 @@ def expected_projections_nonspherical(
     spec: MixtureSpec,
     gamma: float,
     mode: str = "full",
-    asymptotic: bool = False,
     tau1: float | None = None,
     tau2: float | None = None,
-    eta: float = 0.1,
 ) -> BoundReport:
-    """Expected-projection-count bound for arbitrary covariances.
+    """Expected-projection-count bound for arbitrary covariances: the
+    inverse of :func:`nonspherical_direction_prob` at the mixture's own
+    dimension, with tau optimised on ``TAU_GRID`` (rank mode takes the
+    given tau1 and tau2).
 
-    ``asymptotic=True`` gives the large-p limit 1/(2*Q(sqrt(beta)));
-    otherwise the mixture's own dimension is used with free parameters
-    optimised on fixed grids (tau always; tau1/tau2 too when neither is
-    supplied in rank mode, where the large-p limit takes the grids' first
-    pair).  The report notes whether sqrt(beta) sits in the o(ln p)
-    regime sqrt(beta) <= (ln ln p)^((1-eta)/2).
+    For beta = ``nonspherical_direction_prob(...).inputs["beta"]`` the
+    large-p limit 1/(2*Q(sqrt(beta))) is
+    ``expected_projections_spherical(math.sqrt(beta), 1.0)`` and the
+    o(ln p) regime flag is ``sublog_regime_check(math.sqrt(beta), 1.0, p,
+    eta)``.
     """
-    if mode == "rank" and tau1 is None and tau2 is None:
-        candidates = [(t1, t2) for t1 in TAU1_GRID for t2 in TAU2_GRID]
-    else:
-        candidates = [(tau1, tau2)]
-
-    if asymptotic:
-        beta, _ = _beta(spec, gamma, mode, *candidates[0])
-        prob = 0.0 if math.isinf(beta) else 2.0 * q_function(math.sqrt(beta))
-        inputs = {"gamma": gamma, "p": None, "beta": beta, "mode": mode}
-        return _count_bound(prob, inputs, "projections-nonspherical")
-
-    _, prob_report = max(
-        (optimize_tau(_nonspherical_prob_fn(spec, gamma, mode, t1, t2))
-         for t1, t2 in candidates),
-        key=lambda best: best[1].value,
-    )
-    inputs = {**prob_report.inputs, "mode": mode}
-    if prob_report.value > 0.0 and spec.p > math.e:
-        inputs["eta"] = eta
-        inputs["o_ln_p_regime"] = _within_regime(
-            math.sqrt(inputs["beta"]), math.log(math.log(spec.p)), eta
-        )
-    return _count_bound(prob_report.value, inputs, "projections-nonspherical")
+    _, prob_report = optimize_tau(_nonspherical_prob_fn(spec, gamma, mode, tau1, tau2))
+    return _count_bound(prob_report.value, {**prob_report.inputs, "mode": mode},
+                        "projections-nonspherical")
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +379,28 @@ def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> int:
         raise DomainError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    if gamma_min <= 0.0:
+    if not gamma_min > 0.0:
         raise DomainError("gamma_min must be positive")
-    first = math.ceil(SAMPLE_SIZE_CONSTANT / epsilon**2 * math.log(1.0 / delta))
-    second = math.ceil(1.0 / (2.0 * gamma_min) ** 12)
-    return max(int(first), int(second), 1)
+    first = _finite_size(
+        "C/eps^2 * ln(1/delta)",
+        lambda: SAMPLE_SIZE_CONSTANT / epsilon**2 * math.log(1.0 / delta))
+    # The term is at most 1 from gamma_min = 1/2 on, where the max takes 1
+    # anyway; capping there keeps (2*gamma_min)^12 from overflowing.
+    second = _finite_size("1/(2*gamma_min)^12",
+                          lambda: 1.0 / (2.0 * min(gamma_min, 0.5)) ** 12)
+    return max(math.ceil(first), math.ceil(second), 1)
+
+
+def _finite_size(term: str, compute) -> float:
+    """``compute()``, or a DomainError naming ``term`` when its size is not
+    a finite float (an intermediate overflows or underflows to zero)."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise DomainError(f"{term} is not a finite float")
 
 
 def estimated_separability_bound(gamma: float, epsilon: float) -> float:

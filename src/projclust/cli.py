@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from dataclasses import asdict
 
@@ -89,8 +88,9 @@ def _build_parser() -> _Parser:
     b = bsub.add_parser("projections", help="expected projections to reach gamma")
     b.add_argument("--gamma", type=float, required=True)
     b.add_argument("--c", type=float, required=True)
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--asymptotic", action="store_true")
+    dimension = b.add_mutually_exclusive_group(required=True)
+    dimension.add_argument("--p", type=int)
+    dimension.add_argument("--asymptotic", action="store_true")
 
     b = bsub.add_parser("kgmm", help="k-component pairwise failure bound")
     b.add_argument("--gamma-min", type=float, required=True)
@@ -207,10 +207,7 @@ def _cmd_bounds(args) -> int:
         else:
             report = bnd.spherical_direction_prob(args.gamma, args.c, args.p, args.tau)
     elif args.bound == "projections":
-        p = None if args.asymptotic else args.p
-        if p is None and not args.asymptotic:
-            raise UsageError("projections requires --p or --asymptotic")
-        report = bnd.expected_projections_spherical(args.gamma, args.c, p)
+        report = bnd.expected_projections_spherical(args.gamma, args.c, args.p)
     elif args.bound == "kgmm":
         report = bnd.kgmm_failure_bound(args.gamma_min, args.c_min, args.k, args.p)
     elif args.bound == "kgmm-projections":
@@ -269,7 +266,7 @@ def _cmd_experiment(args) -> int:
         kwargs[name] = value
     rows = runner(**kwargs)
     experiments.write_csv(args.out, fields, rows)
-    print(json.dumps({"csv": args.out, "rows": len(rows)}))
+    print(model.to_json({"csv": args.out, "rows": len(rows)}))
     return EXIT_OK
 
 
@@ -286,10 +283,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_OR_IO
-    except (ProjclustError, OSError, ValueError) as exc:
+    except (UsageError, ProjclustError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE_OR_IO
 

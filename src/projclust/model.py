@@ -186,21 +186,24 @@ class Boundary1D:
 
     @staticmethod
     def create(direction, thresholds, orientation: int) -> "Boundary1D":
+        """Normalise the direction and sort the thresholds."""
         direction = np.asarray(direction, dtype=float)
         norm = float(np.linalg.norm(direction))
-        if norm == 0.0 or not np.all(np.isfinite(direction)):
-            raise DomainError("direction must be finite and nonzero")
-        direction = direction / norm
+        if 0.0 < norm < math.inf:          # otherwise __post_init__ rejects it
+            direction = direction / norm
         thresholds = np.sort(np.asarray(thresholds, dtype=float).ravel())
-        if thresholds.size not in (1, 2):
-            raise DomainError("a boundary carries one or two thresholds")
-        if orientation not in (0, 1):
-            raise DomainError("orientation must be 0 or 1")
-        return Boundary1D(direction, thresholds, int(orientation))
+        return Boundary1D(direction, thresholds, orientation)
 
     def __post_init__(self):
-        if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
-            raise DomainError("direction must have unit norm within 1e-12")
+        # Phrased so that a NaN or infinite entry fails each check.
+        if not abs(float(np.linalg.norm(self.direction)) - 1.0) <= 1e-12:
+            raise DomainError("direction must be finite with unit norm within 1e-12")
+        t = np.asarray(self.thresholds)
+        if not (t.ndim == 1 and t.size in (1, 2) and -math.inf < t[0] <= t[-1] < math.inf):
+            raise DomainError("a boundary carries one or two finite thresholds in "
+                              "ascending order")
+        if self.orientation not in (0, 1):
+            raise DomainError("orientation must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +230,21 @@ class ClusterOutcome:
 # ---------------------------------------------------------------------------
 
 def to_json(obj) -> str:
-    """Serialise a dataclass or a dict with sorted keys; arrays and numpy
-    scalars inside it go through ``.tolist()``."""
+    """Serialise a dataclass or a dict as strict JSON with sorted keys.
+    Arrays and numpy scalars inside it become Python values; a non-finite
+    float, which JSON cannot write, becomes ``null`` (as in JSON.stringify)."""
     if is_dataclass(obj):
         obj = asdict(obj)
-    return json.dumps(obj, sort_keys=True, default=_numpy_tolist)
+    return json.dumps(_plain(obj), sort_keys=True, allow_nan=False)
 
 
-def _numpy_tolist(value):
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+        return _plain(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value

@@ -297,12 +297,11 @@ def test_criterion_9_distribution_free_projection():
     )
 
 
-def test_criterion_10_runtime_scaling():
+def test_criterion_10_runtime_scaling(child_env):
     started = time.perf_counter()
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        env[var] = "1"
+    env = child_env(**dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+         "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
     probe = os.path.join(os.path.dirname(__file__), "perf_probe.py")
     # One child times the base 100,000 x 1000, 2n and 2p shapes in
     # interleaved rounds, so drift in host speed between processes cannot

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -9,8 +10,6 @@ import pytest
 
 from projclust.bounds import (
     BoundReport,
-    TAU1_GRID,
-    TAU2_GRID,
     TAU_GRID,
     error_gap_bound,
     expected_projections_nonspherical,
@@ -324,16 +323,23 @@ class TestNonsphericalDirectionProb:
 
 
 class TestExpectedProjectionsNonspherical:
+    """The large-p limit and the regime of sqrt(beta) are the spherical
+    calculators' at gamma/c = sqrt(beta)."""
+
     def test_asymptotic_beta_one(self):
         # spherical pair with gamma = c has beta = 1
         spec = make_spherical_spec(100, 1.0)
-        rep = expected_projections_nonspherical(spec, 1.0, asymptotic=True)
+        beta = beta_full_rank(spec, 1.0)
+        assert beta == pytest.approx(1.0, rel=1e-12)
+        rep = expected_projections_spherical(math.sqrt(beta), 1.0)
         assert rep.value == pytest.approx(1.0 / (2.0 * q_function(1.0)), rel=1e-12)
         assert rep.value == pytest.approx(3.1515, abs=1e-3)
 
     def test_beta_zero_gives_one(self):
         spec = make_spherical_spec(100, 1.0)
-        rep = expected_projections_nonspherical(spec, 0.0, asymptotic=True)
+        beta = beta_full_rank(spec, 0.0)
+        assert beta == 0.0
+        rep = expected_projections_spherical(math.sqrt(beta), 1.0)
         assert rep.value == 1.0
 
     def test_spherical_reduction_matches(self):
@@ -344,12 +350,13 @@ class TestExpectedProjectionsNonspherical:
 
     def test_regime_flag(self):
         spec = make_spherical_spec(10_000, 1.0)
-        rep = expected_projections_nonspherical(spec, 0.5, eta=0.1)
-        assert rep.inputs["o_ln_p_regime"]
+        beta = beta_full_rank(spec, 0.5)
+        in_o_ln_p, _, _ = sublog_regime_check(math.sqrt(beta), 1.0, spec.p, eta=0.1)
+        assert in_o_ln_p
 
 
 class TestNonsphericalInputChecks:
-    """Every path of the nonspherical bounds checks its inputs alike."""
+    """The nonspherical bounds check their inputs alike in both modes."""
 
     def test_equal_means_rank_mode_matches_full_mode(self):
         spec = MixtureSpec.create(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
@@ -361,55 +368,44 @@ class TestNonsphericalInputChecks:
             assert count.note == "probability bound is zero: count unbounded"
         assert prob.inputs["r"] == 5
 
-    def test_unknown_mode_asymptotic_is_domain_error(self):
+    def test_unknown_mode_is_domain_error(self):
         spec = make_spherical_spec(100, 1.0)
         for taus in ({}, {"tau1": 0.2, "tau2": 0.5}):
             with pytest.raises(DomainError, match="unknown mode"):
-                expected_projections_nonspherical(
-                    spec, 1.0, mode="bogus", asymptotic=True, **taus
-                )
+                expected_projections_nonspherical(spec, 1.0, mode="bogus", **taus)
 
     def test_three_components_rejected_in_every_path(self):
         spec = MixtureSpec.create(
             np.arange(15.0).reshape(3, 5), np.ones((3, 5)), [0.3, 0.3, 0.4]
         )
         for mode in ("full", "rank"):
-            for asymptotic in (False, True):
-                with pytest.raises(DomainError, match="two-component"):
-                    expected_projections_nonspherical(
-                        spec, 1.0, mode=mode, asymptotic=asymptotic,
-                        tau1=0.2, tau2=0.5,
-                    )
+            with pytest.raises(DomainError, match="two-component"):
+                expected_projections_nonspherical(
+                    spec, 1.0, mode=mode, tau1=0.2, tau2=0.5,
+                )
 
-    @pytest.mark.parametrize("asymptotic", [False, True])
+    @pytest.mark.parametrize("via_count", [False, True])
     @pytest.mark.parametrize("taus", [{"tau1": 0.2}, {"tau2": 0.5}])
-    def test_half_given_tau_pair_rejected(self, asymptotic, taus):
+    def test_half_given_tau_pair_rejected(self, via_count, taus):
         spec = make_spherical_spec(100, 1.0)
         with pytest.raises(DomainError, match="rank mode requires tau1 and tau2"):
-            expected_projections_nonspherical(
-                spec, 1.0, mode="rank", asymptotic=asymptotic, **taus
-            )
+            if via_count:
+                expected_projections_nonspherical(spec, 1.0, mode="rank", **taus)
+            else:
+                nonspherical_direction_prob(spec, 1.0, 0.1, mode="rank", **taus)
 
-    def test_omitted_taus_still_optimise_the_grid(self):
+    def test_rank_mode_without_taus_is_domain_error(self):
         spec, _ = make_rank_spec(200, 0.5, 0.335, RngStream(0, 42))
-        counts = [
-            expected_projections_nonspherical(
-                spec, 1.0, mode="rank", tau1=t1, tau2=t2
-            ).value
-            for t1 in TAU1_GRID for t2 in TAU2_GRID
-        ]
-        rep = expected_projections_nonspherical(spec, 1.0, mode="rank")
-        assert rep.value == min(counts) < max(counts)
+        with pytest.raises(DomainError, match="rank mode requires tau1 and tau2"):
+            expected_projections_nonspherical(spec, 1.0, mode="rank")
 
     def test_negative_gamma_rejected_in_every_path(self):
         spec = make_spherical_spec(100, 1.0)
         for mode in ("full", "rank"):
-            for asymptotic in (False, True):
-                with pytest.raises(DomainError, match="gamma must be nonnegative"):
-                    expected_projections_nonspherical(
-                        spec, -1.0, mode=mode, asymptotic=asymptotic,
-                        tau1=0.2, tau2=0.5,
-                    )
+            with pytest.raises(DomainError, match="gamma must be nonnegative"):
+                expected_projections_nonspherical(
+                    spec, -1.0, mode=mode, tau1=0.2, tau2=0.5,
+                )
 
     def test_nan_gamma_rejected_up_front(self):
         # A NaN gamma once gave a nan beta, an unrelated q_function error
@@ -425,9 +421,8 @@ class TestNonsphericalInputChecks:
         for mode in ("full", "rank"):
             calls.append(partial(nonspherical_direction_prob, spec, nan, 0.1,
                                  mode=mode, **taus))
-            for asymptotic in (False, True):
-                calls.append(partial(expected_projections_nonspherical, spec, nan,
-                                     mode=mode, asymptotic=asymptotic, **taus))
+            calls.append(partial(expected_projections_nonspherical, spec, nan,
+                                 mode=mode, **taus))
         for call in calls:
             with pytest.raises(DomainError, match="gamma must be nonnegative"):
                 call()
@@ -453,6 +448,22 @@ class TestSampleSizeRequired:
             sample_size_required(0.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             sample_size_required(0.1, 0.05, 0.0)
+        with pytest.raises(DomainError, match="gamma_min must be positive"):
+            sample_size_required(0.1, 0.05, math.nan)
+
+    @pytest.mark.parametrize("epsilon, delta, gamma_min, term", [
+        (0.1, 0.05, 1e-30, "1/(2*gamma_min)^12"),      # (2*gamma_min)^12 underflows
+        (1e-200, 0.05, 1.0, "C/eps^2 * ln(1/delta)"),  # eps^2 underflows
+        (0.1, 0.05, 1e-26, "1/(2*gamma_min)^12"),      # the quotient overflows
+        (0.1, 1e-320, 1.0, "C/eps^2 * ln(1/delta)"),   # 1/delta overflows
+    ])
+    def test_term_past_float_range_names_it(self, epsilon, delta, gamma_min, term):
+        with pytest.raises(DomainError, match=re.escape(f"{term} is not a finite float")):
+            sample_size_required(epsilon, delta, gamma_min)
+
+    def test_large_gamma_min_leaves_the_epsilon_term(self):
+        # (2*gamma_min)^12 overflows here, but the term it divides is below 1.
+        assert sample_size_required(0.1, 0.05, 1e200) == 19173
 
 
 class TestErrorGapBound:

@@ -183,6 +183,26 @@ class TestBounds:
         assert payload["value"] == pytest.approx(7.3408, abs=1e-3)
         assert payload["kind"] == "count_upper"
 
+    @pytest.mark.parametrize("argv, field", [
+        (["projections", "--gamma", "10", "--c", "1", "--p", "25"], "value"),
+        (["projections", "--gamma", "40", "--c", "1", "--asymptotic"], "value"),
+        (["rank", "--p", "100", "--c", "0", "--zeta", "0.5", "--gamma", "1"], "beta"),
+    ])
+    def test_unbounded_value_prints_as_null(self, capsys, argv, field):
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        code, stdout, _ = run_main(capsys, "bounds", *argv)
+        assert code == EXIT_OK
+        payload = json.loads(stdout, parse_constant=refuse)
+        assert (payload if field == "value" else payload["inputs"])[field] is None
+
+    def test_projections_takes_p_or_asymptotic_not_both(self, capsys):
+        code, stdout, _ = run_main(
+            capsys, "bounds", "projections", "--gamma", "1", "--c", "1",
+            "--p", "100", "--asymptotic",
+        )
+        assert code == EXIT_USAGE_OR_IO and stdout == ""
+
     def test_hd_error(self, capsys):
         code, stdout, _ = run_main(
             capsys, "bounds", "hd-error", "--c", "1", "--p", "4",
@@ -351,12 +371,11 @@ class TestUsageErrors:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self, tmp_path):
-        out = os.path.join(tmp_path, "cdf.csv")
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "projclust.cli", "bounds", "hd-error",
              "--c", "1", "--p", "4"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(0.1587, abs=1e-4)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -97,16 +96,14 @@ class TestDeterminism:
             exact = data.points @ scan.direction
             assert np.all(np.abs(scan.values - exact) <= 1e-12 * row_norms)
 
-    def test_same_outcome_at_one_and_two_blas_threads(self):
+    def test_same_outcome_at_one_and_two_blas_threads(self, child_env):
         # At this shape the block product's bits differ between 1 and 2
         # OpenBLAS threads; the winner (index 9, past the first block) and
         # its estimates must agree to rounding.
         outcomes = []
         for threads in ("1", "2"):
-            env = dict(os.environ)
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                env[var] = threads
+            env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                            MKL_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-c", THREAD_PROBE], capture_output=True,
                 text=True, env=env, timeout=300, check=True,

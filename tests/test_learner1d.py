@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -735,16 +734,12 @@ class TestNewton:
     """The Newton steps that finish ``fit_em``: their derivatives and the
     safeguards around them."""
 
-    def test_package_import_leaves_scipy_linalg_out(self):
+    def test_package_import_leaves_scipy_linalg_out(self, child_env):
         # The Newton step solves with numpy.linalg: importing scipy.linalg
         # alone adds about 5 MiB to the peak RSS of a small scan.
-        src = os.path.dirname(os.path.dirname(learner1d.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, projclust; print('scipy.linalg' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=env, timeout=120, check=True)
+                              text=True, env=child_env(), timeout=120, check=True)
         assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("x, theta", [

@@ -1,7 +1,6 @@
 """Tail-function accuracy against independent oracles, plus stream checks."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from projclust import mathkit
 from projclust.errors import DomainError
 from projclust.mathkit import (
     RngStream,
@@ -136,15 +134,12 @@ class TestScipyOracle:
         assert q_function(38.5) == 0.0 and q_function(40.0) == 0.0
 
 
-def test_package_import_loads_no_scipy():
+def test_package_import_loads_no_scipy(child_env):
     # numpy is the one runtime dependency; scipy is a test oracle only.
-    src = os.path.dirname(os.path.dirname(mathkit.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, projclust, projclust.cli; print(sorted(k for k in sys.modules"
              " if k == 'scipy' or k.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
+                          text=True, env=child_env(), timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
 

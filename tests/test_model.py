@@ -228,6 +228,21 @@ class TestSmallTypes:
         with pytest.raises(DomainError):
             Boundary1D.create([1.0], [1.0], 2)
 
+    @pytest.mark.parametrize("direction, thresholds, orientation", [
+        ([np.nan, 0.0], [0.5], 0),
+        ([1.0, 0.0], [np.inf], 0),
+        ([1.0, 0.0], [2.0, 1.0, 3.0], 0),
+        ([1.0, 0.0], [2.0, 1.0], 0),
+        ([1.0, 0.0], [0.5], 7),
+    ])
+    def test_boundary_constructor_validates(self, direction, thresholds, orientation):
+        with pytest.raises(DomainError):
+            Boundary1D(np.array(direction), np.array(thresholds), orientation)
+
+    def test_boundary_create_rejects_nan_threshold(self):
+        with pytest.raises(DomainError, match="finite thresholds"):
+            Boundary1D.create([1.0, 0.0], [np.nan], 1)
+
     def test_dataset_validation(self):
         with pytest.raises(DimensionMismatchError):
             Dataset(n=2, p=3, points=np.zeros((3, 2)))
@@ -275,6 +290,11 @@ class TestJson:
                "a": np.array([[1.0, 2.5]]), "x": np.float64(0.1)}
         assert to_json(obj) == (
             '{"a": [[1.0, 2.5]], "b": true, "f": 0.5, "i": 3, "x": 0.1}')
+
+    def test_nonfinite_floats_print_as_null(self):
+        obj = {"a": math.inf, "b": np.array([1.0, np.nan]), "c": np.float64(-np.inf),
+               "d": [(math.nan, 2.0)]}
+        assert to_json(obj) == '{"a": null, "b": [1.0, null], "c": null, "d": [[null, 2.0]]}'
 
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError, match="set"):
