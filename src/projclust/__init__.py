@@ -70,6 +70,7 @@ from .clusterer import (
     estimate_c_hat,
     projections_budget_default,
     scan_directions,
+    score_direction,
 )
 
 __version__ = "0.1.0"

@@ -88,10 +88,12 @@ def _direction_prob(
     corrections: float = 0.0,
 ) -> BoundReport:
     """The direction-probability bound at x in {alpha, beta, beta_r} (see
-    the module docstring); ``symbol`` names x in the note of a zero."""
+    the module docstring); ``symbol`` names x in the note of a zero.  x is
+    inf when the two means coincide, at float precision beside gamma."""
     if x >= p:
         value, clamped = 0.0, True
-        note = f"{symbol} >= p: bound degenerates to zero"
+        note = (f"{symbol} is inf: the two means coincide" if x == math.inf
+                else f"{symbol} >= p: bound degenerates to zero")
     else:
         arg = x * (1.0 - 1.0 / p) / (1.0 - x / p) * (1.0 + tau)
         tail = chi2_upper_tail_exponent(p - 1, tau)
@@ -124,8 +126,8 @@ def hd_bayes_error_bound(c: float, p: int) -> BoundReport:
     c*sqrt(p*lmax); whether the paper states Q(c*sqrt(p)/2) under such a c
     is not settled by PAPER.md, which holds only the abstract.
     """
-    if c < 0.0:
-        raise DomainError("c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise DomainError("c must be nonnegative and finite")
     if p < 1:
         raise DomainError("p must be >= 1")
     value = q_function(0.5 * c * math.sqrt(p))
@@ -142,14 +144,14 @@ def spherical_direction_prob(
 ) -> BoundReport:
     """Lower bound on P(one random direction keeps gamma-separation),
     for spherical components with high-dimensional separation c."""
-    if not gamma >= 0.0:
-        raise DomainError("gamma must be nonnegative")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
+    if not 0.0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     if p < 2:
         raise DomainError("p must be >= 2")
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError("tau must be positive and finite")
     alpha = (gamma / c) ** 2
     inputs = {"gamma": gamma, "c": c, "p": p, "tau": tau, "alpha": alpha}
     return _direction_prob(alpha, p, tau, inputs, "spherical-direction-prob", "alpha")
@@ -175,10 +177,10 @@ def expected_projections_spherical(
     the finite-dimension probability bound with tau optimised on the
     standard grid.
     """
-    if not gamma >= 0.0:
-        raise DomainError("gamma must be nonnegative")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
+    if not 0.0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     if p is None:
         prob = 2.0 * q_function(gamma / c)
         inputs = {"gamma": gamma, "c": c, "p": None}
@@ -197,14 +199,14 @@ def sublog_regime_check(
     as o(ln p) when gamma/c <= (ln ln p)^((1-eta)/2) and as o(p) when
     gamma/c <= (ln p)^((1-eta)/2).
     """
-    if eta <= 0.0:
-        raise DomainError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise DomainError("eta must be positive and finite")
     if p <= math.e:
         raise DomainError("p must exceed e so that ln(ln(p)) is positive")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
-    if not gamma >= 0.0:
-        raise DomainError("gamma must be nonnegative")
+    if not 0.0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
     in_o_ln_p = gamma / c <= math.log(math.log(p)) ** (0.5 * (1.0 - eta))
     in_o_p = gamma / c <= math.log(p) ** (0.5 * (1.0 - eta))
     count = expected_projections_spherical(gamma, c, p)
@@ -227,10 +229,10 @@ def kgmm_failure_bound(
     """Upper bound on the probability that, under one random direction,
     some pair of the k projected components is under gamma_min-separated.
     """
-    if gamma_min < 0.0:
-        raise DomainError("gamma_min must be nonnegative")
-    if c_min <= 0.0:
-        raise DomainError("c_min must be positive")
+    if not 0.0 <= gamma_min < math.inf:
+        raise DomainError("gamma_min must be nonnegative and finite")
+    if not 0.0 < c_min < math.inf:
+        raise DomainError("c_min must be positive and finite")
     if k < 2:
         raise DomainError("k must be >= 2")
     if p < 1:
@@ -255,8 +257,8 @@ def kgmm_failure_bound(
 def kgmm_projection_bound(c_min: float, k: int, alpha: float) -> BoundReport:
     """Asymptotic projection-count bound 1/alpha for k components, valid
     whenever gamma_min <= (1-alpha) * sqrt(2*pi/1.1) * c_min / k^2."""
-    if c_min <= 0.0:
-        raise DomainError("c_min must be positive")
+    if not 0.0 < c_min < math.inf:
+        raise DomainError("c_min must be positive and finite")
     if k < 2:
         raise DomainError("k must be >= 2")
     if not 0.0 < alpha < 1.0:
@@ -290,8 +292,8 @@ def _nonspherical_prob_fn(
         raise DomainError("p must be >= 2")
     if spec.k != 2:
         raise DomainError("beta is defined for two-component mixtures")
-    if not gamma >= 0.0:
-        raise DomainError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
     summed = spec.variances[0] + spec.variances[1]   # diag(Sigma1 + Sigma2)
     lmax = float(np.max(summed))
     diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
@@ -306,8 +308,8 @@ def _nonspherical_prob_fn(
         raise DomainError("rank mode requires tau1 and tau2")
     if not 0.0 < tau1 < 1.0:
         raise DomainError("tau1 must lie in (0, 1)")
-    if tau2 <= 0.0:
-        raise DomainError("tau2 must be positive")
+    if not 0.0 < tau2 < math.inf:
+        raise DomainError("tau2 must be positive and finite")
     r = int(np.count_nonzero(summed))
     beta = math.inf if diff_sq == 0.0 else (
         2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq))
@@ -335,8 +337,8 @@ def nonspherical_direction_prob(
     (tau1, tau2) and subtracts the two corresponding chi-square terms,
     which tightens the bound when the rank is far below p.
     """
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError("tau must be positive and finite")
     return _nonspherical_prob_fn(spec, gamma, mode, tau1, tau2)(tau)
 
 
@@ -379,8 +381,8 @@ def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> int:
         raise DomainError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    if not gamma_min > 0.0:
-        raise DomainError("gamma_min must be positive")
+    if not 0.0 < gamma_min < math.inf:
+        raise DomainError("gamma_min must be positive and finite")
     first = _finite_size(
         "C/eps^2 * ln(1/delta)",
         lambda: SAMPLE_SIZE_CONSTANT / epsilon**2 * math.log(1.0 / delta))
@@ -409,8 +411,8 @@ def estimated_separability_bound(gamma: float, epsilon: float) -> float:
 
     Valid for gamma < 1/2 with gamma^2 + eps < 1/4.
     """
-    if gamma < 0.0 or epsilon < 0.0:
-        raise DomainError("gamma and epsilon must be nonnegative")
+    if not (0.0 <= gamma < math.inf and 0.0 <= epsilon < math.inf):
+        raise DomainError("gamma and epsilon must be nonnegative and finite")
     if gamma >= 0.5:
         raise DomainError(f"requires gamma < 1/2, got {gamma}")
     if gamma * gamma + epsilon >= 0.25:
@@ -425,12 +427,12 @@ def error_gap_bound(
     minimum achievable error when parameters are known to accuracy
     epsilon (means within eps*|mu1-mu2|, variances within eps*|mu1-mu2|^2,
     weight within eps)."""
-    if gamma <= 0.0 or gamma_max <= 0.0:
-        raise DomainError("gamma and gamma_max must be positive")
+    if not (0.0 < gamma < math.inf and 0.0 < gamma_max < math.inf):
+        raise DomainError("gamma and gamma_max must be positive and finite")
     if not 0.0 < w_min <= 0.5:
         raise DomainError("w_min must lie in (0, 0.5]")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     log_odds = math.log((1.0 - w_min) / w_min)
     gate = (16.0 * gamma_max**2 + 8.0 * gamma_max * log_odds
             + 2.0 * gamma_max * epsilon) * epsilon

@@ -1,11 +1,11 @@
 """Projection-scanning clusterer for two-component mixtures.
 
 The scan draws directions from per-index random streams (stream i for
-the i-th direction), projects the data in O(np), fits a two-component
-1-D mixture to the projected values and evaluates the fit's plug-in
-error estimate, which sets the direction's verdict.  The first direction
-whose verdict is ``"pass"`` wins; if the budget M is exhausted the best
-direction found is returned with ``achieved=False``.
+the i-th direction) and projects the data in O(np); ``score_direction``
+fits a two-component 1-D mixture to the projected values and evaluates
+the fit's plug-in error estimate, which sets the direction's verdict.
+The first direction whose verdict is ``"pass"`` wins; if the budget M is
+exhausted the best direction found is returned with ``achieved=False``.
 
 Directions are projected in blocks, one matrix product per block: block
 j holds min(B * 2**j, B_MAX) directions (indices 1-8, 9-24, 25-56,
@@ -105,15 +105,41 @@ def _block_ranges(budget: int):
         size = min(2 * size, B_MAX)
 
 
+def score_direction(index: int, direction: np.ndarray, values: np.ndarray,
+                    cfg: ClusterConfig) -> DirectionScan:
+    """Fit the values along a unit direction, neither copied nor normalised
+    here, and score it: the fit's Bayes rule, estimated error and verdict.
+    The only place a direction is scored, drawn by the scan or not; a fit
+    without a boundary gets ``boundary=None`` and ``NO_BOUNDARY_ERROR``."""
+    fit = fit_mixture(values, cfg.learner)
+    gamma_hat = separability_1d(fit.fitted)
+    try:
+        thresholds = bayes_thresholds(fit.fitted)
+    except NoBoundaryError:
+        boundary, est_error = None, NO_BOUNDARY_ERROR
+    else:
+        est_error = bayes_error(fit.fitted, thresholds)
+        boundary = Boundary1D.create(
+            direction, thresholds, bayes_orientation(fit.fitted, thresholds))
+    return DirectionScan(
+        index=index,
+        direction=direction,
+        values=values,
+        fit=fit,
+        gamma_hat=gamma_hat,
+        estimated_error=est_error,
+        boundary=boundary,
+        verdict="pass" if est_error < cfg.target_error else "above-target",
+    )
+
+
 def scan_directions(data: Dataset, cfg: ClusterConfig):
-    """Yield DirectionScan for indices 1..budget in order, drawing
+    """Yield the ``score_direction`` of indices 1..budget in order, drawing
     direction i from the start of ``RngStream(cfg.seed, i)`` (one Philox,
-    re-keyed per index) and fitting it lazily.
+    re-keyed per index) and scoring it lazily.
 
     Each scan's ``values`` is its own copy of a block row, so a scan the
-    caller keeps does not keep its whole block alive.  The boundary built
-    here is the scan's only Bayes rule, and the verdict its only acceptance
-    decision."""
+    caller keeps does not keep its whole block alive."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
@@ -124,27 +150,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         block = project_block(data, dirs)
         for index, direction, row in zip(indices, dirs, block):
-            vals = row.copy()
-            fit = fit_mixture(vals, cfg.learner)
-            gamma_hat = separability_1d(fit.fitted)
-            try:
-                thresholds = bayes_thresholds(fit.fitted)
-            except NoBoundaryError:
-                boundary, est_error = None, NO_BOUNDARY_ERROR
-            else:
-                est_error = bayes_error(fit.fitted, thresholds)
-                boundary = Boundary1D.create(
-                    direction, thresholds, bayes_orientation(fit.fitted, thresholds))
-            yield DirectionScan(
-                index=index,
-                direction=direction,
-                values=vals,
-                fit=fit,
-                gamma_hat=gamma_hat,
-                estimated_error=est_error,
-                boundary=boundary,
-                verdict="pass" if est_error < cfg.target_error else "above-target",
-            )
+            yield score_direction(index, direction, row.copy(), cfg)
 
 
 def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:

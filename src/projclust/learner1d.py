@@ -42,7 +42,7 @@ the density equality condition, plus ``bayes_orientation``, the component
 it labels above or between them.  ``rule_error`` scores any threshold
 rule from upper tails alone, so a small error keeps its relative accuracy
 deep in the tails, and ``bayes_error`` is the ``rule_error`` of the Bayes
-rule.
+rule whose thresholds it is given, with no fallback when there are none.
 """
 
 from __future__ import annotations
@@ -612,21 +612,12 @@ def bayes_orientation(mix: Mixture1D, thresholds: np.ndarray) -> int:
     return 0 if mix.sigma1 <= mix.sigma2 else 1
 
 
-def bayes_error(mix: Mixture1D, thresholds: np.ndarray | None = None) -> float:
-    """Misclassification probability of the mixture's own Bayes rule: the
-    ``rule_error`` of its thresholds with the orientation of
-    ``bayes_orientation``, so small errors keep their relative accuracy.
-
-    Always in [0, 0.5]; degenerate mixtures without a decision boundary
-    yield min(w, 1-w), the error of always guessing the majority label.
-    ``thresholds``, the mixture's ``bayes_thresholds`` when the caller
-    has them, are not solved for again.
+def bayes_error(mix: Mixture1D, thresholds: np.ndarray) -> float:
+    """Misclassification probability, in [0, 0.5], of the mixture's Bayes
+    rule: the ``rule_error`` of its ``bayes_thresholds``, which the caller
+    passes, with the orientation of ``bayes_orientation``.  There is no
+    fallback for a mixture without a boundary; the scan scores it itself.
     """
-    if thresholds is None:
-        try:
-            thresholds = bayes_thresholds(mix)
-        except NoBoundaryError:
-            return min(mix.w, 1.0 - mix.w)
     err = rule_error(mix, thresholds, bayes_orientation(mix, thresholds))
     return float(min(max(err, 0.0), 0.5))
 

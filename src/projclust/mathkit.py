@@ -32,20 +32,13 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = statistics.NormalDist()
 
 
-def q_function(x):
-    """Standard normal upper-tail probability Q(x) = erfc(x/sqrt(2))/2 of a
-    finite float or array, nonincreasing in x (with glibc, subnormal for x
-    in about [37.5, 38.5] and exactly 0 from 38.5 on).  An array goes element
-    by element through the float path, so it carries the same bits."""
-    if isinstance(x, float):   # np.float64 too
-        if not math.isfinite(x):
-            raise DomainError("q_function requires finite input")
-        return 0.5 * math.erfc(x / _SQRT2)
-    out = _q_elementwise(np.asarray(x, dtype=float))
-    return out if isinstance(out, float) else out.astype(float)
-
-
-_q_elementwise = np.frompyfunc(q_function, 1, 1)
+def q_function(x: float) -> float:
+    """Standard normal upper-tail probability Q(x) = erfc(x/sqrt(2))/2 of one
+    finite float, nonincreasing in x (with glibc, subnormal for x in about
+    [37.5, 38.5] and exactly 0 from 38.5 on)."""
+    if not math.isfinite(x):
+        raise DomainError("q_function requires finite input")
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def q_inverse(e: float) -> float:

@@ -27,7 +27,7 @@ from projclust.experiments import (
     rank_proj,
     sample_gamma_values,
 )
-from projclust.learner1d import bayes_error, fit_mom
+from projclust.learner1d import bayes_error, bayes_thresholds, fit_mom
 from projclust.mathkit import RngStream, q_function
 from projclust.model import Mixture1D, MixtureSpec
 from projclust.projection import separability_1d
@@ -238,7 +238,8 @@ def test_criterion_8_one_dimensional_learning_suite():
     # (a) analytic lower bounds on the optimal error
     for w in (0.05, 0.1, 0.2, 0.3, 0.5):
         for g in (0.25, 0.5, 1.0, 2.0):
-            e_opt = bayes_error(Mixture1D(0.0, 2.0 * g, 1.0, 1.0, w))
+            mix = Mixture1D(0.0, 2.0 * g, 1.0, 1.0, w)
+            e_opt = bayes_error(mix, bayes_thresholds(mix))
             bound = w * q_function((-1.0 / g + g) if w <= 0.1 else g)
             if e_opt < bound - 1e-15:
                 problems.append(f"(a) w={w} g={g}")

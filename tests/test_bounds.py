@@ -308,6 +308,17 @@ class TestNonsphericalDirectionProb:
         rep = nonspherical_direction_prob(spec, 5.0, 0.1)
         assert rep.value == 0.0 and rep.clamped
 
+    @pytest.mark.parametrize("mode", ["full", "rank"])
+    def test_zero_notes_name_their_cause(self, mode):
+        # Coinciding means (beta = inf) are not blamed on the dimension.
+        taus = {"tau1": 0.2, "tau2": 0.5} if mode == "rank" else {}
+        equal = MixtureSpec.create(np.zeros((2, 10)), np.ones((2, 10)), [0.5, 0.5])
+        rep = nonspherical_direction_prob(equal, 1.0, 0.1, mode=mode, **taus)
+        assert (rep.value, rep.note) == (0.0, "beta is inf: the two means coincide")
+        far = nonspherical_direction_prob(
+            make_spherical_spec(10, 0.1), 5.0, 0.1, mode=mode, **taus)
+        assert (far.value, far.note) == (0.0, "beta >= p: bound degenerates to zero")
+
     def test_rank_mode_requires_taus(self):
         spec = make_spherical_spec(10, 1.0)
         with pytest.raises(DomainError):

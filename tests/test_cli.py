@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -195,6 +196,27 @@ class TestBounds:
         assert code == EXIT_OK
         payload = json.loads(stdout, parse_constant=refuse)
         assert (payload if field == "value" else payload["inputs"])[field] is None
+
+    @pytest.mark.parametrize("argv, name", [
+        (["bounds", "kgmm-projections", "--c-min", "nan", "--k", "3", "--alpha", "0.5"],
+         "c_min"),
+        (["bounds", "error-gap", "--gamma", "1", "--gamma-max", "nan",
+          "--w-min", "0.2", "--eps", "0.001"], "gamma_max"),
+        (["bounds", "error-gap", "--gamma", "inf", "--gamma-max", "1",
+          "--w-min", "0.2", "--eps", "0.001"], "gamma"),
+        (["bounds", "kgmm", "--gamma-min", "0.1", "--c-min", "inf", "--k", "3",
+          "--p", "10"], "c_min"),
+        (["bounds", "direction-prob", "--gamma", "1", "--c", "nan", "--p", "10"], "c"),
+        (["bounds", "hd-error", "--c", "nan", "--p", "10"], "c"),
+        (["bounds", "projections", "--gamma", "1", "--c", "nan", "--asymptotic"], "c"),
+        (["experiment", "gamma-cdf", "--c", "nan"], "c"),
+    ])
+    def test_nonfinite_input_is_refused_by_name(self, capsys, tmp_path, argv, name):
+        if argv[0] == "experiment":
+            argv = [*argv, "--out", str(tmp_path / "gamma.csv")]
+        code, stdout, stderr = run_main(capsys, *argv)
+        assert code == EXIT_USAGE_OR_IO and stdout == ""
+        assert re.search(rf"\b{name}\b", stderr), stderr
 
     def test_projections_takes_p_or_asymptotic_not_both(self, capsys):
         code, stdout, _ = run_main(

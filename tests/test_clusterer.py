@@ -23,6 +23,7 @@ from projclust.clusterer import (
     estimate_c_hat,
     projections_budget_default,
     scan_directions,
+    score_direction,
 )
 from projclust.datagen import make_spherical_spec, sample_dataset
 from projclust.errors import DimensionMismatchError, DomainError, NoBoundaryError
@@ -30,7 +31,7 @@ from projclust.learner1d import (bayes_error, bayes_orientation, bayes_threshold
                                  fit_mixture)
 from projclust.mathkit import RngStream, q_inverse
 from projclust.model import Boundary1D, Dataset, to_json
-from projclust.projection import sample_direction
+from projclust.projection import project_block, sample_direction
 
 
 def small_dataset(p=30, c=2.0, n=3000, seed=5):
@@ -49,10 +50,10 @@ def reference_first_passer(data, cfg):
         values = data.points @ unit_direction(data.p, cfg.seed, index)
         fit = fit_mixture(values, cfg.learner)
         try:
-            bayes_thresholds(fit.fitted)
+            thresholds = bayes_thresholds(fit.fitted)
         except NoBoundaryError:
             continue
-        if bayes_error(fit.fitted) < cfg.target_error:
+        if bayes_error(fit.fitted, thresholds) < cfg.target_error:
             return index
     return None
 
@@ -345,6 +346,34 @@ class TestBudgetSemantics:
         assert out.c_hat == pytest.approx(
             float(np.sqrt(np.mean(np.square(gammas)))), rel=1e-12
         )
+
+
+class TestScoreDirection:
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
+    def test_scan_scores_each_block_row_with_score_direction(self, learner):
+        # Budget 10 crosses the block edge after index 8; every field of
+        # every scan (fit, boundary, error, verdict) matches byte for byte.
+        data, _ = small_dataset()
+        cfg = ClusterConfig(target_error=0.05, budget=10, seed=17, learner=learner)
+        scans = list(scan_directions(data, cfg))
+        assert [s.index for s in scans] == list(range(1, 11))
+        expected = []
+        for indices in _block_ranges(cfg.budget):
+            dirs = np.stack([scans[i - 1].direction for i in indices])
+            for index, direction, row in zip(indices, dirs, project_block(data, dirs)):
+                expected.append(score_direction(index, direction, row.copy(), cfg))
+        assert [to_json(s) for s in scans] == [to_json(s) for s in expected]
+
+    def test_a_direction_the_stream_never_draws(self):
+        # e1 carries the whole mean difference of a spherical pair, so
+        # scoring it alone clusters, with e1 as the boundary's direction.
+        data = sample_dataset(make_spherical_spec(20, 1.0), 2000, RngStream(3, 0))
+        e1 = np.eye(data.p)[0]
+        values = project_block(data, e1[np.newaxis])[0]
+        scan = score_direction(0, e1, values, ClusterConfig(target_error=0.05, budget=1))
+        assert scan.verdict == "pass" and scan.estimated_error < 0.05
+        assert scan.boundary.direction.tobytes() == e1.tobytes()
+        assert scan.direction is e1 and scan.values is values
 
 
 class TestEndToEnd:

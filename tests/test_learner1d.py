@@ -1009,7 +1009,8 @@ class TestBinnedAgainstRawEM:
                 if start.mu1 == start.mu2:
                     continue   # mom+em runs no EM on a single-Gaussian start
                 binned, raw = fit_em(z, start).fitted, _raw_fit_em(z, start).fitted
-                deltas.append(abs(bayes_error(binned) - bayes_error(raw)))
+                deltas.append(abs(bayes_error(binned, bayes_thresholds(binned))
+                                  - bayes_error(raw, bayes_thresholds(raw))))
         assert len(deltas) >= 15
         assert float(np.median(deltas)) <= 1e-4
 
@@ -1035,7 +1036,9 @@ class TestBinnedAgainstRawEM:
         for z, report in self.mom_em_fits():
             mle = _plain_em(z, report.fitted, max_iter=100_000, tol=1e-15)
             assert not mle.capped
-            assert abs(bayes_error(report.fitted) - bayes_error(mle.fitted)) <= 1e-3
+            fit, oracle = report.fitted, mle.fitted
+            assert abs(bayes_error(fit, bayes_thresholds(fit))
+                       - bayes_error(oracle, bayes_thresholds(oracle))) <= 1e-3
 
     def test_target_scan_outcome_unchanged(self, monkeypatch):
         for seed, data in self.datasets():
@@ -1150,7 +1153,8 @@ class TestUnitCoordinates:
         assert g.sigma1 == pytest.approx(abs(a) * f.sigma1, rel=rtol)
         assert g.sigma2 == pytest.approx(abs(a) * f.sigma2, rel=rtol)
         assert g.w == pytest.approx(f.w, abs=rtol)
-        assert bayes_error(g) == pytest.approx(bayes_error(f), rel=rtol)
+        assert bayes_error(g, bayes_thresholds(g)) == pytest.approx(
+            bayes_error(f, bayes_thresholds(f)), rel=rtol)
         assert moved.iterations == base.iterations
 
 
@@ -1271,24 +1275,22 @@ class TestBayesOrientation:
 
 class TestBayesError:
     def test_equal_sigma_equal_weight(self):
-        assert bayes_error(Mixture1D(0.0, 2.0, 1.0, 1.0, 0.5)) == pytest.approx(
+        mix = Mixture1D(0.0, 2.0, 1.0, 1.0, 0.5)
+        assert bayes_error(mix, bayes_thresholds(mix)) == pytest.approx(
             q_function(1.0), rel=1e-12
         )
 
     def test_vanishes_for_large_separation(self):
-        assert bayes_error(Mixture1D(0.0, 200.0, 1.0, 1.0, 0.5)) < 1e-300
-
-    def test_identical_components_majority_guess(self):
-        assert bayes_error(Mixture1D(0.0, 0.0, 1.0, 1.0, 0.3)) == pytest.approx(0.3)
-        assert bayes_error(Mixture1D(0.0, 0.0, 1.0, 1.0, 0.5)) == pytest.approx(0.5)
+        mix = Mixture1D(0.0, 200.0, 1.0, 1.0, 0.5)
+        assert bayes_error(mix, bayes_thresholds(mix)) < 1e-300
 
     def test_label_swap_invariance(self):
         for mix in (
             Mixture1D(0.0, 2.0, 1.0, 1.0, 0.25),
             Mixture1D(0.0, 2.0, 1.0, 2.0, 0.3),
         ):
-            assert bayes_error(mix) == pytest.approx(
-                bayes_error(mix.swapped()), abs=1e-12
+            assert bayes_error(mix, bayes_thresholds(mix)) == pytest.approx(
+                bayes_error(mix.swapped(), bayes_thresholds(mix.swapped())), abs=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -1312,7 +1314,7 @@ class TestBayesError:
         ts = bayes_thresholds(mix)
         predicted = classify_values(x, ts, bayes_orientation(mix, ts))
         mc_err = float(np.mean(predicted != labels_true))
-        expected = bayes_error(mix)
+        expected = bayes_error(mix, bayes_thresholds(mix))
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(mc_err - expected) <= 3 * se
 
@@ -1341,7 +1343,7 @@ class TestBayesError:
         ts = bayes_thresholds(mix)
         orientation = bayes_orientation(mix, ts)
         assert learner1d.rule_error(mix, ts, orientation) == pytest.approx(
-            bayes_error(mix), rel=1e-12)
+            bayes_error(mix, bayes_thresholds(mix)), rel=1e-12)
 
     def test_rule_error_far_tail_counts_both_components(self):
         # Each component puts Q(20) on the wrong side of the threshold.
@@ -1375,13 +1377,15 @@ class TestBayesError:
         # s = ln(w/(1-w))/(2*gamma), of an equal-sigma Bayes error.
         s = math.log(w / (1.0 - w)) / (2.0 * gamma)
         want = min(w * q_function(gamma + s) + (1.0 - w) * q_function(gamma - s), 0.5)
-        got = bayes_error(Mixture1D(-1.0, 2.0 * gamma - 1.0, 1.0, 1.0, w))
+        mix = Mixture1D(-1.0, 2.0 * gamma - 1.0, 1.0, 1.0, w)
+        got = bayes_error(mix, bayes_thresholds(mix))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_within_half(self):
         for w in (0.1, 0.3, 0.5):
             for g in (0.01, 0.5, 3.0):
-                e = bayes_error(Mixture1D(0.0, 2 * g, 1.0, 1.0, w))
+                mix = Mixture1D(0.0, 2 * g, 1.0, 1.0, w)
+                e = bayes_error(mix, bayes_thresholds(mix))
                 assert 0.0 <= e <= 0.5
 
 
@@ -1389,7 +1393,8 @@ class TestLemma14LowerBounds:
     @pytest.mark.parametrize("w", [0.05, 0.1, 0.2, 0.3, 0.5])
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
     def test_grid(self, w, gamma):
-        e_opt = bayes_error(Mixture1D(0.0, 2 * gamma, 1.0, 1.0, w))
+        mix = Mixture1D(0.0, 2 * gamma, 1.0, 1.0, w)
+        e_opt = bayes_error(mix, bayes_thresholds(mix))
         if w <= 0.1:
             bound = w * q_function(-1.0 / gamma + gamma)
         else:
@@ -1411,7 +1416,8 @@ class TestEquivariance:
         assert separability_1d(moved) == pytest.approx(
             separability_1d(base), rel=1e-6
         )
-        assert bayes_error(moved) == pytest.approx(bayes_error(base), rel=1e-6)
+        assert bayes_error(moved, bayes_thresholds(moved)) == pytest.approx(
+            bayes_error(base, bayes_thresholds(base)), rel=1e-6)
 
 
 class TestConsistencyRate:
