@@ -3,7 +3,6 @@ random 1-D projections, with the matching bound calculators and a Monte
 Carlo verification harness."""
 
 from .errors import (
-    DegenerateMixtureError,
     DimensionMismatchError,
     DomainError,
     InsufficientSampleError,
@@ -24,7 +23,6 @@ from .model import (
     Mixture1D,
     MixtureSpec,
     Provenance,
-    c_separability,
 )
 from .projection import (
     projected_mixture,
@@ -43,7 +41,6 @@ from .learner1d import (
 from .bounds import (
     BoundReport,
     error_gap_bound,
-    estimated_separability_bound,
     expected_projections_nonspherical,
     expected_projections_spherical,
     hd_bayes_error_bound,

@@ -405,21 +405,6 @@ def _finite_size(term: str, compute) -> float:
     raise DomainError(f"{term} is not a finite float")
 
 
-def estimated_separability_bound(gamma: float, epsilon: float) -> float:
-    """High-probability cap (3*gamma + eps) / (1 - 2*sqrt(gamma^2 + eps))
-    on the separability fitted from samples of a gamma-separable mixture.
-
-    Valid for gamma < 1/2 with gamma^2 + eps < 1/4.
-    """
-    if not (0.0 <= gamma < math.inf and 0.0 <= epsilon < math.inf):
-        raise DomainError("gamma and epsilon must be nonnegative and finite")
-    if gamma >= 0.5:
-        raise DomainError(f"requires gamma < 1/2, got {gamma}")
-    if gamma * gamma + epsilon >= 0.25:
-        raise DomainError("requires gamma^2 + epsilon < 1/4")
-    return (3.0 * gamma + epsilon) / (1.0 - 2.0 * math.sqrt(gamma**2 + epsilon))
-
-
 def error_gap_bound(
     gamma: float, gamma_max: float, w_min: float, epsilon: float
 ) -> BoundReport:

@@ -119,7 +119,7 @@ def score_direction(index: int, direction: np.ndarray, values: np.ndarray,
         boundary, est_error = None, NO_BOUNDARY_ERROR
     else:
         est_error = bayes_error(fit.fitted, thresholds)
-        boundary = Boundary1D.create(
+        boundary = Boundary1D(
             direction, thresholds, bayes_orientation(fit.fitted, thresholds))
     return DirectionScan(
         index=index,
@@ -138,8 +138,9 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
     direction i from the start of ``RngStream(cfg.seed, i)`` (one Philox,
     re-keyed per index) and scoring it lazily.
 
-    Each scan's ``values`` is its own copy of a block row, so a scan the
-    caller keeps does not keep its whole block alive."""
+    Each scan's ``direction`` and ``values`` are its own copies of block
+    rows, so a scan or outcome the caller keeps does not keep its blocks
+    alive."""
     if data.n < 1:
         raise DomainError("dataset is empty")
     if data.p < 1:
@@ -150,7 +151,7 @@ def scan_directions(data: Dataset, cfg: ClusterConfig):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         block = project_block(data, dirs)
         for index, direction, row in zip(indices, dirs, block):
-            yield score_direction(index, direction, row.copy(), cfg)
+            yield score_direction(index, direction.copy(), row.copy(), cfg)
 
 
 def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
@@ -178,7 +179,7 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
     if boundary is None:
         # No scanned fit admitted a boundary; fall back to the sample
         # median on the best direction so the outcome stays usable.
-        boundary = Boundary1D.create(best.direction, [np.median(best.values)], 1)
+        boundary = Boundary1D(best.direction, np.array([np.median(best.values)]), 1)
     return ClusterOutcome(
         boundary=boundary,
         fitted=best.fit.fitted,

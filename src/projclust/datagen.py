@@ -58,10 +58,10 @@ def make_spherical_spec(
     """
     if p < 1:
         raise DomainError("p must be >= 1")
-    if c < 0.0:
-        raise DomainError("c must be nonnegative")
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"c must be nonnegative and finite, got {c}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     if not 0.0 < w < 1.0:
         raise DomainError("w must lie in (0, 1)")
     means = np.zeros((2, p))
@@ -83,8 +83,8 @@ def make_rank_spec(
     """
     if p < 1:
         raise DomainError("p must be >= 1")
-    if c < 0.0:
-        raise DomainError("c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"c must be nonnegative and finite, got {c}")
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
     block = math.ceil(zeta * p)

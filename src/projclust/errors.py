@@ -17,9 +17,5 @@ class InsufficientSampleError(DomainError):
     """Too few samples for the requested estimator."""
 
 
-class DegenerateMixtureError(DomainError):
-    """The mixture is degenerate (e.g. both covariances are zero)."""
-
-
 class NoBoundaryError(ProjclustError):
     """The two components admit no finite decision threshold."""

@@ -159,8 +159,10 @@ def sample_gamma_values(p: int, c: float, directions: int, seed: int,
                         stream_base: int = 0) -> np.ndarray:
     """Projected separations of a spherical c-separated pair over many
     random directions, computed in chunks with per-chunk streams."""
-    if not (p >= 1 and directions >= 1 and math.isfinite(c)):
-        raise DomainError("p and directions must be >= 1, and c finite")
+    if not (p >= 1 and directions >= 1):
+        raise DomainError("p and directions must be >= 1")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"c must be nonnegative and finite, got {c}")
     out = np.empty(directions)
     done = 0
     chunk_index = 0

@@ -87,13 +87,15 @@ class FitReport:
 def _unit_coordinates(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(z, loc, unit)`` with z = (x - loc) / unit, loc the mean of x and
     unit its RMS spread about loc (|loc|, or 1, when the spread is 0).
-    Raises ``DomainError`` unless the mean is finite."""
+    Raises ``DomainError`` unless the mean and the RMS spread are finite;
+    finite samples whose sum of squares overflows fail too."""
     with np.errstate(over="ignore", invalid="ignore"):
         loc = float(x.sum() / x.size)
-    if not math.isfinite(loc):
-        raise DomainError(f"samples and their mean must be finite, got mean {loc}")
-    z = x - loc
-    unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
+        z = x - loc
+        unit = math.sqrt(float(np.dot(z, z)) / x.size) or abs(loc) or 1.0
+    if not (math.isfinite(loc) and math.isfinite(unit)):
+        raise DomainError("samples and their mean must be finite, and their RMS "
+                          f"spread a finite float; got mean {loc}, RMS spread {unit}")
     z /= unit
     return z, loc, unit
 

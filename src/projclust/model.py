@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMixtureError, DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError
 
 SIGMA_FLOOR_REL = 1e-9
 W_FLOOR = 1e-4
@@ -75,23 +75,6 @@ class MixtureSpec:
         if not abs(float(np.sum(weights)) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
         return MixtureSpec(p=p, k=k, means=means, variances=variances, weights=weights)
-
-
-def c_separability(spec: MixtureSpec, i: int = 0, j: int = 1) -> float:
-    """Separation of components i and j relative to their largest spreads.
-
-    Defined as ||m_i - m_j|| / (sqrt(p) * (sqrt(lmax_i) + sqrt(lmax_j))).
-    """
-    if i == j:
-        raise DomainError("component indices must differ")
-    if not (0 <= i < spec.k and 0 <= j < spec.k):
-        raise DomainError("component index out of range")
-    li = float(np.max(spec.variances[i]))
-    lj = float(np.max(spec.variances[j]))
-    denom = math.sqrt(spec.p) * (math.sqrt(li) + math.sqrt(lj))
-    if denom == 0.0:
-        raise DegenerateMixtureError("both components have zero covariance")
-    return float(np.linalg.norm(spec.means[i] - spec.means[j])) / denom
 
 
 class Provenance(NamedTuple):
@@ -173,7 +156,8 @@ def clamped_mixture1d(
 
 @dataclass(frozen=True, eq=False)
 class Boundary1D:
-    """A projection direction plus decision thresholds.
+    """A unit projection direction plus one or two ascending decision
+    thresholds; construction checks both and normalises nothing.
 
     ``orientation`` is the component label assigned above the single
     threshold, or inside the interval when there are two thresholds.
@@ -183,16 +167,6 @@ class Boundary1D:
     direction: np.ndarray
     thresholds: np.ndarray
     orientation: int
-
-    @staticmethod
-    def create(direction, thresholds, orientation: int) -> "Boundary1D":
-        """Normalise the direction and sort the thresholds."""
-        direction = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
-        if 0.0 < norm < math.inf:          # otherwise __post_init__ rejects it
-            direction = direction / norm
-        thresholds = np.sort(np.asarray(thresholds, dtype=float).ravel())
-        return Boundary1D(direction, thresholds, orientation)
 
     def __post_init__(self):
         # Phrased so that a NaN or infinite entry fails each check.

@@ -13,16 +13,13 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .mathkit import RngStream
 from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d
 
 
-def sample_direction(p: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Draw a direction of p i.i.d. standard normal coordinates from the
-    start of stream ``rng``, or from a Generator already placed there."""
+def sample_direction(p: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw a direction of p i.i.d. standard normal coordinates from ``gen``."""
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got {p}")
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
     return gen.standard_normal(p)
 
 
@@ -47,31 +44,25 @@ def project_block(data: Dataset, directions: np.ndarray) -> np.ndarray:
     return directions @ data.points.T
 
 
-def projected_mixture(
-    spec: MixtureSpec, direction: np.ndarray, i: int = 0, j: int = 1
-) -> Mixture1D:
-    """Exact 1-D pushforward of components i and j along a direction.
+def projected_mixture(spec: MixtureSpec, direction: np.ndarray) -> Mixture1D:
+    """Exact 1-D pushforward of components 0 and 1 along a direction.
 
     Means and sigmas are divided by ||direction|| so the result does not
     depend on the direction's length; the pair weight is renormalised to
-    w_i / (w_i + w_j).
+    w0 / (w0 + w1).
     """
-    if i == j:
-        raise DomainError("component indices must differ")
     direction = np.asarray(direction, dtype=float)
     if direction.size != spec.p:
         raise DimensionMismatchError("direction length != spec dimension")
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         raise DomainError("direction must be nonzero")
-    mu_i = float(spec.means[i] @ direction) / norm
-    mu_j = float(spec.means[j] @ direction) / norm
-    var_i = float(np.sum(spec.variances[i] * direction * direction)) / (norm * norm)
-    var_j = float(np.sum(spec.variances[j] * direction * direction)) / (norm * norm)
-    w = float(spec.weights[i]) / float(spec.weights[i] + spec.weights[j])
-    return clamped_mixture1d(
-        mu_i, mu_j, math.sqrt(var_i), math.sqrt(var_j), w
-    )
+    mu0 = float(spec.means[0] @ direction) / norm
+    mu1 = float(spec.means[1] @ direction) / norm
+    var0 = float(np.sum(spec.variances[0] * direction * direction)) / (norm * norm)
+    var1 = float(np.sum(spec.variances[1] * direction * direction)) / (norm * norm)
+    w = float(spec.weights[0]) / float(spec.weights[0] + spec.weights[1])
+    return clamped_mixture1d(mu0, mu1, math.sqrt(var0), math.sqrt(var1), w)
 
 
 def separability_1d(mix: Mixture1D) -> float:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ class TestGen:
         assert main(args + ["--out", a]) == EXIT_OK
         assert main(args + ["--out", b]) == EXIT_OK
         capsys.readouterr()
-        assert open(a + ".bin", "rb").read() == open(b + ".bin", "rb").read()
-        assert open(a + ".json").read() == open(b + ".json").read()
+        assert Path(a + ".bin").read_bytes() == Path(b + ".bin").read_bytes()
+        assert Path(a + ".json").read_text() == Path(b + ".json").read_text()
 
     def test_rank_spec_reports_r(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "rank")
@@ -56,7 +57,7 @@ class TestGen:
         assert echo["r"] == 60
         # The echo names the spec sampled: unit variances, equal weights.
         assert echo["sigma"] == 1.0 and echo["w"] == 0.5
-        header = json.loads(open(out + ".json").read())
+        header = json.loads(Path(out + ".json").read_text())
         assert header["r"] == 60 and header["zeta"] == 0.02
 
     @pytest.mark.parametrize("flag", ["--sigma", "--w"])
@@ -72,6 +73,21 @@ class TestGen:
         assert stdout == ""
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--c", "nan"], "c"),
+        (["--c", "inf"], "c"),
+        (["--c", "1", "--sigma", "nan"], "sigma"),
+        (["--c", "1", "--sigma", "inf"], "sigma"),
+    ])
+    def test_nonfinite_spec_input_is_refused_by_name(self, capsys, tmp_path, flags,
+                                                     name):
+        code, stdout, stderr = run_main(
+            capsys, "gen", "--p", "5", "--n", "10", *flags,
+            "--out", str(tmp_path / "d"))
+        assert code == EXIT_USAGE_OR_IO and stdout == ""
+        assert re.search(rf"\b{name}\b", stderr), stderr
+        assert os.listdir(tmp_path) == []
+
     def test_csv_export_flag(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "d")
         csv_path = os.path.join(tmp_path, "d.csv")
@@ -80,7 +96,7 @@ class TestGen:
             "--out", out, "--csv", csv_path,
         )
         assert code == EXIT_OK
-        assert len(open(csv_path).read().splitlines()) == 21
+        assert len(Path(csv_path).read_text().splitlines()) == 21
 
     def test_nongaussian_shape(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "u")
@@ -210,6 +226,10 @@ class TestBounds:
         (["bounds", "hd-error", "--c", "nan", "--p", "10"], "c"),
         (["bounds", "projections", "--gamma", "1", "--c", "nan", "--asymptotic"], "c"),
         (["experiment", "gamma-cdf", "--c", "nan"], "c"),
+        (["bounds", "rank", "--p", "100", "--c", "nan", "--zeta", "0.5", "--gamma", "1"],
+         "c"),
+        (["experiment", "gamma-cdf", "--c", "-1", "--p", "10", "--directions", "100"],
+         "c"),
     ])
     def test_nonfinite_input_is_refused_by_name(self, capsys, tmp_path, argv, name):
         if argv[0] == "experiment":
@@ -308,7 +328,7 @@ class TestExperimentCommand:
             "--directions", "5000", "--seed", "4", "--out", out,
         )
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].split(",")[0] == "seed"
         assert len(lines) > 10
 
@@ -319,7 +339,7 @@ class TestExperimentCommand:
         assert main(args + ["--out", a]) == EXIT_OK
         assert main(args + ["--out", b]) == EXIT_OK
         capsys.readouterr()
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_unknown_experiment_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_main(
@@ -335,7 +355,7 @@ class TestExperimentCommand:
             "--seed", "3", "--out", out,
         )
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 5
 
     @pytest.mark.parametrize("name, flag, value", [

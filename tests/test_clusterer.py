@@ -40,7 +40,7 @@ def small_dataset(p=30, c=2.0, n=3000, seed=5):
 
 
 def unit_direction(p, seed, index):
-    direction = sample_direction(p, RngStream(seed, index))
+    direction = sample_direction(p, RngStream(seed, index).generator())
     return direction / np.linalg.norm(direction)
 
 
@@ -175,7 +175,7 @@ class TestBlockPartition:
                             learner="mom")
         scans = list(scan_directions(data, cfg))
         for i in (1, 8, 9, 24, 25, 57):
-            want = sample_direction(data.p, RngStream(cfg.seed, i))
+            want = sample_direction(data.p, RngStream(cfg.seed, i).generator())
             assert drawn[i - 1].tobytes() == want.tobytes()
             unit = want[np.newaxis] / np.linalg.norm(want[np.newaxis], axis=1,
                                                      keepdims=True)
@@ -204,6 +204,14 @@ class TestMemoryContract:
         assert out.projections_used == 200 and not out.achieved
         # two 64-row blocks plus a few n-float buffers for the fits
         assert (peak - start) / (8 * self.N) <= 2 * B_MAX + 8
+
+    def test_kept_scans_and_outcomes_own_their_direction(self):
+        # A view of a block row would pin the block's B x p directions.
+        data, _ = small_dataset(p=self.P, n=2000, seed=43)
+        cfg = ClusterConfig(target_error=0.05, budget=10, seed=4)
+        kept = [s.direction for s in scan_directions(data, cfg)]
+        kept.append(cluster_gmm(data, cfg).boundary.direction)
+        assert all(d.base is None and d.shape == (self.P,) for d in kept)
 
 
 class TestBudgetSemantics:
@@ -289,8 +297,7 @@ class TestBudgetSemantics:
             b = scan.boundary
             np.testing.assert_array_equal(b.thresholds, ts)
             assert b.orientation == bayes_orientation(scan.fit.fitted, ts)
-            np.testing.assert_array_equal(
-                b.direction, scan.direction / np.linalg.norm(scan.direction))
+            assert b.direction is scan.direction
         out = cluster_gmm(data, cfg)
         best = min(scans[:out.projections_used], key=lambda s: s.estimated_error)
         if best.boundary is None:
@@ -300,8 +307,21 @@ class TestBudgetSemantics:
         else:
             assert out.boundary.thresholds.tobytes() == best.boundary.thresholds.tobytes()
             assert out.boundary.orientation == best.boundary.orientation
-        assert out.boundary.direction.tobytes() == (
-            best.direction / np.linalg.norm(best.direction)).tobytes()
+        assert out.boundary.direction.tobytes() == best.direction.tobytes()
+
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
+    def test_outcome_direction_is_the_scanned_direction(self, learner):
+        # The scan's unit direction is not normalised a second time, so
+        # the outcome reports the direction it scanned, bit for bit.
+        data, _ = small_dataset(p=20)
+        for seed in range(10):
+            cfg = ClusterConfig(target_error=0.05, budget=10, seed=seed, learner=learner)
+            scans = list(scan_directions(data, cfg))
+            out = cluster_gmm(data, cfg)
+            best = min(scans[:out.projections_used], key=lambda s: s.estimated_error)
+            assert out.boundary.direction.tobytes() == best.direction.tobytes()
+            assert all(s.boundary is None or s.boundary.direction is s.direction
+                       for s in scans)
 
     def test_first_passing_index_wins(self):
         data, _ = small_dataset(c=2.0)
@@ -409,13 +429,13 @@ class TestEndToEnd:
 
 class TestClassify:
     def test_tie_goes_right(self):
-        boundary = Boundary1D.create([1.0, 0.0], [0.5], orientation=1)
+        boundary = Boundary1D(np.array([1.0, 0.0]), np.array([0.5]), 1)
         data = Dataset(n=3, p=2,
                        points=np.array([[0.5, 9.0], [0.49, 0.0], [0.51, 0.0]]))
         np.testing.assert_array_equal(classify(data, boundary), [1, 0, 1])
 
     def test_two_threshold_interval(self):
-        boundary = Boundary1D.create([1.0], [-1.0, 1.0], orientation=0)
+        boundary = Boundary1D(np.array([1.0]), np.array([-1.0, 1.0]), 0)
         data = Dataset(n=5, p=1,
                        points=np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]]))
         np.testing.assert_array_equal(classify(data, boundary), [1, 0, 0, 1, 1])
@@ -427,7 +447,7 @@ class TestClassify:
         )
 
     def test_dimension_mismatch(self):
-        boundary = Boundary1D.create([1.0, 0.0], [0.0], 1)
+        boundary = Boundary1D(np.array([1.0, 0.0]), np.array([0.0]), 1)
         data = Dataset(n=1, p=3, points=np.zeros((1, 3)))
         with pytest.raises(DimensionMismatchError):
             classify(data, boundary)

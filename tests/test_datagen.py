@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from projclust.datagen import (
 )
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream
-from projclust.model import Dataset, MixtureSpec, Provenance, c_separability
+from projclust.model import Dataset, MixtureSpec, Provenance
 from projclust.projection import project_block
 
 
@@ -42,8 +43,11 @@ class TestSphericalSpec:
     @pytest.mark.parametrize("p,c,sigma", [(7, 0.3, 0.5), (64, 1.7, 2.0),
                                            (513, 0.9, 0.1)])
     def test_separation_roundtrip(self, p, c, sigma):
+        # c = ||m1 - m2|| / (sqrt(p) * 2 sigma) for two sigma^2 I components.
         spec = make_spherical_spec(p, c, sigma)
-        assert c_separability(spec) == pytest.approx(c, abs=1e-12)
+        np.testing.assert_array_equal(spec.variances, np.full((2, p), sigma * sigma))
+        gap = float(np.linalg.norm(spec.means[1] - spec.means[0]))
+        assert gap / (math.sqrt(p) * 2.0 * sigma) == pytest.approx(c, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -64,9 +68,12 @@ class TestRankSpec:
         assert r == 60
 
     def test_separation_roundtrip(self):
+        # Both components have lambda_max 1, so c = ||m1 - m2|| / (2 sqrt(p)).
         for zeta in (0.02, 0.1, 0.4):
             spec, _ = make_rank_spec(500, 0.7, zeta, RngStream(3, 0))
-            assert c_separability(spec) == pytest.approx(0.7, abs=1e-9)
+            assert spec.variances.max(axis=1).tolist() == [1.0, 1.0]
+            gap = float(np.linalg.norm(spec.means[1] - spec.means[0]))
+            assert gap / (2.0 * math.sqrt(500)) == pytest.approx(0.7, abs=1e-9)
 
     def test_reported_rank_matches_eigen_representation(self):
         for seed in range(5):
@@ -197,7 +204,7 @@ class TestFiles:
         spec = make_spherical_spec(3, 1.0)
         data = sample_dataset(spec, 5, RngStream(21, 0))
         _, json_path = write_dataset(data, os.path.join(tmp_path, "d"), k=2)
-        header = json.loads(open(json_path).read())
+        header = json.loads(Path(json_path).read_text())
         assert header["n"] == 5 and header["p"] == 3 and header["k"] == 2
         assert header["seed"] == 21
         assert len(header["labels"]) == 5
@@ -207,8 +214,8 @@ class TestFiles:
         data = sample_dataset(spec, 20, RngStream(22, 0))
         b1, j1 = write_dataset(data, os.path.join(tmp_path, "a"))
         b2, j2 = write_dataset(data, os.path.join(tmp_path, "b"))
-        assert open(b1, "rb").read() == open(b2, "rb").read()
-        assert open(j1).read() == open(j2).read()
+        assert Path(b1).read_bytes() == Path(b2).read_bytes()
+        assert Path(j1).read_text() == Path(j2).read_text()
 
     def test_sidecar_bytes(self, tmp_path):
         data = Dataset(n=2, p=1, points=np.zeros((2, 1)), labels=np.array([1, 0]),
@@ -224,7 +231,7 @@ class TestFiles:
         from projclust.model import Dataset
         ds = Dataset(n=2, p=2, points=points)
         bin_path, _ = write_dataset(ds, os.path.join(tmp_path, "raw"), k=2)
-        raw = np.frombuffer(open(bin_path, "rb").read(), dtype="<f8")
+        raw = np.frombuffer(Path(bin_path).read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw, [1.0, 2.0, 3.0, 4.0])
 
     def test_size_mismatch_detected(self, tmp_path):
@@ -281,17 +288,17 @@ class TestFiles:
         _, json_path = write_dataset(
             data, os.path.join(tmp_path, "rk"), k=2, r=r, zeta=0.1
         )
-        header = json.loads(open(json_path).read())
+        header = json.loads(Path(json_path).read_text())
         assert header["r"] == r and header["zeta"] == 0.1
         _, plain = write_dataset(data, os.path.join(tmp_path, "plain"))
-        assert "r" not in json.loads(open(plain).read())
+        assert "r" not in json.loads(Path(plain).read_text())
 
     def test_csv_export_full_precision(self, tmp_path):
         spec = make_spherical_spec(2, 1.0)
         data = sample_dataset(spec, 7, RngStream(24, 0))
         path = os.path.join(tmp_path, "out.csv")
         export_csv(data, path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == "x0,x1,label"
         assert len(lines) == 8
         first = lines[1].split(",")

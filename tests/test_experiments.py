@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestHarness:
         rows = [{"a": 1, "b": 2.5}, {"a": 2, "b": -1.0}]
         path = os.path.join(tmp_path, "t.csv")
         write_csv(path, ("a", "b"), rows)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.splitlines()[0] == "a,b"
         assert len(text.splitlines()) == 3
 

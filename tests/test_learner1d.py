@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from projclust import learner1d
-from projclust.bounds import estimated_separability_bound
 from projclust.clusterer import (ClusterConfig, classify_values, cluster_gmm,
                                  scan_directions)
 from projclust.datagen import make_spherical_spec, sample_dataset
@@ -42,7 +41,8 @@ from projclust.learner1d import (
     fit_mom_from_moments,
 )
 from projclust.mathkit import RngStream, q_function
-from projclust.model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
+from projclust.model import (SIGMA_FLOOR_REL, W_FLOOR, Dataset, Mixture1D,
+                             clamped_mixture1d)
 from projclust.projection import sample_direction, separability_1d
 
 
@@ -318,7 +318,7 @@ def _em_corpus():
     for seed in range(1, 5):
         data = sample_dataset(make_spherical_spec(100, 1.0), 2_000, RngStream(seed, 0))
         for k in range(1, 16):
-            direction = sample_direction(100, RngStream(seed, k))
+            direction = sample_direction(100, RngStream(seed, k).generator())
             samples.append(_unit_coordinates(data.points @ direction)[0])
     samples.append(_unit_coordinates(
         sample_mixture(0.0, 6.0, 1.0, 2.0, 0.5, 4_000, seed=11))[0])
@@ -1105,11 +1105,18 @@ class TestUnitCoordinates:
             else:
                 fit_mixture(x, method)
 
+    def test_spread_past_the_float_range_rejected(self):
+        # Finite points whose projections' sum of squares overflows.
+        points = RngStream(0, 0).generator().standard_normal((200, 3)) * 1e155
+        with pytest.raises(DomainError, match="RMS spread inf"):
+            cluster_gmm(Dataset(200, 3, points), ClusterConfig(0.1, 5, seed=1))
+
     def test_sums_match_np_mean_bit_for_bit(self):
         # The +1e12 shift of the invariance repros, projected on its first
         # direction; a mixture; a far outlier; constant samples.
         data = sample_dataset(make_spherical_spec(20, 2.0), 2000, RngStream(3, 0))
-        shifted = (data.points + 1e12) @ sample_direction(20, RngStream(1, 1))
+        direction = sample_direction(20, RngStream(1, 1).generator())
+        shifted = (data.points + 1e12) @ direction
         outlier = np.append(RngStream(12, 0).generator().standard_normal(1_999), 1e8)
         for x in (shifted, sample_mixture(0.0, 4.0, 1.0, 2.0, 0.3, 5_000, seed=9),
                   outlier, np.full(100, 5.0)):
@@ -1449,24 +1456,3 @@ class TestDiscardRule:
             if separability_1d(fitted) < 0.5:
                 hits += 1
         assert hits >= 0.95 * trials
-
-
-class TestEstimatedSeparabilityBound:
-    def test_exact_at_one_eighth(self):
-        assert estimated_separability_bound(0.125, 0.0) == pytest.approx(0.5)
-
-    def test_with_epsilon(self):
-        assert estimated_separability_bound(0.125, 0.01) == pytest.approx(
-            0.5663, abs=1e-4
-        )
-
-    def test_zero_limit(self):
-        assert estimated_separability_bound(0.0, 1e-12) == pytest.approx(0.0, abs=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            estimated_separability_bound(0.5, 0.0)
-        with pytest.raises(DomainError):
-            estimated_separability_bound(0.4, 0.1)
-        with pytest.raises(DomainError):
-            estimated_separability_bound(-0.1, 0.0)

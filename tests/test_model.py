@@ -1,4 +1,4 @@
-"""Domain type validation, separability, covariance sums, JSON."""
+"""Domain type validation, covariance sums, JSON."""
 
 import json
 import math
@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from projclust.bounds import nonspherical_direction_prob
-from projclust.errors import (
-    DegenerateMixtureError,
-    DimensionMismatchError,
-    DomainError,
-)
+from projclust.errors import DimensionMismatchError, DomainError
 from projclust.model import (
     Boundary1D,
     ClusterOutcome,
@@ -20,16 +16,9 @@ from projclust.model import (
     MixtureSpec,
     Provenance,
     SIGMA_FLOOR_REL,
-    c_separability,
     clamped_mixture1d,
     to_json,
 )
-
-
-def spherical_pair_spec(p, c, sigma=1.0, w=0.5):
-    means = np.zeros((2, p))
-    means[1, 0] = 2.0 * c * math.sqrt(p) * sigma
-    return MixtureSpec.create(means, np.full((2, p), sigma**2), [w, 1 - w])
 
 
 UNIT_APART = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]   # ||m1 - m2|| = 1
@@ -38,17 +27,12 @@ UNIT_APART = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]   # ||m1 - m2|| = 1
 class TestVariances:
     def test_spherical(self):
         spec = MixtureSpec.create(UNIT_APART, np.full((2, 3), 3.0), [0.5, 0.5])
-        assert spec.variances.shape == (2, 3)
-        # lambda_max is 3 in both components: 1 / (sqrt(3) * 2 sqrt(3)).
-        assert c_separability(spec) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        np.testing.assert_array_equal(spec.variances, np.full((2, 3), 3.0))
 
     def test_axis_aligned(self):
         variances = [[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]]
         spec = MixtureSpec.create(UNIT_APART, variances, [0.5, 0.5])
-        # lambda_max is the row maximum: 1 / (sqrt(3) * (2 + 1)).
-        assert c_separability(spec) == pytest.approx(
-            1.0 / (3.0 * math.sqrt(3.0)), rel=1e-12
-        )
+        np.testing.assert_array_equal(spec.variances, variances)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
     def test_entries_must_be_finite_and_nonnegative(self, bad):
@@ -113,60 +97,6 @@ class TestCombined:
             assert r == np.linalg.matrix_rank(total) == rank
 
 
-class TestCSeparability:
-    def test_direct_formula_p4(self):
-        spec = spherical_pair_spec(4, 0.5)
-        # ||dm|| = 2, sqrt(p)*(1+1) = 4
-        assert np.linalg.norm(spec.means[1]) == pytest.approx(2.0)
-        assert c_separability(spec) == pytest.approx(0.5, rel=1e-12)
-
-    def test_identical_means(self):
-        spec = MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.4, 0.6])
-        assert c_separability(spec) == 0.0
-
-    def test_p100_norm20(self):
-        means = np.zeros((2, 100))
-        means[1, 0] = 20.0
-        spec = MixtureSpec.create(means, np.ones((2, 100)), [0.5, 0.5])
-        assert c_separability(spec) == pytest.approx(1.0, rel=1e-12)
-
-    def test_symmetry(self):
-        spec = spherical_pair_spec(10, 0.7)
-        assert c_separability(spec, 0, 1) == c_separability(spec, 1, 0)
-
-    def test_rotation_invariance(self):
-        # A signed coordinate permutation is orthogonal and keeps an
-        # axis-aligned covariance axis-aligned.
-        p = 12
-        gen = np.random.default_rng(11)
-        means = gen.standard_normal((2, p))
-        vals = np.abs(gen.standard_normal(p))
-        spec = MixtureSpec.create(means, [vals, np.full(p, 0.5)], [0.5, 0.5])
-        perm = gen.permutation(p)
-        signs = gen.choice([-1.0, 1.0], size=p)
-        rot = signs[:, None] * np.eye(p)[perm]
-        spec_r = MixtureSpec.create(
-            means @ rot.T, [vals[perm], np.full(p, 0.5)], [0.5, 0.5]
-        )
-        assert c_separability(spec_r) == pytest.approx(
-            c_separability(spec), abs=1e-9
-        )
-
-    def test_degenerate(self):
-        spec = MixtureSpec.create(
-            np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)), [0.5, 0.5]
-        )
-        with pytest.raises(DegenerateMixtureError):
-            c_separability(spec)
-
-    def test_index_validation(self):
-        spec = spherical_pair_spec(4, 1.0)
-        with pytest.raises(DomainError):
-            c_separability(spec, 1, 1)
-        with pytest.raises(DomainError):
-            c_separability(spec, 0, 2)
-
-
 class TestMixtureSpecValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DomainError):
@@ -212,21 +142,13 @@ class TestSmallTypes:
         sw = mix.swapped()
         assert (sw.mu1, sw.mu2, sw.sigma1, sw.sigma2, sw.w) == (2.0, 0.0, 3.0, 1.0, 0.7)
 
-    def test_boundary_normalises_direction(self):
-        b = Boundary1D.create([3.0, 4.0], [1.0], 1)
-        assert np.linalg.norm(b.direction) == pytest.approx(1.0, abs=1e-15)
-
-    def test_boundary_sorts_thresholds(self):
-        b = Boundary1D.create([1.0, 0.0], [2.0, -1.0], 0)
-        np.testing.assert_array_equal(b.thresholds, [-1.0, 2.0])
-
     def test_boundary_validation(self):
         with pytest.raises(DomainError):
-            Boundary1D.create([0.0, 0.0], [1.0], 0)
+            Boundary1D(np.array([0.0, 0.0]), np.array([1.0]), 0)
         with pytest.raises(DomainError):
-            Boundary1D.create([1.0], [1.0, 2.0, 3.0], 0)
+            Boundary1D(np.array([1.0]), np.array([1.0, 2.0, 3.0]), 0)
         with pytest.raises(DomainError):
-            Boundary1D.create([1.0], [1.0], 2)
+            Boundary1D(np.array([1.0]), np.array([1.0]), 2)
 
     @pytest.mark.parametrize("direction, thresholds, orientation", [
         ([np.nan, 0.0], [0.5], 0),
@@ -234,14 +156,15 @@ class TestSmallTypes:
         ([1.0, 0.0], [2.0, 1.0, 3.0], 0),
         ([1.0, 0.0], [2.0, 1.0], 0),
         ([1.0, 0.0], [0.5], 7),
+        ([3.0, 4.0], [0.5], 0),
     ])
     def test_boundary_constructor_validates(self, direction, thresholds, orientation):
         with pytest.raises(DomainError):
             Boundary1D(np.array(direction), np.array(thresholds), orientation)
 
-    def test_boundary_create_rejects_nan_threshold(self):
+    def test_boundary_rejects_nan_threshold(self):
         with pytest.raises(DomainError, match="finite thresholds"):
-            Boundary1D.create([1.0, 0.0], [np.nan], 1)
+            Boundary1D(np.array([1.0, 0.0]), np.array([np.nan]), 1)
 
     def test_dataset_validation(self):
         with pytest.raises(DimensionMismatchError):
@@ -261,7 +184,7 @@ class TestSmallTypes:
         assert Dataset(n=2, p=2, points=points).n == 2
 
     def test_cluster_outcome_validation(self):
-        boundary = Boundary1D.create([1.0, 0.0], [0.5], 1)
+        boundary = Boundary1D(np.array([1.0, 0.0]), np.array([0.5]), 1)
         mix = Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             ClusterOutcome(boundary, mix, estimated_error=0.6,
@@ -273,7 +196,7 @@ class TestSmallTypes:
 
 class TestJson:
     def test_outcome_jsonable(self):
-        boundary = Boundary1D.create([1.0, 0.0], [0.5], 1)
+        boundary = Boundary1D(np.array([1.0, 0.0]), np.array([0.5]), 1)
         mix = Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5)
         outcome = ClusterOutcome(boundary, mix, 0.1, 1.2, 3, c_hat=0.9,
                                  achieved=False)
