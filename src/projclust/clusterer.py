@@ -63,7 +63,8 @@ NO_BOUNDARY_ERROR = 0.5
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Scan settings: target error, budget, learner and seed in [0, 2**64)."""
+    """Scan settings: target error, integer budget (not a ``bool``),
+    learner and seed in [0, 2**64)."""
 
     target_error: float
     budget: int
@@ -73,7 +74,8 @@ class ClusterConfig:
     def __post_init__(self):
         if not 0.0 < self.target_error < 0.5:
             raise DomainError("target_error must lie in (0, 0.5)")
-        if not (isinstance(self.budget, numbers.Integral) and self.budget >= 1):
+        if isinstance(self.budget, bool) or not (
+                isinstance(self.budget, numbers.Integral) and self.budget >= 1):
             raise DomainError(f"budget must be an integer >= 1, got {self.budget!r}")
         if self.learner not in LEARNERS:
             raise DomainError(f"unknown learner {self.learner!r}")

@@ -67,7 +67,7 @@ def make_spherical_spec(
     means = np.zeros((2, p))
     means[1, 0] = 2.0 * c * math.sqrt(p) * sigma
     variances = np.full((2, p), sigma * sigma)
-    return MixtureSpec.create(means, variances, np.array([w, 1.0 - w]))
+    return MixtureSpec(means, variances, np.array([w, 1.0 - w]))
 
 
 def make_rank_spec(
@@ -105,7 +105,7 @@ def make_rank_spec(
 
     means = np.zeros((2, p))
     means[1, shared[0]] = 2.0 * c * math.sqrt(p)
-    spec = MixtureSpec.create(means, np.stack([eig1, eig2]), np.array([0.5, 0.5]))
+    spec = MixtureSpec(means, np.stack([eig1, eig2]), np.array([0.5, 0.5]))
     return spec, rank
 
 
@@ -144,10 +144,7 @@ def sample_dataset(
         rows *= sd[block_labels]
         rows += spec.means[block_labels]
     generator_id = f"{shape}:stream={rng.stream_index}"
-    return Dataset(
-        n=n, p=spec.p, points=points, labels=labels,
-        provenance=Provenance(seed=rng.master_seed, generator=generator_id),
-    )
+    return Dataset(points, labels, Provenance(seed=rng.master_seed, generator=generator_id))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +221,7 @@ def read_dataset(path: str) -> Dataset:
     provenance = None
     if seed is not None:
         provenance = Provenance(seed=int(seed), generator=header.get("generator") or "")
-    return Dataset(
-        n=n, p=p, points=points, labels=labels, provenance=provenance,
-    )
+    return Dataset(points, labels, provenance)
 
 
 def export_csv(dataset: Dataset, path: str) -> str:

@@ -125,12 +125,10 @@ def fit_mom(samples: np.ndarray) -> FitReport:
     return fit_mixture(samples, "mom")
 
 
-def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport:
-    """Solve the moment system given [mean, M2, M3, M4]; further entries
-    are ignored.
-
-    ``n`` enables the finite-sample noise gate on the third and fourth
-    cumulants; pass None when feeding exact population moments.
+def fit_mom_from_moments(moments: np.ndarray, n: int) -> FitReport:
+    """Solve the moment system given [mean, M2, M3, M4] of n samples;
+    further entries are ignored.  Below the finite-sample noise gate on
+    the third and fourth cumulants, which n sets, the fit is one Gaussian.
     """
     moments = np.asarray(moments, dtype=float).ravel()
     if moments.size < 4:
@@ -144,11 +142,10 @@ def fit_mom_from_moments(moments: np.ndarray, n: int | None = None) -> FitReport
     m3s = m3 / s**3
     kurt = m4 / s**4 - 3.0
 
-    if n is not None:
-        gate_skew = _CUMULANT_GATE * math.sqrt(6.0 / n)
-        gate_kurt = _CUMULANT_GATE * math.sqrt(24.0 / n)
-        if abs(m3s) < gate_skew and abs(kurt) < gate_kurt:
-            return _single_gaussian_report(mean, s)
+    gate_skew = _CUMULANT_GATE * math.sqrt(6.0 / n)
+    gate_kurt = _CUMULANT_GATE * math.sqrt(24.0 / n)
+    if abs(m3s) < gate_skew and abs(kurt) < gate_kurt:
+        return _single_gaussian_report(mean, s)
 
     v = _largest_cubic_root(0.5 * kurt, -0.5 * (m3s * m3s))
     denom = kurt + 6.0 * v * v
@@ -496,7 +493,7 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
     )
 
 
-def fit_mixture(samples: np.ndarray, method: str = "mom+em") -> FitReport:
+def fit_mixture(samples: np.ndarray, method: str) -> FitReport:
     """Fit with learner ``mom``, ``em`` or ``mom+em`` in unit coordinates.
 
     The samples are centred on their mean and divided by their RMS spread

@@ -77,9 +77,10 @@ def chi2_lower_tail_exponent(dof: int, tau: float) -> float:
 
 
 def check_seed(value, name: str = "seed") -> None:
-    """Raise DomainError unless ``value`` is an integer (numpy's included)
-    in [0, 2**64), the range of one Philox key word."""
-    if not (isinstance(value, numbers.Integral) and 0 <= int(value) < 2**64):
+    """Raise DomainError unless ``value`` is an integer (numpy's included,
+    ``bool`` not) in [0, 2**64), the range of one Philox key word."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and 0 <= int(value) < 2**64):
         raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,23 +43,26 @@ class MixtureSpec:
     Component i has the axis-aligned covariance diag(variances[i]), so
     lambda_max of a covariance is the maximum of its row and the rank of
     a sum of covariances is the nonzero count of the summed rows.
-    ``create`` keeps read-only copies, out of reach of its caller's writes.
+    The constructor keeps checked read-only copies, out of reach of its
+    caller's writes, and reads ``k`` and ``p`` from the means' shape.
     """
 
-    p: int
-    k: int
     means: np.ndarray           # (k, p)
     variances: np.ndarray       # (k, p), each covariance's diagonal
     weights: np.ndarray         # (k,)
+    k: int = field(init=False)
+    p: int = field(init=False)
 
-    @staticmethod
-    def create(means, variances, weights) -> "MixtureSpec":
-        means = np.atleast_2d(np.array(means, dtype=float))
-        variances = np.array(variances, dtype=float)
-        weights = np.array(weights, dtype=float)
+    def __post_init__(self):
+        means = np.atleast_2d(np.array(self.means, dtype=float))
+        variances = np.array(self.variances, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         for array in (means, variances, weights):
             array.flags.writeable = False
         k, p = means.shape
+        for name, value in (("means", means), ("variances", variances),
+                            ("weights", weights), ("k", k), ("p", p)):
+            object.__setattr__(self, name, value)
         if k < 2:
             raise DomainError(f"a mixture needs k >= 2 components, got {k}")
         if variances.shape != (k, p) or weights.size != k:
@@ -74,7 +77,6 @@ class MixtureSpec:
             raise DomainError("each weight must lie in (0, 1)")
         if not abs(float(np.sum(weights)) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
-        return MixtureSpec(p=p, k=k, means=means, variances=variances, weights=weights)
 
 
 class Provenance(NamedTuple):
@@ -92,17 +94,20 @@ class Dataset:
 
     ``points`` and ``labels`` are the caller's arrays, not copies (points
     can fill gigabytes); the checks see them only here, so never write to them.
+    ``n`` and ``p`` are read from the points' shape.
     """
 
-    n: int
-    p: int
     points: np.ndarray                 # (n, p)
     labels: np.ndarray | None = None   # (n,) ints in [0, k)
     provenance: Provenance | None = None
+    n: int = field(init=False)
+    p: int = field(init=False)
 
     def __post_init__(self):
-        if self.points.shape != (self.n, self.p):
-            raise DimensionMismatchError("points shape != (n, p)")
+        if self.points.ndim != 2:
+            raise DimensionMismatchError("points must be a 2-D (n, p) array")
+        object.__setattr__(self, "n", self.points.shape[0])
+        object.__setattr__(self, "p", self.points.shape[1])
         # A finite sum proves every entry finite with no n x p temporary.
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.sum(self.points)
@@ -134,9 +139,6 @@ class Mixture1D:
             raise DomainError("sigmas must be positive")
         if not 0.0 < self.w < 1.0:
             raise DomainError("w must lie in (0, 1)")
-
-    def swapped(self) -> "Mixture1D":
-        return Mixture1D(self.mu2, self.mu1, self.sigma2, self.sigma1, 1.0 - self.w)
 
 
 def clamped_mixture1d(

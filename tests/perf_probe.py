@@ -22,9 +22,9 @@ from projclust.model import Dataset
 def main(n: int = 100_000, p: int = 1000, budget: int = 20, runs: int = 7) -> None:
     points = sample_dataset(make_spherical_spec(p, 1.0), 2 * n, RngStream(0, 0)).points
     shapes = {
-        "base": Dataset(n, p, points[:n]),
-        "2n": Dataset(2 * n, p, points),
-        "2p": Dataset(n, 2 * p, points.reshape(n, 2 * p)),
+        "base": Dataset(points[:n]),
+        "2n": Dataset(points),
+        "2p": Dataset(points.reshape(n, 2 * p)),
     }
     cfg = ClusterConfig(
         target_error=1e-12, budget=budget, learner="mom", seed=1

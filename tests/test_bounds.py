@@ -261,7 +261,7 @@ class TestBetaFullRank:
         )
 
     def test_identical_means_infinite(self):
-        spec = MixtureSpec.create(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
+        spec = MixtureSpec(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
         assert math.isinf(beta_full_rank(spec, 1.0))
 
 
@@ -312,7 +312,7 @@ class TestNonsphericalDirectionProb:
     def test_zero_notes_name_their_cause(self, mode):
         # Coinciding means (beta = inf) are not blamed on the dimension.
         taus = {"tau1": 0.2, "tau2": 0.5} if mode == "rank" else {}
-        equal = MixtureSpec.create(np.zeros((2, 10)), np.ones((2, 10)), [0.5, 0.5])
+        equal = MixtureSpec(np.zeros((2, 10)), np.ones((2, 10)), [0.5, 0.5])
         rep = nonspherical_direction_prob(equal, 1.0, 0.1, mode=mode, **taus)
         assert (rep.value, rep.note) == (0.0, "beta is inf: the two means coincide")
         far = nonspherical_direction_prob(
@@ -370,7 +370,7 @@ class TestNonsphericalInputChecks:
     """The nonspherical bounds check their inputs alike in both modes."""
 
     def test_equal_means_rank_mode_matches_full_mode(self):
-        spec = MixtureSpec.create(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
+        spec = MixtureSpec(np.zeros((2, 5)), np.ones((2, 5)), [0.5, 0.5])
         for mode, taus in (("full", {}), ("rank", {"tau1": 0.2, "tau2": 0.5})):
             prob = nonspherical_direction_prob(spec, 1.0, 0.1, mode=mode, **taus)
             assert prob.value == 0.0 and prob.clamped
@@ -386,7 +386,7 @@ class TestNonsphericalInputChecks:
                 expected_projections_nonspherical(spec, 1.0, mode="bogus", **taus)
 
     def test_three_components_rejected_in_every_path(self):
-        spec = MixtureSpec.create(
+        spec = MixtureSpec(
             np.arange(15.0).reshape(3, 5), np.ones((3, 5)), [0.3, 0.3, 0.4]
         )
         for mode in ("full", "rank"):

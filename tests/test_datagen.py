@@ -218,7 +218,7 @@ class TestFiles:
         assert Path(j1).read_text() == Path(j2).read_text()
 
     def test_sidecar_bytes(self, tmp_path):
-        data = Dataset(n=2, p=1, points=np.zeros((2, 1)), labels=np.array([1, 0]),
+        data = Dataset(np.zeros((2, 1)), labels=np.array([1, 0]),
                        provenance=Provenance(7, "spherical"))
         _, json_path = write_dataset(data, os.path.join(tmp_path, "s"), r=3, zeta=0.25)
         with open(json_path, "rb") as fh:
@@ -229,7 +229,7 @@ class TestFiles:
     def test_payload_is_little_endian_rowmajor(self, tmp_path):
         points = np.array([[1.0, 2.0], [3.0, 4.0]])
         from projclust.model import Dataset
-        ds = Dataset(n=2, p=2, points=points)
+        ds = Dataset(points)
         bin_path, _ = write_dataset(ds, os.path.join(tmp_path, "raw"), k=2)
         raw = np.frombuffer(Path(bin_path).read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw, [1.0, 2.0, 3.0, 4.0])
@@ -323,7 +323,7 @@ def _golden_spec(name):
         variances = [np.full(p, 1.3), np.linspace(2.0, 0.2, p), np.linspace(0.0, 1.5, p)]
         means = np.zeros((3, p))
         means[1, 0], means[2, 1] = 6.0, -5.0
-        return MixtureSpec.create(means, variances, [0.5, 0.3, 0.2])
+        return MixtureSpec(means, variances, [0.5, 0.3, 0.2])
     raise KeyError(name)
 
 
@@ -460,7 +460,7 @@ def test_write_noncontiguous_points_as_row_major(tmp_path, view):
     values = np.arange(1.0, 97.0).reshape(8, 12) / 7.0
     points = values[:6, :8].T if view == "transposed" else values[::2, ::3]
     assert not points.flags.c_contiguous
-    ds = Dataset(n=points.shape[0], p=points.shape[1], points=points)
+    ds = Dataset(points)
     bin_path, _ = write_dataset(ds, os.path.join(tmp_path, view), k=2)
     with open(bin_path, "rb") as fh:
         assert fh.read() == np.ascontiguousarray(points).astype("<f8").tobytes()

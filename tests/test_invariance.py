@@ -45,7 +45,7 @@ def config(learner):
 
 
 def moved(data, points):
-    return Dataset(data.n, data.p, points, data.labels)
+    return Dataset(points, data.labels)
 
 
 class TestRepros:
@@ -127,7 +127,7 @@ def test_row_permutation_keeps_winner(data, learner, seed):
     assert_margin(base_scans(data, cfg), delta)
     order = np.random.default_rng(seed).permutation(data.n)
     base = cluster_gmm(data, cfg)
-    out = cluster_gmm(Dataset(data.n, data.p, data.points[order]), cfg)
+    out = cluster_gmm(Dataset(data.points[order]), cfg)
     assert out.projections_used == base.projections_used
     assert out.achieved == base.achieved
     np.testing.assert_allclose(out.boundary.thresholds, base.boundary.thresholds,

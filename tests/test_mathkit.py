@@ -272,10 +272,11 @@ class TestRngStream:
         with pytest.raises(DomainError):
             RngStream(0, 2**64)
 
-    @pytest.mark.parametrize("seed", [2.5, math.nan, -1, 2**64],
-                             ids=["2.5", "nan", "-1", "2**64"])
+    @pytest.mark.parametrize("seed", [2.5, math.nan, -1, 2**64, False],
+                             ids=["2.5", "nan", "-1", "2**64", "False"])
     def test_seed_must_be_a_64_bit_integer(self, seed):
-        # A float must not be truncated (2.5 would key the stream as 2).
+        # A float must not be truncated (2.5 would key the stream as 2), nor
+        # a bool, a numbers.Integral, pass as 0 or 1.
         with pytest.raises(DomainError, match="master_seed must be an integer"):
             RngStream(seed, 0)
         with pytest.raises(DomainError, match="stream_index must be an integer"):

@@ -26,12 +26,12 @@ UNIT_APART = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]   # ||m1 - m2|| = 1
 
 class TestVariances:
     def test_spherical(self):
-        spec = MixtureSpec.create(UNIT_APART, np.full((2, 3), 3.0), [0.5, 0.5])
+        spec = MixtureSpec(UNIT_APART, np.full((2, 3), 3.0), [0.5, 0.5])
         np.testing.assert_array_equal(spec.variances, np.full((2, 3), 3.0))
 
     def test_axis_aligned(self):
         variances = [[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]]
-        spec = MixtureSpec.create(UNIT_APART, variances, [0.5, 0.5])
+        spec = MixtureSpec(UNIT_APART, variances, [0.5, 0.5])
         np.testing.assert_array_equal(spec.variances, variances)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
@@ -39,28 +39,32 @@ class TestVariances:
         variances = np.ones((2, 3))
         variances[1, 2] = bad
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((2, 3)), variances, [0.5, 0.5])
+            MixtureSpec(np.zeros((2, 3)), variances, [0.5, 0.5])
 
     @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3), (1, 3), (3,)])
     def test_shape_must_be_k_by_p(self, shape):
         with pytest.raises(DimensionMismatchError):
-            MixtureSpec.create(np.zeros((2, 3)), np.ones(shape), [0.5, 0.5])
+            MixtureSpec(np.zeros((2, 3)), np.ones(shape), [0.5, 0.5])
 
 
 class TestSpecArrays:
     @pytest.mark.parametrize("field", ["means", "variances", "weights"])
     def test_caller_writes_do_not_reach_the_spec(self, field):
-        # Regression: create kept the caller's arrays, so a later write
+        # Regression: the spec kept the caller's arrays, so a later write
         # could put a negative variance in a spec that no check had seen.
         arrays = {"means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
                   "weights": np.array([0.5, 0.5])}
-        spec = MixtureSpec.create(**arrays)
+        spec = MixtureSpec(**arrays)
         arrays[field].flat[0] = -1.0
         assert getattr(spec, field).flat[0] != -1.0
 
+    def test_sizes_are_read_from_the_means(self):
+        spec = MixtureSpec(np.zeros((3, 4)), np.ones((3, 4)), [0.2, 0.3, 0.5])
+        assert (spec.k, spec.p) == (3, 4)
+
     @pytest.mark.parametrize("field", ["means", "variances", "weights"])
     def test_spec_arrays_are_read_only(self, field):
-        spec = MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.5])
+        spec = MixtureSpec(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.5])
         with pytest.raises(ValueError, match="read-only"):
             getattr(spec, field).flat[0] = -1.0
 
@@ -72,7 +76,7 @@ def _combined(var1, var2):
     p = len(var1)
     means = np.zeros((2, p))
     means[1, 0] = 1.0
-    spec = MixtureSpec.create(means, [var1, var2], [0.5, 0.5])
+    spec = MixtureSpec(means, [var1, var2], [0.5, 0.5])
     full = nonspherical_direction_prob(spec, 1.0, 0.1)
     rank = nonspherical_direction_prob(spec, 1.0, 0.1, mode="rank", tau1=0.2, tau2=0.5)
     # Full-mode beta is 2 * gamma^2 * lambda_max * p / ||m1 - m2||^2.
@@ -100,27 +104,27 @@ class TestCombined:
 class TestMixtureSpecValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.6])
+            MixtureSpec(np.zeros((2, 3)), np.ones((2, 3)), [0.5, 0.6])
 
     def test_weight_range(self):
         # NaN compares False both ways, so a NaN weight must still fail.
         for weights in ([0.0, 1.0], [math.nan, math.nan], [math.nan, 0.5],
                         [math.inf, -math.inf]):
             with pytest.raises(DomainError):
-                MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), weights)
+                MixtureSpec(np.zeros((2, 3)), np.ones((2, 3)), weights)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_means_must_be_finite(self, bad):
         with pytest.raises(DomainError):
-            MixtureSpec.create(
+            MixtureSpec(
                 [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], np.ones((2, 3)), [0.5, 0.5]
             )
 
     def test_k_and_dims(self):
         with pytest.raises(DomainError):
-            MixtureSpec.create(np.zeros((1, 3)), np.ones((1, 3)), [1.0])
+            MixtureSpec(np.zeros((1, 3)), np.ones((1, 3)), [1.0])
         with pytest.raises(DimensionMismatchError):
-            MixtureSpec.create(np.zeros((2, 3)), np.ones((2, 3)), [0.3, 0.3, 0.4])
+            MixtureSpec(np.zeros((2, 3)), np.ones((2, 3)), [0.3, 0.3, 0.4])
 
 
 class TestSmallTypes:
@@ -136,11 +140,6 @@ class TestSmallTypes:
         mix = clamped_mixture1d(0.0, 2.0, 0.0, 1.0, 0.0)
         assert mix.sigma1 == SIGMA_FLOOR_REL * 2.0
         assert mix.w == 1e-4
-
-    def test_swapped(self):
-        mix = Mixture1D(0.0, 2.0, 1.0, 3.0, 0.3)
-        sw = mix.swapped()
-        assert (sw.mu1, sw.mu2, sw.sigma1, sw.sigma2, sw.w) == (2.0, 0.0, 3.0, 1.0, 0.7)
 
     def test_boundary_validation(self):
         with pytest.raises(DomainError):
@@ -167,21 +166,25 @@ class TestSmallTypes:
             Boundary1D(np.array([1.0, 0.0]), np.array([np.nan]), 1)
 
     def test_dataset_validation(self):
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            Dataset(np.zeros(3))
         with pytest.raises(DimensionMismatchError):
-            Dataset(n=2, p=3, points=np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatchError):
-            Dataset(n=2, p=2, points=np.zeros((2, 2)), labels=np.zeros(3, int))
+            Dataset(np.zeros((2, 2)), labels=np.zeros(3, int))
+
+    def test_dataset_sizes_are_read_from_the_points(self):
+        ds = Dataset(np.zeros((5, 2)), labels=np.zeros(5, int))
+        assert (ds.n, ds.p) == (5, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_dataset_rejects_nonfinite_points(self, bad):
         points = np.ones((4, 3))
         points[2, 1] = bad
         with pytest.raises(DomainError, match="finite"):
-            Dataset(n=4, p=3, points=points)
+            Dataset(points)
 
     def test_dataset_accepts_points_whose_sum_overflows(self):
         points = np.full((2, 2), 1e308)
-        assert Dataset(n=2, p=2, points=points).n == 2
+        assert Dataset(points).n == 2
 
     def test_cluster_outcome_validation(self):
         boundary = Boundary1D(np.array([1.0, 0.0]), np.array([0.5]), 1)
@@ -224,6 +227,6 @@ class TestJson:
             to_json({"s": {1}})
 
     def test_dataset_provenance(self):
-        ds = Dataset(n=1, p=2, points=np.zeros((1, 2)),
+        ds = Dataset(np.zeros((1, 2)),
                      provenance=Provenance(seed=7, generator="gaussian:stream=0"))
         assert ds.provenance.seed == 7

@@ -56,11 +56,11 @@ class TestSampleDirection:
 
 class TestProject:
     def test_axis_projections(self):
-        data = Dataset(n=1, p=2, points=np.array([[1.0, 2.0]]))
+        data = Dataset(np.array([[1.0, 2.0]]))
         assert project_block(data, np.eye(2))[:, 0].tolist() == [1.0, 2.0]
 
     def test_dimension_mismatch(self):
-        data = Dataset(n=1, p=2, points=np.zeros((1, 2)))
+        data = Dataset(np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
             project_block(data, np.array([[1.0, 0.0, 0.0]]))
 
@@ -68,7 +68,7 @@ class TestProject:
         gen = RngStream(3, 0).generator()
         points = gen.standard_normal((5, 300))
         direction = gen.standard_normal(300)
-        values = project_block(Dataset(n=5, p=300, points=points),
+        values = project_block(Dataset(points),
                                direction[np.newaxis])[0]
         for j in range(5):
             exact = math.fsum(points[j] * direction)
@@ -80,7 +80,7 @@ class TestProject:
         gen = RngStream(4, 0).generator()
         points = mean + sigma * gen.standard_normal((n, p))
         direction = gen.standard_normal(p)
-        values = project_block(Dataset(n=n, p=p, points=points),
+        values = project_block(Dataset(points),
                                direction[np.newaxis])[0]
         expected = float(mean @ direction)
         slack = 4.0 * sigma * float(np.linalg.norm(direction)) / math.sqrt(n)
@@ -108,7 +108,7 @@ class TestProjectedMixture:
         gen = np.random.default_rng(5)
         variances = np.abs(gen.standard_normal((2, 5)))
         variances[1, 2] = 0.0
-        spec = MixtureSpec.create(np.zeros((2, 5)), variances, [0.5, 0.5])
+        spec = MixtureSpec(np.zeros((2, 5)), variances, [0.5, 0.5])
         v = gen.standard_normal(5)
         mix = projected_mixture(spec, v)
         for sigma, var in zip((mix.sigma1, mix.sigma2), variances):
@@ -136,7 +136,7 @@ class TestProjectedMixture:
 
     def test_pair_weight_renormalised(self):
         # Components 0 and 1 of three: w0 / (w0 + w1).
-        spec = MixtureSpec.create(np.zeros((3, 4)), np.ones((3, 4)), [0.2, 0.3, 0.5])
+        spec = MixtureSpec(np.zeros((3, 4)), np.ones((3, 4)), [0.2, 0.3, 0.5])
         mix = projected_mixture(spec, np.ones(4))
         assert mix.w == pytest.approx(0.2 / 0.5)
 
@@ -167,7 +167,7 @@ class TestSeparability1D:
         q, r = np.linalg.qr(gen.standard_normal((p, p)))
         rot = q * np.sign(np.diag(r))
         spec = make_spherical_spec(p, 1.2)
-        spec_rot = MixtureSpec.create(spec.means @ rot.T, spec.variances, spec.weights)
+        spec_rot = MixtureSpec(spec.means @ rot.T, spec.variances, spec.weights)
         a = sample_direction(p, RngStream(7, 0).generator())
         g1 = separability_1d(projected_mixture(spec, a))
         g2 = separability_1d(projected_mixture(spec_rot, rot @ a))
@@ -228,7 +228,7 @@ class TestExtendedPrecisionPath:
         gen = RngStream(10, 0).generator()
         points = gen.standard_normal((3, p))
         direction = gen.standard_normal(p)
-        values = project_block(Dataset(n=3, p=p, points=points),
+        values = project_block(Dataset(points),
                                direction[np.newaxis])[0]
         for j in range(3):
             exact = math.fsum(points[j] * direction)
