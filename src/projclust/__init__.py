@@ -47,7 +47,6 @@ from .bounds import (
     kgmm_failure_bound,
     kgmm_projection_bound,
     nonspherical_direction_prob,
-    optimize_tau,
     sample_size_required,
     spherical_direction_prob,
     sublog_regime_check,

@@ -1,6 +1,7 @@
 """Closed-form bounds on projection success probabilities and counts.
 
-All calculators return a :class:`BoundReport` carrying the numeric value,
+All calculators, :func:`sample_size_required` included, return a
+:class:`BoundReport` carrying the numeric value,
 its kind, the inputs it was computed from and a short citation tag naming
 the bound.  Probability bounds are clamped into [0, 1] and count bounds
 are at least 1; any clamping is flagged on the report, never silent.
@@ -20,7 +21,9 @@ once, in a private helper:
   beta = 2*gamma^2*lmax(S1+S2)*p / ||m1-m2||^2, or its rank variant
   beta_r = 2*(1+tau2)*gamma^2*lmax*r / ((1-tau1)*||m1-m2||^2) with
   r = rank(S1+S2), which subtracts two chi-square concentration terms as
-  its corrections.  :func:`_nonspherical_prob_fn` computes beta and beta_r.
+  its corrections.  :func:`nonspherical_direction_prob` computes beta and
+  beta_r.  Each calculator's default ``tau=None`` takes the best tau on
+  ``TAU_GRID``.
 * The count bound, :func:`_count_bound`.  The expected number of
   directions to scan is at most 1/P for any such probability bound P, and
   unbounded (reported as inf) when P is zero.
@@ -47,7 +50,7 @@ from .mathkit import (
 )
 from .model import MixtureSpec
 
-TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64))
+TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64).tolist())
 
 _PROB_KINDS = ("probability_lower", "probability_upper", "error_upper")
 _COUNT_KINDS = ("count_upper",)
@@ -84,23 +87,36 @@ def _clamp_probability(value: float) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 
 def _direction_prob(
-    x: float, p: int, tau: float, inputs: dict, citation: str, symbol: str,
-    corrections: float = 0.0,
+    x: float, p: int, tau: float | None, inputs: dict, citation: str,
+    symbol: str, corrections: float = 0.0,
 ) -> BoundReport:
     """The direction-probability bound at x in {alpha, beta, beta_r} (see
-    the module docstring); ``symbol`` names x in the note of a zero.  x is
-    inf when the two means coincide, at float precision beside gamma."""
+    the module docstring); ``symbol`` names x in the note of a zero.
+    ``tau=None`` takes the first tau on ``TAU_GRID`` with the largest
+    value; ``inputs["tau"]`` is set to the tau used."""
+    if tau is not None and not 0.0 < tau < math.inf:
+        raise DomainError("tau must be positive and finite")
+    taus = TAU_GRID if tau is None else (tau,)
     if x >= p:
-        value, clamped = 0.0, True
-        note = (f"{symbol} is inf: the two means coincide" if x == math.inf
-                else f"{symbol} >= p: bound degenerates to zero")
-    else:
-        arg = x * (1.0 - 1.0 / p) / (1.0 - x / p) * (1.0 + tau)
-        tail = chi2_upper_tail_exponent(p - 1, tau)
-        raw = 2.0 * q_function(math.sqrt(arg)) * (1.0 - tail) - corrections
-        value, clamped = _clamp_probability(raw)
-        note = "corrections exceed main term" if clamped and raw < 0.0 else ""
-    return BoundReport(value, "probability_lower", inputs, citation, clamped, note)
+        return BoundReport(0.0, "probability_lower", {**inputs, "tau": taus[0]},
+                           citation, True, f"{symbol} >= p: bound degenerates to zero")
+    scale = x * (1.0 - 1.0 / p) / (1.0 - x / p)
+    raws = ((t, 2.0 * q_function(math.sqrt(scale * (1.0 + t)))
+             * (1.0 - chi2_upper_tail_exponent(p - 1, t)) - corrections)
+            for t in taus)
+    tau, raw = max(raws, key=lambda pair: _clamp_probability(pair[1])[0])
+    value, clamped = _clamp_probability(raw)
+    note = "corrections exceed main term" if clamped and raw < 0.0 else ""
+    return BoundReport(value, "probability_lower", {**inputs, "tau": tau},
+                       citation, clamped, note)
+
+
+def _square(v: float) -> float:
+    """v**2, or inf where float ** raises OverflowError instead."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
 def _count_bound(prob: float, inputs: dict, citation: str) -> BoundReport:
@@ -140,7 +156,7 @@ def hd_bayes_error_bound(c: float, p: int) -> BoundReport:
 
 
 def spherical_direction_prob(
-    gamma: float, c: float, p: int, tau: float
+    gamma: float, c: float, p: int, tau: float | None = None
 ) -> BoundReport:
     """Lower bound on P(one random direction keeps gamma-separation),
     for spherical components with high-dimensional separation c."""
@@ -150,21 +166,9 @@ def spherical_direction_prob(
         raise DomainError("c must be positive and finite")
     if p < 2:
         raise DomainError("p must be >= 2")
-    if not 0.0 < tau < math.inf:
-        raise DomainError("tau must be positive and finite")
-    alpha = (gamma / c) ** 2
+    alpha = _square(gamma / c)
     inputs = {"gamma": gamma, "c": c, "p": p, "tau": tau, "alpha": alpha}
     return _direction_prob(alpha, p, tau, inputs, "spherical-direction-prob", "alpha")
-
-
-def optimize_tau(prob_fn) -> tuple[float, BoundReport]:
-    """Maximise a tau-parametrised bound over ``TAU_GRID``.
-
-    ``prob_fn`` maps tau to a BoundReport; the first grid point achieving
-    the maximum wins, so the result is reproducible.
-    """
-    return max(((float(tau), prob_fn(float(tau))) for tau in TAU_GRID),
-               key=lambda pair: pair[1].value)
 
 
 def expected_projections_spherical(
@@ -174,8 +178,7 @@ def expected_projections_spherical(
     gamma-separable projection appears (spherical components).
 
     ``p=None`` gives the large-p limit 1/(2*Q(gamma/c)); a finite p uses
-    the finite-dimension probability bound with tau optimised on the
-    standard grid.
+    the finite-dimension probability bound at its best tau on ``TAU_GRID``.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError("gamma must be nonnegative and finite")
@@ -185,8 +188,9 @@ def expected_projections_spherical(
         prob = 2.0 * q_function(gamma / c)
         inputs = {"gamma": gamma, "c": c, "p": None}
     else:
-        tau, report = optimize_tau(lambda t: spherical_direction_prob(gamma, c, p, t))
-        prob, inputs = report.value, {"gamma": gamma, "c": c, "p": p, "tau": tau}
+        report = spherical_direction_prob(gamma, c, p)
+        prob = report.value
+        inputs = {"gamma": gamma, "c": c, "p": p, "tau": report.inputs["tau"]}
     return _count_bound(prob, inputs, "projections-spherical")
 
 
@@ -203,13 +207,9 @@ def sublog_regime_check(
         raise DomainError("eta must be positive and finite")
     if p <= math.e:
         raise DomainError("p must exceed e so that ln(ln(p)) is positive")
-    if not 0.0 < c < math.inf:
-        raise DomainError("c must be positive and finite")
-    if not 0.0 <= gamma < math.inf:
-        raise DomainError("gamma must be nonnegative and finite")
+    count = expected_projections_spherical(gamma, c, p)
     in_o_ln_p = gamma / c <= math.log(math.log(p)) ** (0.5 * (1.0 - eta))
     in_o_p = gamma / c <= math.log(p) ** (0.5 * (1.0 - eta))
-    count = expected_projections_spherical(gamma, c, p)
     report = replace(
         count,
         inputs={**count.inputs, "eta": eta,
@@ -237,7 +237,7 @@ def kgmm_failure_bound(
         raise DomainError("k must be >= 2")
     if p < 1:
         raise DomainError("p must be >= 1")
-    ratio_sq = (gamma_min / c_min) ** 2
+    ratio_sq = _square(gamma_min / c_min)
     if ratio_sq >= p:
         raise DomainError("requires gamma_min^2 / c_min^2 < p")
     arg = (gamma_min / c_min) * math.sqrt(1.1 / (1.0 - ratio_sq / p))
@@ -279,14 +279,24 @@ def kgmm_projection_bound(c_min: float, k: int, alpha: float) -> BoundReport:
 # Non-spherical bounds
 # ---------------------------------------------------------------------------
 
-def _nonspherical_prob_fn(
-    spec: MixtureSpec, gamma: float, mode: str,
-    tau1: float | None, tau2: float | None,
-):
-    """The map tau -> :func:`nonspherical_direction_prob` at fixed (mode,
-    tau1, tau2).  beta (inf when the two means coincide), r and the
-    chi-square corrections do not depend on tau, so they are computed
-    once, here."""
+def nonspherical_direction_prob(
+    spec: MixtureSpec,
+    gamma: float,
+    tau: float | None = None,
+    mode: str = "full",
+    tau1: float | None = None,
+    tau2: float | None = None,
+) -> BoundReport:
+    """Lower bound on the gamma-separation probability of one direction.
+    It holds for any PSD pair (Sigma1, Sigma2); the package represents
+    axis-aligned ones.
+
+    ``mode="full"`` uses the full-dimension beta.  ``mode="rank"``
+    recomputes beta from rank(Sigma1+Sigma2) with concentration slack
+    (tau1, tau2) and subtracts the two corresponding chi-square terms,
+    which tightens the bound when the rank is far below p.  beta is inf
+    when the two means coincide.
+    """
     p = spec.p
     if p < 2:
         raise DomainError("p must be >= 2")
@@ -299,47 +309,28 @@ def _nonspherical_prob_fn(
     diff_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
     if mode == "full":
         beta = math.inf if diff_sq == 0.0 else 2.0 * gamma * gamma * lmax * p / diff_sq
-        return lambda tau: _direction_prob(
+        report = _direction_prob(
             beta, p, tau, {"gamma": gamma, "p": p, "tau": tau, "beta": beta},
             "nonspherical-direction-prob", "beta")
-    if mode != "rank":
+    elif mode == "rank":
+        if tau1 is None or tau2 is None:
+            raise DomainError("rank mode requires tau1 and tau2")
+        if not 0.0 < tau1 < 1.0:
+            raise DomainError("tau1 must lie in (0, 1)")
+        if not 0.0 < tau2 < math.inf:
+            raise DomainError("tau2 must be positive and finite")
+        r = int(np.count_nonzero(summed))
+        beta = math.inf if diff_sq == 0.0 else (
+            2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq))
+        corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
+        report = _direction_prob(
+            beta, p, tau, {"gamma": gamma, "p": p, "r": r, "tau": tau,
+                           "tau1": tau1, "tau2": tau2, "beta": beta},
+            "rank-direction-prob", "beta", corrections)
+    else:
         raise DomainError(f"unknown mode {mode!r}")
-    if tau1 is None or tau2 is None:
-        raise DomainError("rank mode requires tau1 and tau2")
-    if not 0.0 < tau1 < 1.0:
-        raise DomainError("tau1 must lie in (0, 1)")
-    if not 0.0 < tau2 < math.inf:
-        raise DomainError("tau2 must be positive and finite")
-    r = int(np.count_nonzero(summed))
-    beta = math.inf if diff_sq == 0.0 else (
-        2.0 * (1.0 + tau2) * gamma * gamma * lmax * r / ((1.0 - tau1) * diff_sq))
-    corrections = chi2_lower_tail_exponent(p, tau1) + chi2_upper_tail_exponent(r, tau2)
-    return lambda tau: _direction_prob(
-        beta, p, tau, {"gamma": gamma, "p": p, "r": r, "tau": tau,
-                       "tau1": tau1, "tau2": tau2, "beta": beta},
-        "rank-direction-prob", "beta", corrections)
-
-
-def nonspherical_direction_prob(
-    spec: MixtureSpec,
-    gamma: float,
-    tau: float,
-    mode: str = "full",
-    tau1: float | None = None,
-    tau2: float | None = None,
-) -> BoundReport:
-    """Lower bound on the gamma-separation probability of one direction.
-    It holds for any PSD pair (Sigma1, Sigma2); the package represents
-    axis-aligned ones.
-
-    ``mode="full"`` uses the full-dimension beta.  ``mode="rank"``
-    recomputes beta from rank(Sigma1+Sigma2) with concentration slack
-    (tau1, tau2) and subtracts the two corresponding chi-square terms,
-    which tightens the bound when the rank is far below p.
-    """
-    if not 0.0 < tau < math.inf:
-        raise DomainError("tau must be positive and finite")
-    return _nonspherical_prob_fn(spec, gamma, mode, tau1, tau2)(tau)
+    return (replace(report, note="beta is inf: the two means coincide")
+            if diff_sq == 0.0 else report)
 
 
 def expected_projections_nonspherical(
@@ -351,8 +342,8 @@ def expected_projections_nonspherical(
 ) -> BoundReport:
     """Expected-projection-count bound for arbitrary covariances: the
     inverse of :func:`nonspherical_direction_prob` at the mixture's own
-    dimension, with tau optimised on ``TAU_GRID`` (rank mode takes the
-    given tau1 and tau2).
+    dimension and its best tau on ``TAU_GRID`` (rank mode takes the given
+    tau1 and tau2).
 
     For beta = ``nonspherical_direction_prob(...).inputs["beta"]`` the
     large-p limit 1/(2*Q(sqrt(beta))) is
@@ -360,7 +351,7 @@ def expected_projections_nonspherical(
     o(ln p) regime flag is ``sublog_regime_check(math.sqrt(beta), 1.0, p,
     eta)``.
     """
-    _, prob_report = optimize_tau(_nonspherical_prob_fn(spec, gamma, mode, tau1, tau2))
+    prob_report = nonspherical_direction_prob(spec, gamma, None, mode, tau1, tau2)
     return _count_bound(prob_report.value, {**prob_report.inputs, "mode": mode},
                         "projections-nonspherical")
 
@@ -372,10 +363,10 @@ def expected_projections_nonspherical(
 SAMPLE_SIZE_CONSTANT = 64
 
 
-def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> int:
+def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> BoundReport:
     """Samples sufficient for parameter accuracy epsilon at confidence
     1 - delta: max(ceil(C/eps^2 * ln(1/delta)), ceil(1/(2*gamma_min)^12))
-    with C = ``SAMPLE_SIZE_CONSTANT``.
+    with C = ``SAMPLE_SIZE_CONSTANT``, reported as an int.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -390,7 +381,9 @@ def sample_size_required(epsilon: float, delta: float, gamma_min: float) -> int:
     # anyway; capping there keeps (2*gamma_min)^12 from overflowing.
     second = _finite_size("1/(2*gamma_min)^12",
                           lambda: 1.0 / (2.0 * min(gamma_min, 0.5)) ** 12)
-    return max(math.ceil(first), math.ceil(second), 1)
+    n = max(math.ceil(first), math.ceil(second), 1)
+    return BoundReport(n, "count_upper", {"epsilon": epsilon, "delta": delta,
+                                          "gamma_min": gamma_min}, "sample-size")
 
 
 def _finite_size(term: str, compute) -> float:
@@ -419,21 +412,22 @@ def error_gap_bound(
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
     log_odds = math.log((1.0 - w_min) / w_min)
-    gate = (16.0 * gamma_max**2 + 8.0 * gamma_max * log_odds
+    gate = (16.0 * _square(gamma_max) + 8.0 * gamma_max * log_odds
             + 2.0 * gamma_max * epsilon) * epsilon
     if gate >= 0.5:
         raise DomainError(
             "requires (16*gamma_max^2 + 8*gamma_max*ln((1-w_min)/w_min)"
             f" + 2*gamma_max*eps)*eps < 1/2, got {gate:.4g}"
         )
-    coeff = (
+    coeff = _finite_size("the eps coefficient", lambda: (
         2.0 * gamma
         + 1.0 / (w_min * gamma)
         + (1.0 / gamma + 2.0 * gamma) * log_odds
         + 8.0 * gamma_max**2 / gamma
         + 2.0 * gamma * (4.0 * gamma + 2.0 * log_odds) ** 2
-    )
-    value = coeff * epsilon + q_function(1.0 / (4.0 * gamma * epsilon))
+    ))
+    tail_arg = _finite_size("1/(4*gamma*eps)", lambda: 1.0 / (4.0 * gamma * epsilon))
+    value = coeff * epsilon + q_function(tail_arg)
     return BoundReport(
         value=value,
         kind="gap_upper",

@@ -200,12 +200,7 @@ def _cmd_bounds(args) -> int:
     if args.bound == "hd-error":
         report = bnd.hd_bayes_error_bound(args.c, args.p)
     elif args.bound == "direction-prob":
-        if args.tau is None:
-            _, report = bnd.optimize_tau(
-                lambda t: bnd.spherical_direction_prob(args.gamma, args.c, args.p, t)
-            )
-        else:
-            report = bnd.spherical_direction_prob(args.gamma, args.c, args.p, args.tau)
+        report = bnd.spherical_direction_prob(args.gamma, args.c, args.p, args.tau)
     elif args.bound == "projections":
         report = bnd.expected_projections_spherical(args.gamma, args.c, args.p)
     elif args.bound == "kgmm":
@@ -221,14 +216,7 @@ def _cmd_bounds(args) -> int:
             tau1=args.tau1, tau2=args.tau2,
         )
     elif args.bound == "sample-size":
-        n = bnd.sample_size_required(args.eps, args.delta, args.gamma_min)
-        print(model.to_json({
-            "value": n, "kind": "count_upper",
-            "inputs": {"epsilon": args.eps, "delta": args.delta,
-                       "gamma_min": args.gamma_min},
-            "citation": "sample-size",
-        }))
-        return EXIT_OK
+        report = bnd.sample_size_required(args.eps, args.delta, args.gamma_min)
     elif args.bound == "error-gap":
         report = bnd.error_gap_bound(args.gamma, args.gamma_max, args.w_min, args.eps)
     else:  # pragma: no cover - argparse restricts choices

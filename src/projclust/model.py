@@ -59,6 +59,8 @@ class MixtureSpec:
         weights = np.array(self.weights, dtype=float)
         for array in (means, variances, weights):
             array.flags.writeable = False
+        if means.ndim != 2:
+            raise DimensionMismatchError("means must be a 2-D (k, p) array")
         k, p = means.shape
         for name, value in (("means", means), ("variances", variances),
                             ("weights", weights), ("k", k), ("p", p)):
@@ -104,8 +106,8 @@ class Dataset:
     p: int = field(init=False)
 
     def __post_init__(self):
-        if self.points.ndim != 2:
-            raise DimensionMismatchError("points must be a 2-D (n, p) array")
+        if not (isinstance(self.points, np.ndarray) and self.points.ndim == 2):
+            raise DimensionMismatchError("points must be a 2-D (n, p) numpy array")
         object.__setattr__(self, "n", self.points.shape[0])
         object.__setattr__(self, "p", self.points.shape[1])
         # A finite sum proves every entry finite with no n x p temporary.
@@ -114,6 +116,9 @@ class Dataset:
         if not (np.isfinite(total) or np.isfinite(self.points).all()):
             raise DomainError("points must be finite")
         if self.labels is not None:
+            if not (isinstance(self.labels, np.ndarray)
+                    and np.issubdtype(self.labels.dtype, np.integer)):
+                raise DomainError("labels must be a numpy integer array")
             if self.labels.shape != (self.n,):
                 raise DimensionMismatchError("labels length != n")
             if self.labels.size and int(self.labels.min()) < 0:

@@ -16,11 +16,7 @@ import time
 
 import numpy as np
 
-from projclust.bounds import (
-    kgmm_failure_bound,
-    optimize_tau,
-    spherical_direction_prob,
-)
+from projclust.bounds import kgmm_failure_bound, spherical_direction_prob
 from projclust.datagen import SHAPES
 from projclust.experiments import (
     acc_vs_sep,
@@ -67,9 +63,7 @@ def test_criterion_2_direction_probability_lower_bound():
                                      seed=SEED, stream_base=10_000 * p)
         for ratio in ratios:
             emp = float(np.mean(gammas >= ratio))
-            tau, rep = optimize_tau(
-                lambda t: spherical_direction_prob(ratio, 1.0, p, t)
-            )
+            rep = spherical_direction_prob(ratio, 1.0, p)
             se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / n_dirs)
             ok = rep.value <= emp + 3.0 * se
             details.append(f"p={p} g/c={ratio}: bound={rep.value:.4f} emp={emp:.4f}")

@@ -18,7 +18,6 @@ from projclust.bounds import (
     kgmm_failure_bound,
     kgmm_projection_bound,
     nonspherical_direction_prob,
-    optimize_tau,
     sample_size_required,
     spherical_direction_prob,
     sublog_regime_check,
@@ -96,6 +95,13 @@ class TestSphericalDirectionProb:
         assert rep.clamped
         assert "zero" in rep.note
 
+    @pytest.mark.parametrize("tau", [None, 0.1])
+    def test_alpha_past_float_range_is_the_zero_limit(self, tau):
+        # (gamma/c)**2 overflows; the limit alpha = inf >= p is a zero bound.
+        rep = spherical_direction_prob(1e200, 1.0, 10, tau)
+        assert rep.inputs["alpha"] == math.inf
+        assert (rep.value, rep.note) == (0.0, "alpha >= p: bound degenerates to zero")
+
     def test_domain(self):
         with pytest.raises(DomainError):
             spherical_direction_prob(1.0, 0.0, 100, 0.1)
@@ -106,27 +112,32 @@ class TestSphericalDirectionProb:
 
 
 class TestOptimizeTau:
+    """``tau=None`` takes the first tau on TAU_GRID with the largest value."""
+
     def test_dominates_any_grid_point(self):
-        fn = lambda t: spherical_direction_prob(1.0, 1.0, 1000, t)
-        _, best = optimize_tau(fn)
-        assert best.value >= fn(0.1).value
+        best = spherical_direction_prob(1.0, 1.0, 1000)
+        assert best.value >= spherical_direction_prob(1.0, 1.0, 1000, 0.1).value
+        assert best.value == max(spherical_direction_prob(1.0, 1.0, 1000, t).value
+                                 for t in TAU_GRID)
+        assert best.inputs["tau"] in TAU_GRID
 
     def test_large_p_approaches_limit(self):
-        fn = lambda t: spherical_direction_prob(1.0, 1.0, 10**6, t)
-        tau, best = optimize_tau(fn)
+        best = spherical_direction_prob(1.0, 1.0, 10**6)
         assert best.value == pytest.approx(2.0 * q_function(1.0), rel=0.01)
-        assert tau < 0.1
+        assert best.inputs["tau"] < 0.1
 
     @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
     def test_monotone_in_p(self, ratio):
-        _, small = optimize_tau(lambda t: spherical_direction_prob(ratio, 1.0, 100, t))
-        _, big = optimize_tau(lambda t: spherical_direction_prob(ratio, 1.0, 10_000, t))
+        small = spherical_direction_prob(ratio, 1.0, 100)
+        big = spherical_direction_prob(ratio, 1.0, 10_000)
         assert big.value >= small.value
 
     def test_deterministic(self):
-        fn = lambda t: spherical_direction_prob(0.8, 1.0, 500, t)
-        assert optimize_tau(fn)[0] == optimize_tau(fn)[0]
+        first = spherical_direction_prob(0.8, 1.0, 500)
+        assert first.inputs["tau"] == spherical_direction_prob(0.8, 1.0, 500).inputs["tau"]
         assert len(TAU_GRID) == 64
+        # Ties go to the first grid point: every tau gives zero here.
+        assert spherical_direction_prob(10.0, 1.0, 25).inputs["tau"] == TAU_GRID[0]
 
 
 class TestExpectedProjectionsSpherical:
@@ -319,6 +330,14 @@ class TestNonsphericalDirectionProb:
             make_spherical_spec(10, 0.1), 5.0, 0.1, mode=mode, **taus)
         assert (far.value, far.note) == (0.0, "beta >= p: bound degenerates to zero")
 
+    @pytest.mark.parametrize("mode", ["full", "rank"])
+    def test_overflowing_beta_is_not_blamed_on_coinciding_means(self, mode):
+        taus = {"tau1": 0.2, "tau2": 0.5} if mode == "rank" else {}
+        rep = nonspherical_direction_prob(
+            make_spherical_spec(10, 1.0), 1e300, 0.1, mode=mode, **taus)
+        assert rep.inputs["beta"] == math.inf
+        assert (rep.value, rep.note) == (0.0, "beta >= p: bound degenerates to zero")
+
     def test_rank_mode_requires_taus(self):
         spec = make_spherical_spec(10, 1.0)
         with pytest.raises(DomainError):
@@ -442,14 +461,14 @@ class TestNonsphericalInputChecks:
 class TestSampleSizeRequired:
     def test_reference(self):
         # ceil(64/0.01 * ln 20) = ceil(19172.69) = 19173
-        assert sample_size_required(0.1, 0.05, 1.0) == 19173
+        assert sample_size_required(0.1, 0.05, 1.0).value == 19173
 
     def test_gamma_term_dominates(self):
-        assert sample_size_required(0.5, 0.5, 0.25) == 4096
+        assert sample_size_required(0.5, 0.5, 0.25).value == 4096
 
     def test_epsilon_scaling(self):
-        big = sample_size_required(0.05, 0.05, 1.0)
-        small = sample_size_required(0.1, 0.05, 1.0)
+        big = sample_size_required(0.05, 0.05, 1.0).value
+        small = sample_size_required(0.1, 0.05, 1.0).value
         assert big == pytest.approx(4 * small, rel=1e-3)
 
     def test_domain(self):
@@ -474,7 +493,7 @@ class TestSampleSizeRequired:
 
     def test_large_gamma_min_leaves_the_epsilon_term(self):
         # (2*gamma_min)^12 overflows here, but the term it divides is below 1.
-        assert sample_size_required(0.1, 0.05, 1e200) == 19173
+        assert sample_size_required(0.1, 0.05, 1e200).value == 19173
 
 
 class TestErrorGapBound:
@@ -518,9 +537,7 @@ class TestLowerBoundsAgainstMonteCarlo:
         n_dirs = 20_000
         for ratio in (0.25, 0.5, 1.0, 1.5, 2.0):
             emp = empirical_direction_prob(ratio, 1.0, p, n_dirs, seed=50 + p)
-            _, rep = optimize_tau(
-                lambda t: spherical_direction_prob(ratio, 1.0, p, t)
-            )
+            rep = spherical_direction_prob(ratio, 1.0, p)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / n_dirs)
             assert rep.value <= emp + 3 * se
 

@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from projclust.bounds import BoundReport
 from projclust.cli import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_OK,
@@ -237,6 +239,48 @@ class TestBounds:
         code, stdout, stderr = run_main(capsys, *argv)
         assert code == EXIT_USAGE_OR_IO and stdout == ""
         assert re.search(rf"\b{name}\b", stderr), stderr
+
+    @pytest.mark.parametrize("argv, code, expected", [
+        (["direction-prob", "--gamma", "1e200", "--c", "1", "--p", "10"],
+         EXIT_OK, "alpha >= p: bound degenerates to zero"),
+        (["projections", "--gamma", "1e200", "--c", "1", "--p", "10"],
+         EXIT_OK, "probability bound is zero: count unbounded"),
+        (["kgmm", "--gamma-min", "1e200", "--c-min", "1", "--k", "3", "--p", "10"],
+         EXIT_USAGE_OR_IO, "error: requires gamma_min^2 / c_min^2 < p"),
+        (["error-gap", "--gamma", "1", "--gamma-max", "1e200", "--w-min", "0.5",
+          "--eps", "0.01"], EXIT_USAGE_OR_IO, "error: requires (16*gamma_max^2"),
+        (["error-gap", "--gamma", "1e-200", "--gamma-max", "1", "--w-min", "0.5",
+          "--eps", "1e-200"], EXIT_USAGE_OR_IO,
+         "error: 1/(4*gamma*eps) is not a finite float"),
+    ], ids=["direction-prob", "projections", "kgmm", "error-gap-gamma-max",
+            "error-gap-eps"])
+    def test_finite_input_past_float_range_gives_the_limit_or_names_the_term(
+            self, capsys, argv, code, expected):
+        # Each of these raised OverflowError or ZeroDivisionError from
+        # float arithmetic, which the CLI printed as a traceback.
+        got, stdout, stderr = run_main(capsys, "bounds", *argv)
+        assert got == code
+        assert expected in (json.loads(stdout)["note"] if code == EXIT_OK else stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["hd-error", "--c", "1", "--p", "4"],
+        ["direction-prob", "--gamma", "1", "--c", "1", "--p", "1000"],
+        ["direction-prob", "--gamma", "1", "--c", "1", "--p", "1000", "--tau", "0.1"],
+        ["projections", "--gamma", "1.49", "--c", "1", "--p", "10000"],
+        ["projections", "--gamma", "1.49", "--c", "1", "--asymptotic"],
+        ["kgmm", "--gamma-min", "0.1", "--c-min", "1", "--k", "2", "--p", "10000"],
+        ["kgmm-projections", "--c-min", "1", "--k", "3", "--alpha", "0.2"],
+        ["rank", "--p", "1000", "--c", "0.5", "--zeta", "0.0334", "--gamma", "1.75"],
+        ["sample-size", "--eps", "0.1", "--delta", "0.05", "--gamma-min", "1"],
+        ["error-gap", "--gamma", "1", "--gamma-max", "1", "--w-min", "0.5",
+         "--eps", "0.01"],
+    ], ids=["hd-error", "direction-prob", "direction-prob-tau", "projections-p",
+            "projections-asymptotic", "kgmm", "kgmm-projections", "rank",
+            "sample-size", "error-gap"])
+    def test_every_bound_prints_one_report_form(self, capsys, argv):
+        code, stdout, _ = run_main(capsys, "bounds", *argv)
+        assert code == EXIT_OK
+        assert set(json.loads(stdout)) == {f.name for f in fields(BoundReport)}
 
     def test_projections_takes_p_or_asymptotic_not_both(self, capsys):
         code, stdout, _ = run_main(

@@ -125,6 +125,8 @@ class TestMixtureSpecValidation:
             MixtureSpec(np.zeros((1, 3)), np.ones((1, 3)), [1.0])
         with pytest.raises(DimensionMismatchError):
             MixtureSpec(np.zeros((2, 3)), np.ones((2, 3)), [0.3, 0.3, 0.4])
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            MixtureSpec(np.zeros((2, 3, 1)), np.ones((2, 3)), [0.5, 0.5])
 
 
 class TestSmallTypes:
@@ -170,6 +172,13 @@ class TestSmallTypes:
             Dataset(np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             Dataset(np.zeros((2, 2)), labels=np.zeros(3, int))
+        # Labels are ints in [0, k), and neither field converts a list.
+        with pytest.raises(DomainError, match="integer"):
+            Dataset(np.zeros((2, 2)), labels=np.array([0.5, 1.5]))
+        with pytest.raises(DomainError, match="numpy"):
+            Dataset([[0.0, 1.0]])
+        with pytest.raises(DomainError, match="numpy"):
+            Dataset(np.zeros((2, 2)), labels=[0, 1])
 
     def test_dataset_sizes_are_read_from_the_points(self):
         ds = Dataset(np.zeros((5, 2)), labels=np.zeros(5, int))

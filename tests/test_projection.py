@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projclust.bounds import optimize_tau, spherical_direction_prob
+from projclust.bounds import spherical_direction_prob
 from projclust.datagen import make_spherical_spec
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream, q_function
@@ -214,9 +214,7 @@ class TestDirectionLaws:
         frac = float(np.mean(gammas > self.c))
         assert 0.25 < frac < 0.45
         # Cross-check against the closed-form lower bound at optimised tau.
-        _, report = optimize_tau(
-            lambda t: spherical_direction_prob(self.c, self.c, self.p, t)
-        )
+        report = spherical_direction_prob(self.c, self.c, self.p)
         assert report.value <= frac + 3.0 * math.sqrt(frac * (1 - frac) / gammas.size)
         # and the limit form 2Q(1) is the right scale
         assert abs(frac - 2.0 * q_function(1.0)) < 0.05
