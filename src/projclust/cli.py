@@ -60,6 +60,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True,
                      help="base path; writes <out>.bin and <out>.json")
     gen.add_argument("--csv", default=None, help="also export CSV here")
+    gen.set_defaults(run=_cmd_gen)
 
     cluster = sub.add_parser("cluster", help="cluster a dataset file")
     cluster.add_argument("--in", dest="input", required=True,
@@ -69,6 +70,7 @@ def _build_parser() -> _Parser:
                          help="default: 3*ceil(ln p)")
     cluster.add_argument("--learner", default=SCAN_LEARNER, choices=LEARNERS)
     cluster.add_argument("--seed", type=int, default=0)
+    cluster.set_defaults(run=_cmd_cluster)
 
     bounds_p = sub.add_parser("bounds", help="bound calculators")
     bsub = bounds_p.add_subparsers(dest="bound", required=True)
@@ -76,6 +78,7 @@ def _build_parser() -> _Parser:
     b = bsub.add_parser("hd-error", help="optimal-error bound in R^p")
     b.add_argument("--c", type=float, required=True)
     b.add_argument("--p", type=int, required=True)
+    _bound(b, lambda a: bnd.hd_bayes_error_bound(a.c, a.p))
 
     b = bsub.add_parser("direction-prob",
                         help="P(one direction keeps gamma-separation)")
@@ -84,6 +87,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--tau", type=float, default=None,
                    help="default: optimised on the standard grid")
+    _bound(b, lambda a: bnd.spherical_direction_prob(a.gamma, a.c, a.p, a.tau))
 
     b = bsub.add_parser("projections", help="expected projections to reach gamma")
     b.add_argument("--gamma", type=float, required=True)
@@ -91,17 +95,20 @@ def _build_parser() -> _Parser:
     dimension = b.add_mutually_exclusive_group(required=True)
     dimension.add_argument("--p", type=int)
     dimension.add_argument("--asymptotic", action="store_true")
+    _bound(b, lambda a: bnd.expected_projections_spherical(a.gamma, a.c, a.p))
 
     b = bsub.add_parser("kgmm", help="k-component pairwise failure bound")
     b.add_argument("--gamma-min", type=float, required=True)
     b.add_argument("--c-min", type=float, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--p", type=int, required=True)
+    _bound(b, lambda a: bnd.kgmm_failure_bound(a.gamma_min, a.c_min, a.k, a.p))
 
     b = bsub.add_parser("kgmm-projections", help="k-component count bound")
     b.add_argument("--c-min", type=float, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--alpha", type=float, required=True)
+    _bound(b, lambda a: bnd.kgmm_projection_bound(a.c_min, a.k, a.alpha))
 
     b = bsub.add_parser("rank", help="rank-controlled direction bound")
     b.add_argument("--p", type=int, required=True)
@@ -112,17 +119,20 @@ def _build_parser() -> _Parser:
     b.add_argument("--tau1", type=float, default=0.2)
     b.add_argument("--tau2", type=float, default=0.5)
     b.add_argument("--seed", type=int, default=0)
+    _bound(b, _rank_bound)
 
     b = bsub.add_parser("sample-size", help="sample complexity")
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--gamma-min", type=float, required=True)
+    _bound(b, lambda a: bnd.sample_size_required(a.eps, a.delta, a.gamma_min))
 
     b = bsub.add_parser("error-gap", help="plug-in vs optimal error gap")
     b.add_argument("--gamma", type=float, required=True)
     b.add_argument("--gamma-max", type=float, required=True)
     b.add_argument("--w-min", type=float, required=True)
     b.add_argument("--eps", type=float, required=True)
+    _bound(b, lambda a: bnd.error_gap_bound(a.gamma, a.gamma_max, a.w_min, a.eps))
 
     exp = sub.add_parser("experiment", help="run a named experiment, emit CSV")
     exp.add_argument("name", choices=sorted(experiments.EXPERIMENTS))
@@ -138,6 +148,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--budget", type=int, default=None)
     exp.add_argument("--directions", type=int, default=None)
     exp.add_argument("--learner", default=None)
+    exp.set_defaults(run=_cmd_experiment)
     exp.epilog = (
         "CSV columns per experiment: "
         + "; ".join(
@@ -196,33 +207,20 @@ def _cmd_cluster(args) -> int:
     return EXIT_OK if outcome.achieved else EXIT_BUDGET_EXHAUSTED
 
 
-def _cmd_bounds(args) -> int:
-    if args.bound == "hd-error":
-        report = bnd.hd_bayes_error_bound(args.c, args.p)
-    elif args.bound == "direction-prob":
-        report = bnd.spherical_direction_prob(args.gamma, args.c, args.p, args.tau)
-    elif args.bound == "projections":
-        report = bnd.expected_projections_spherical(args.gamma, args.c, args.p)
-    elif args.bound == "kgmm":
-        report = bnd.kgmm_failure_bound(args.gamma_min, args.c_min, args.k, args.p)
-    elif args.bound == "kgmm-projections":
-        report = bnd.kgmm_projection_bound(args.c_min, args.k, args.alpha)
-    elif args.bound == "rank":
-        spec, _rank = datagen.make_rank_spec(
-            args.p, args.c, args.zeta, RngStream(args.seed, datagen.RANK_SPEC_STREAM)
-        )
-        report = bnd.nonspherical_direction_prob(
-            spec, args.gamma, args.tau, mode="rank",
-            tau1=args.tau1, tau2=args.tau2,
-        )
-    elif args.bound == "sample-size":
-        report = bnd.sample_size_required(args.eps, args.delta, args.gamma_min)
-    elif args.bound == "error-gap":
-        report = bnd.error_gap_bound(args.gamma, args.gamma_max, args.w_min, args.eps)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown bound {args.bound!r}")
-    print(model.to_json(report))
-    return EXIT_OK
+def _bound(parser, report) -> None:
+    """Make ``parser``'s command print the report that ``report(args)`` returns."""
+    def run(args) -> int:
+        print(model.to_json(report(args)))
+        return EXIT_OK
+    parser.set_defaults(run=run)
+
+
+def _rank_bound(args) -> bnd.BoundReport:
+    spec, _rank = datagen.make_rank_spec(
+        args.p, args.c, args.zeta, RngStream(args.seed, datagen.RANK_SPEC_STREAM)
+    )
+    return bnd.nonspherical_direction_prob(
+        spec, args.gamma, args.tau, mode="rank", tau1=args.tau1, tau2=args.tau2)
 
 
 # experiment flag -> the runner parameters it may fill, first match wins
@@ -262,15 +260,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, ProjclustError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE_OR_IO

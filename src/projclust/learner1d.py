@@ -30,11 +30,14 @@ Two estimators are provided and usually chained:
 
 ``fit_mixture``, the scan's entry point, is the one place where samples
 are normalised: it fits in unit coordinates (centred on the mean, divided
-by the RMS spread) and maps the fit back, so every floor inside the
-learners is a constant.  ``fit_mom(x)`` is ``fit_mixture(x, "mom")``;
-``fit_mom_from_moments`` and ``fit_em`` called directly work in the units
-they are given.  ``fit_mom`` and ``central_moments`` stay public because
-``perfbench``'s tracer wraps them, with ``fit_mom_from_moments``, by name.
+by the RMS spread) and maps the fit back.  The learners alone floor their
+fits, with constants: sigmas at ``SIGMA_FLOOR_REL``, 1e-9 of the spread
+in unit coordinates, and weights into [``W_FLOOR``, 1 - ``W_FLOOR``], which
+keeps thresholds and errors finite.  ``fit_mom(x)`` is
+``fit_mixture(x, "mom")``; ``fit_mom_from_moments`` and ``fit_em`` called
+directly work, and floor, in the units they are given.  ``fit_mom`` and
+``central_moments`` stay public because ``perfbench``'s tracer wraps them,
+with ``fit_mom_from_moments``, by name.
 
 The Bayes rule of a known mixture is its ``bayes_thresholds``, a single
 one when the variances agree and otherwise the (up to) two real roots of
@@ -55,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSampleError, NoBoundaryError
 from .mathkit import q_function
-from .model import SIGMA_FLOOR_REL, W_FLOOR, Mixture1D, clamped_mixture1d
+from .model import Mixture1D
 
 # Learner names accepted by ``fit_mixture`` and ``ClusterConfig``.
 LEARNERS = ("mom", "em", "mom+em")
@@ -64,6 +67,9 @@ EM_MAX_ITER = 200
 EM_TOL = 1e-8
 # Equal-width bins of the histogram that ``fit_em`` fits.
 EM_BINS = 512
+# The floors of every fit (see the module docstring).
+SIGMA_FLOOR_REL = 1e-9
+W_FLOOR = 1e-4
 
 # Cumulants smaller than this many null standard errors are treated as
 # noise: the moment system is then considered to have no real two-component
@@ -152,8 +158,6 @@ def fit_mom_from_moments(moments: np.ndarray, n: int) -> FitReport:
     if v <= 1e-10 or denom <= 0.0:
         return _single_gaussian_report(mean, s)
     lam = min(v * v / denom, 0.25)
-    if lam <= 0.0:
-        return _single_gaussian_report(mean, s)
 
     disc = math.sqrt(max(0.0, 1.0 - 4.0 * lam))
     if m3s > 0.0:
@@ -168,7 +172,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int) -> FitReport:
     mu1 = mean + s * (-(1.0 - w) * delta)
     mu2 = mean + s * (w * delta)
     sigma = s * math.sqrt(max(var_within, 1e-18))
-    fitted = clamped_mixture1d(mu1, mu2, sigma, sigma, w)
+    fitted = Mixture1D(mu1, mu2, sigma, sigma, min(max(w, W_FLOOR), 1.0 - W_FLOOR))
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
@@ -199,7 +203,7 @@ def _newton_cubic(t: float, p: float, q: float) -> float:
 
 def _single_gaussian_report(mean: float, s: float) -> FitReport:
     sigma = max(s, SIGMA_FLOOR_REL)
-    fitted = clamped_mixture1d(mean, mean, sigma, sigma, 0.5)
+    fitted = Mixture1D(mean, mean, sigma, sigma, 0.5)
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
 
@@ -370,8 +374,7 @@ def _newton_step(g: list, hess: np.ndarray) -> tuple | None:
     return (step.tolist(), gain) if math.isfinite(gain) else None
 
 
-def fit_em(samples: np.ndarray, init: Mixture1D,
-           max_iter: int = EM_MAX_ITER) -> FitReport:
+def fit_em(samples: np.ndarray, init: Mixture1D) -> FitReport:
     """Two-component EM from ``init`` on a histogram of ``samples``: the
     MLE of the binned likelihood (McLachlan & Jones 1988, Biometrics
     44:571-578).  ``EM_BINS`` equal-width bins of width h span [min, max];
@@ -405,8 +408,8 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
     its image; it returns the EM image of the last point.  ``iterations``
     counts passes over the bins: E-steps (EM maps, extrapolated points and
     Newton trial points) and gradient-Hessian builds, never above
-    ``max_iter``; ``capped`` is True exactly when ``max_iter`` of them ran
-    without convergence."""
+    ``EM_MAX_ITER``; ``capped`` is True exactly when ``EM_MAX_ITER`` of them
+    ran without convergence."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientSampleError(f"EM needs n >= 2, got {x.size}")
@@ -427,13 +430,13 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
     ll_prev = None   # log-likelihood at the point theta was mapped from
     iterations, capped = 0, False
     cycles, failures, next_try = 0, 0, 0
-    while iterations < max_iter:
+    while iterations < EM_MAX_ITER:
         if ll is None:
             ll = _e_step(hist, rows[2:], theta)
             iterations += 1
             trace.append(ll)
         converged = False
-        if len(chain) == 1 and cycles >= next_try and iterations < max_iter:
+        if len(chain) == 1 and cycles >= next_try and iterations < EM_MAX_ITER:
             newton = _newton_step(*_gradient_hessian(hist, rows, theta))
             iterations += 1
             taken = False
@@ -442,7 +445,7 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
                 converged = gain <= EM_TOL * (abs(ll) + 1e-12)
                 u = _u(theta)
                 # The full step, then halved at most 3 times, while passes remain.
-                for half in range(0 if converged else min(4, max_iter - iterations)):
+                for half in range(0 if converged else min(4, EM_MAX_ITER - iterations)):
                     point = _theta([p + d * 0.5 ** half for p, d in zip(u, step)])
                     _squares(hist.c, point, spare[2:])
                     ll_x = _e_step(hist, spare[2:], point)
@@ -468,7 +471,7 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
         if converged:
             break
         chain.append(theta)
-        if len(chain) == 3 and iterations < max_iter:
+        if len(chain) == 3 and iterations < EM_MAX_ITER:
             point = _squarem_point(*chain)
             _squares(hist.c, point, spare[2:])
             ll_x = _e_step(hist, spare[2:], point)
@@ -488,7 +491,7 @@ def fit_em(samples: np.ndarray, init: Mixture1D,
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
         iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 

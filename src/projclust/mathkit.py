@@ -34,10 +34,11 @@ _STD_NORMAL = statistics.NormalDist()
 
 def q_function(x: float) -> float:
     """Standard normal upper-tail probability Q(x) = erfc(x/sqrt(2))/2 of one
-    finite float, nonincreasing in x (with glibc, subnormal for x in about
-    [37.5, 38.5] and exactly 0 from 38.5 on)."""
-    if not math.isfinite(x):
-        raise DomainError("q_function requires finite input")
+    float, nonincreasing in x (with glibc, subnormal for x in about
+    [37.5, 38.5] and exactly 0 from 38.5 on), with its limits Q(inf) = 0
+    and Q(-inf) = 1; NaN raises ``DomainError``."""
+    if math.isnan(x):
+        raise DomainError("q_function requires a number, got NaN")
     return 0.5 * math.erfc(x / _SQRT2)
 
 

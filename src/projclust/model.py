@@ -9,12 +9,8 @@ Conventions used throughout:
 * a two-component 1-D mixture is the five-tuple ``(mu1, mu2, sigma1,
   sigma2, w)`` with ``w`` the weight of component 1 (label 0).
 
-Fitted 1-D mixtures are kept away from degeneracy by two floors: standard
-deviations are clamped to ``SIGMA_FLOOR_REL`` times the scale of the
-mixture's own parameters and weights to ``[W_FLOOR, 1 - W_FLOOR]``, which
-keeps downstream thresholds and error values finite.  The learners fit in
-unit coordinates (see ``learner1d.fit_mixture``), where that scale is of
-order 1 whatever the spread and origin of the data.
+``Mixture1D`` checks its parameters and floors none of them: the learners
+floor their fits in unit coordinates (see ``learner1d``).
 """
 
 from __future__ import annotations
@@ -27,9 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-
-SIGMA_FLOOR_REL = 1e-9
-W_FLOOR = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +139,6 @@ class Mixture1D:
             raise DomainError("w must lie in (0, 1)")
 
 
-def clamped_mixture1d(
-    mu1: float, mu2: float, sigma1: float, sigma2: float, w: float
-) -> Mixture1D:
-    """Build a Mixture1D applying the sigma and weight floors; the sigma
-    floor is relative to the largest of the parameters."""
-    scale = max(abs(mu1), abs(mu2), abs(mu2 - mu1), sigma1, sigma2, 1e-12)
-    floor = SIGMA_FLOOR_REL * float(scale)
-    w = min(max(float(w), W_FLOOR), 1.0 - W_FLOOR)
-    return Mixture1D(
-        float(mu1), float(mu2),
-        max(float(sigma1), floor), max(float(sigma2), floor),
-        w,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Boundary1D:
     """A unit projection direction plus one or two ascending decision
@@ -196,8 +174,8 @@ class ClusterOutcome:
     estimated_error: float
     gamma_hat: float
     projections_used: int
-    c_hat: float | None = None
-    achieved: bool = True
+    c_hat: float
+    achieved: bool
 
     def __post_init__(self):
         if self.projections_used < 1:

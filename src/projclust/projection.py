@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .model import Dataset, Mixture1D, MixtureSpec, clamped_mixture1d
+from .model import Dataset, Mixture1D, MixtureSpec
 
 
 def sample_direction(p: int, gen: np.random.Generator) -> np.ndarray:
@@ -49,7 +49,9 @@ def projected_mixture(spec: MixtureSpec, direction: np.ndarray) -> Mixture1D:
 
     Means and sigmas are divided by ||direction|| so the result does not
     depend on the direction's length; the pair weight is renormalised to
-    w0 / (w0 + w1).
+    w0 / (w0 + w1).  Nothing is floored: a component with zero variance
+    along the direction is a point mass, which ``Mixture1D`` rejects with
+    ``DomainError``.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.size != spec.p:
@@ -62,7 +64,7 @@ def projected_mixture(spec: MixtureSpec, direction: np.ndarray) -> Mixture1D:
     var0 = float(np.sum(spec.variances[0] * direction * direction)) / (norm * norm)
     var1 = float(np.sum(spec.variances[1] * direction * direction)) / (norm * norm)
     w = float(spec.weights[0]) / float(spec.weights[0] + spec.weights[1])
-    return clamped_mixture1d(mu0, mu1, math.sqrt(var0), math.sqrt(var1), w)
+    return Mixture1D(mu0, mu1, math.sqrt(var0), math.sqrt(var1), w)
 
 
 def separability_1d(mix: Mixture1D) -> float:

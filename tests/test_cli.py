@@ -262,6 +262,20 @@ class TestBounds:
         assert got == code
         assert expected in (json.loads(stdout)["note"] if code == EXIT_OK else stderr)
 
+    @pytest.mark.parametrize("argv, value, note", [
+        (["projections", "--gamma", "1e300", "--c", "1e-300", "--asymptotic"], None,
+         "probability bound is zero: count unbounded"),
+        (["hd-error", "--c", "1e307", "--p", "10000"], 0.0, ""),
+    ], ids=["projections-asymptotic", "hd-error"])
+    def test_tail_argument_past_float_range_gives_the_limit(
+            self, capsys, argv, value, note):
+        # Q of an argument that overflows to inf is its limit, 0; each of
+        # these exited 1 with an error that named no input.
+        code, stdout, stderr = run_main(capsys, "bounds", *argv)
+        assert code == EXIT_OK and stderr == ""
+        payload = json.loads(stdout)
+        assert payload["value"] == value and payload["note"] == note
+
     @pytest.mark.parametrize("argv", [
         ["hd-error", "--c", "1", "--p", "4"],
         ["direction-prob", "--gamma", "1", "--c", "1", "--p", "1000"],

@@ -21,6 +21,8 @@ from projclust.learner1d import (
     EM_BINS,
     EM_MAX_ITER,
     EM_TOL,
+    SIGMA_FLOOR_REL,
+    W_FLOOR,
     FitReport,
     _e_step,
     _gradient_hessian,
@@ -41,8 +43,7 @@ from projclust.learner1d import (
     fit_mom_from_moments,
 )
 from projclust.mathkit import RngStream, q_function
-from projclust.model import (SIGMA_FLOOR_REL, W_FLOOR, Dataset, Mixture1D,
-                             clamped_mixture1d)
+from projclust.model import Dataset, Mixture1D
 from projclust.projection import sample_direction, separability_1d
 
 
@@ -114,6 +115,17 @@ class TestFitMoM:
         assert fit.mu2 == pytest.approx(4.0, abs=1e-6)
         assert fit.sigma1 == pytest.approx(1.0, abs=1e-6)
         assert fit.w == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("w, floored", [(1e-6, W_FLOOR), (1.0 - 1e-6, 1.0 - W_FLOOR)])
+    def test_weight_clamped_to_the_floor(self, w, floored):
+        # The solve recovers a weight below the floor; the means still come
+        # from it, and only the reported weight is clamped.
+        fit = fit_mom_from_moments(mixture_population_moments(0.0, 30.0, 1.0, w),
+                                   n=10**9).fitted
+        assert fit.w == floored
+        assert fit.mu1 == pytest.approx(0.0, abs=1e-6)
+        assert fit.mu2 == pytest.approx(30.0, abs=1e-6)
+        assert fit.sigma1 == fit.sigma2 == pytest.approx(1.0, abs=1e-6)
 
     def test_single_gaussian_collapses(self):
         x = RngStream(1, 0).generator().standard_normal(100_000)
@@ -214,14 +226,14 @@ class TestFitEM:
         assert abs(fit.w - 0.5) <= 0.05
 
     def test_identical_samples_collapse(self):
+        # fit_em floors in the units of its samples; through fit_mixture the
+        # floor is relative (TestUnitCoordinates).
         x = np.full(100, 5.0)
         init = Mixture1D(4.0, 6.0, 1.0, 1.0, 0.5)
         fit = fit_em(x, init).fitted
-        floor = SIGMA_FLOOR_REL * 5.0
         assert fit.mu1 == pytest.approx(5.0)
         assert fit.mu2 == pytest.approx(5.0)
-        assert fit.sigma1 == pytest.approx(floor)
-        assert fit.sigma2 == pytest.approx(floor)
+        assert fit.sigma1 == fit.sigma2 == SIGMA_FLOOR_REL
 
     def test_loglik_nondecreasing_from_mom_init(self):
         x = sample_mixture(0.0, 2.0, 1.0, 1.0, 0.5, 10_000, seed=6)   # gamma = 1
@@ -295,9 +307,9 @@ def _reference_em(samples, init, max_iter=EM_MAX_ITER, tol=1e-8):
         ll_prev = ll
 
     if mu[0] <= mu[1]:
-        fitted = clamped_mixture1d(mu[0], mu[1], sig[0], sig[1], w)
+        fitted = Mixture1D(mu[0], mu[1], sig[0], sig[1], w)
     else:
-        fitted = clamped_mixture1d(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
+        fitted = Mixture1D(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
     return FitReport(
         fitted=fitted, method="em", iterations=iterations,
         loglik_trace=np.array(trace),
@@ -369,7 +381,7 @@ def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
             break
     else:
         capped = True
-    fitted = clamped_mixture1d(*theta)
+    fitted = Mixture1D(*theta)
     return FitReport(fitted=_swapped(fitted) if fitted.mu1 > fitted.mu2 else fitted,
                      method="em", iterations=iterations,
                      loglik_trace=np.array(trace), capped=capped)
@@ -439,7 +451,7 @@ def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
         iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 
@@ -563,7 +575,7 @@ def _raw_fit_em(
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=clamped_mixture1d(mu1, mu2, s1, s2, w), method="em",
+        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
         iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 
@@ -722,10 +734,8 @@ class TestEMKernel:
     def test_capped_is_recorded(self):
         x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 10_000, seed=5)
         init = Mixture1D(1.0, 3.0, 1.0, 1.0, 0.5)
-        capped = fit_em(x, init, max_iter=3)
-        assert capped.capped and capped.iterations == 3
         converged = fit_em(x, init)
-        assert not converged.capped and 3 < converged.iterations < EM_MAX_ITER
+        assert not converged.capped and converged.iterations < EM_MAX_ITER
         assert not fit_mixture(x, "mom").capped
         # perfbench counts a fit as capped when it took EM_MAX_ITER steps.
         fits = [fit_em(z, init) for z, init in _em_corpus()]
@@ -963,8 +973,7 @@ class TestBinnedEM:
         f = report.fitted
         assert np.all(np.isfinite([f.mu1, f.mu2, f.sigma1, f.sigma2, f.w]))
         assert not report.capped
-        assert f.sigma2 == SIGMA_FLOOR_REL * max(abs(f.mu1), abs(f.mu2),
-                                                 abs(f.mu2 - f.mu1), f.sigma1)
+        assert f.sigma2 == SIGMA_FLOOR_REL   # in the units of x
         assert f.w == pytest.approx(0.75, abs=0.01)
         assert f.sigma1 == pytest.approx(1.0, abs=0.05)
         trace = report.loglik_trace
@@ -1095,6 +1104,19 @@ class TestUnitCoordinates:
         assert fit.mu1 == pytest.approx(5.0) and fit.mu2 == pytest.approx(5.0)
         assert fit.sigma1 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
         assert fit.sigma2 == pytest.approx(SIGMA_FLOOR_REL * 5.0)
+
+    @pytest.mark.parametrize("method", ["em", "mom+em"])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (1e3, -7.0), (1e-4, 5.0)])
+    def test_collapsed_component_floors_at_the_spread(self, method, a, b):
+        # 500 identical points: the component on them collapses to the
+        # sigma floor, 1e-9 of the RMS spread, which maps with the data.
+        gen = RngStream(16, 0).generator()
+        x = np.concatenate([np.full(500, 2.0), gen.standard_normal(1_500)])
+        f = fit_mixture(a * x + b, method).fitted
+        assert f.mu2 == pytest.approx(a * 2.0 + b, abs=0.01 * a)   # a bin centre
+        assert f.sigma2 == pytest.approx(SIGMA_FLOOR_REL * a * float(np.std(x)),
+                                         rel=1e-9, abs=0.0)
+        assert f.sigma1 == pytest.approx(a, rel=0.05)
 
     @pytest.mark.parametrize("method", ["mom", "em", "mom+em", "central_moments"])
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf],

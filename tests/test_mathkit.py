@@ -84,15 +84,22 @@ class TestQFunction:
         wide = q_each(np.linspace(-12.0, 12.0, 241))
         assert np.all(np.diff(wide) <= 0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="NaN"):
             q_function(bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan])
     def test_nonfinite_float64_scalar_rejected(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="NaN"):
             q_function(np.float64(bad))
+
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("x, limit", [(math.inf, 0.0), (-math.inf, 1.0)],
+                             ids=["inf", "-inf"])
+    def test_infinities_give_the_limits(self, x, limit, kind):
+        value = q_function(kind(x))
+        assert value == limit and type(value) is float
 
 
 class TestScipyOracle:

@@ -15,8 +15,6 @@ from projclust.model import (
     Mixture1D,
     MixtureSpec,
     Provenance,
-    SIGMA_FLOOR_REL,
-    clamped_mixture1d,
     to_json,
 )
 
@@ -138,11 +136,6 @@ class TestSmallTypes:
         with pytest.raises(DomainError):
             Mixture1D(float("nan"), 1.0, 1.0, 1.0, 0.5)
 
-    def test_clamped_mixture1d_floors(self):
-        mix = clamped_mixture1d(0.0, 2.0, 0.0, 1.0, 0.0)
-        assert mix.sigma1 == SIGMA_FLOOR_REL * 2.0
-        assert mix.w == 1e-4
-
     def test_boundary_validation(self):
         with pytest.raises(DomainError):
             Boundary1D(np.array([0.0, 0.0]), np.array([1.0]), 0)
@@ -200,10 +193,15 @@ class TestSmallTypes:
         mix = Mixture1D(0.0, 1.0, 1.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             ClusterOutcome(boundary, mix, estimated_error=0.6,
-                           gamma_hat=1.0, projections_used=1)
+                           gamma_hat=1.0, projections_used=1, c_hat=1.0,
+                           achieved=False)
         with pytest.raises(DomainError):
             ClusterOutcome(boundary, mix, estimated_error=0.1,
-                           gamma_hat=1.0, projections_used=0)
+                           gamma_hat=1.0, projections_used=0, c_hat=1.0,
+                           achieved=True)
+        # An outcome states its success and its separation estimate itself.
+        with pytest.raises(TypeError, match="c_hat.*achieved"):
+            ClusterOutcome(boundary, mix, 0.1, 1.0, 1)
 
 
 class TestJson:

@@ -134,6 +134,17 @@ class TestProjectedMixture:
         with pytest.raises(DomainError):
             projected_mixture(spec, np.zeros(4))
 
+    def test_zero_projected_variance_is_a_point_mass(self):
+        # The pushforward is exact, not a fit: nothing floors a component
+        # with no variance along the direction.
+        variances = np.ones((2, 3))
+        variances[1, 0] = 0.0
+        spec = MixtureSpec(np.zeros((2, 3)), variances, [0.5, 0.5])
+        assert projected_mixture(spec, np.ones(3)).sigma2 == pytest.approx(
+            math.sqrt(2.0 / 3.0), rel=1e-15)
+        with pytest.raises(DomainError, match="sigmas must be positive"):
+            projected_mixture(spec, np.array([2.0, 0.0, 0.0]))
+
     def test_pair_weight_renormalised(self):
         # Components 0 and 1 of three: w0 / (w0 + w1).
         spec = MixtureSpec(np.zeros((3, 4)), np.ones((3, 4)), [0.2, 0.3, 0.5])
