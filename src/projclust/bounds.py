@@ -146,9 +146,8 @@ def hd_bayes_error_bound(c: float, p: int) -> BoundReport:
         raise DomainError("c must be nonnegative and finite")
     if p < 1:
         raise DomainError("p must be >= 1")
-    value = q_function(0.5 * c * math.sqrt(p))
     return BoundReport(
-        value=max(value, 0.0),
+        value=q_function(0.5 * c * math.sqrt(p)),
         kind="error_upper",
         inputs={"c": c, "p": p},
         citation="hd-bayes-error",
@@ -194,14 +193,13 @@ def expected_projections_spherical(
     return _count_bound(prob, inputs, "projections-spherical")
 
 
-def sublog_regime_check(
-    gamma: float, c: float, p: int, eta: float
-) -> tuple[bool, bool, BoundReport]:
+def sublog_regime_check(gamma: float, c: float, p: int, eta: float) -> BoundReport:
     """Check the sub-logarithmic and sub-linear projection-count regimes.
 
-    Returns (in_o_ln_p, in_o_p, finite-p count report): the count grows
-    as o(ln p) when gamma/c <= (ln ln p)^((1-eta)/2) and as o(p) when
-    gamma/c <= (ln p)^((1-eta)/2).
+    Returns the finite-p count report with the two flags in its inputs:
+    ``o_ln_p_regime``, true when gamma/c <= (ln ln p)^((1-eta)/2) and the
+    count grows as o(ln p), and ``o_p_regime``, true when gamma/c <=
+    (ln p)^((1-eta)/2) and it grows as o(p).
     """
     if not 0.0 < eta < math.inf:
         raise DomainError("eta must be positive and finite")
@@ -210,13 +208,12 @@ def sublog_regime_check(
     count = expected_projections_spherical(gamma, c, p)
     in_o_ln_p = gamma / c <= math.log(math.log(p)) ** (0.5 * (1.0 - eta))
     in_o_p = gamma / c <= math.log(p) ** (0.5 * (1.0 - eta))
-    report = replace(
+    return replace(
         count,
         inputs={**count.inputs, "eta": eta,
                 "o_ln_p_regime": in_o_ln_p, "o_p_regime": in_o_p},
         citation="sublog-regime",
     )
-    return in_o_ln_p, in_o_p, report
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def expected_projections_nonspherical(
     large-p limit 1/(2*Q(sqrt(beta))) is
     ``expected_projections_spherical(math.sqrt(beta), 1.0)`` and the
     o(ln p) regime flag is ``sublog_regime_check(math.sqrt(beta), 1.0, p,
-    eta)``.
+    eta).inputs["o_ln_p_regime"]``.
     """
     prob_report = nonspherical_direction_prob(spec, gamma, None, mode, tau1, tau2)
     return _count_bound(prob_report.value, {**prob_report.inputs, "mode": mode},

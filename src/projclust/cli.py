@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--c", type=float, required=True)
     b.add_argument("--zeta", type=float, required=True)
     b.add_argument("--gamma", type=float, required=True)
-    b.add_argument("--tau", type=float, default=0.1)
+    b.add_argument("--tau", type=float, default=None,
+                   help="default: optimised on the standard grid")
     b.add_argument("--tau1", type=float, default=0.2)
     b.add_argument("--tau2", type=float, default=0.5)
     b.add_argument("--seed", type=int, default=0)

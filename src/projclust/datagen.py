@@ -193,8 +193,6 @@ def read_dataset(path: str) -> Dataset:
     column-major."""
     base = _base_path(path)
     bin_path, json_path = base + ".bin", base + ".json"
-    if not os.path.exists(json_path):
-        raise FileNotFoundError(json_path)
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     n, p = int(header["n"]), int(header["p"])

@@ -171,7 +171,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int) -> FitReport:
 
     mu1 = mean + s * (-(1.0 - w) * delta)
     mu2 = mean + s * (w * delta)
-    sigma = s * math.sqrt(max(var_within, 1e-18))
+    sigma = s * max(math.sqrt(var_within), SIGMA_FLOOR_REL)
     fitted = Mixture1D(mu1, mu2, sigma, sigma, min(max(w, W_FLOOR), 1.0 - W_FLOOR))
     return FitReport(fitted=fitted, method="mom", iterations=0)
 
@@ -541,18 +541,6 @@ def fit_mixture(samples: np.ndarray, method: str) -> FitReport:
 # Bayes rule of a known 1-D mixture
 # ---------------------------------------------------------------------------
 
-def _log_density_gap(mix: Mixture1D, t: float) -> float:
-    """ln(w * phi1(t)) - ln((1-w) * phi2(t))."""
-    s1 = 1.0 / mix.sigma1**2
-    s2 = 1.0 / mix.sigma2**2
-    return (
-        math.log(mix.w / (1.0 - mix.w))
-        + 0.5 * math.log(s1 / s2)
-        - 0.5 * s1 * (t - mix.mu1) ** 2
-        + 0.5 * s2 * (t - mix.mu2) ** 2
-    )
-
-
 def bayes_thresholds(mix: Mixture1D) -> np.ndarray:
     """Decision threshold(s) where the weighted densities are equal.
 
@@ -560,9 +548,9 @@ def bayes_thresholds(mix: Mixture1D) -> np.ndarray:
 
         t = (mu1 + mu2)/2 - sigma^2/(mu1 - mu2) * ln(w/(1-w));
 
-    otherwise the two real roots of the density-equality quadratic,
-    sorted ascending and Newton-polished so the weighted densities match
-    to ~1e-12 relative.
+    otherwise the two real roots of the density-equality quadratic in
+    t - mu1, sorted ascending, from the cancellation-free form
+    q = -(b + sign(b) sqrt(b^2 - 4ac))/2 with roots q/a and c/q.
     """
     scale = max(abs(mix.mu1), abs(mix.mu2), mix.sigma1, mix.sigma2)
     delta = mix.mu2 - mix.mu1
@@ -589,20 +577,7 @@ def bayes_thresholds(mix: Mixture1D) -> np.ndarray:
         roots = [0.0, 0.0]
     else:
         roots = [q / a, c / q]
-    ts = []
-    for x in roots:
-        t = x + mix.mu1
-        for _ in range(3):
-            g = _log_density_gap(mix, t)
-            dg = -(t - mix.mu1) * s1 + (t - mix.mu2) * s2
-            if dg == 0.0 or not math.isfinite(dg):
-                break
-            step = g / dg
-            if not math.isfinite(step):
-                break
-            t -= step
-        ts.append(t)
-    return np.sort(np.array(ts))
+    return np.sort(np.array(roots) + mix.mu1)
 
 
 def bayes_orientation(mix: Mixture1D, thresholds: np.ndarray) -> int:

@@ -171,22 +171,32 @@ class TestExpectedProjectionsSpherical:
 
 
 class TestSublogRegime:
+    @staticmethod
+    def regimes(*args, **kwargs):
+        rep = sublog_regime_check(*args, **kwargs)
+        return rep.inputs["o_ln_p_regime"], rep.inputs["o_p_regime"]
+
     def test_boundary_cases_at_p_1e4(self):
         p = 10_000
         # gamma/c = sqrt(ln ln p) = 1.4901... sits on the o(ln p) frontier
         frontier = math.sqrt(math.log(math.log(p)))
-        in_lnp, in_p, rep = sublog_regime_check(1.49, 1.0, p, eta=1e-9)
+        in_lnp, in_p = self.regimes(1.49, 1.0, p, eta=1e-9)
         assert in_lnp and in_p
-        assert rep.inputs["o_ln_p_regime"]
-        in_lnp2, in_p2, _ = sublog_regime_check(frontier + 0.01, 1.0, p, eta=1e-9)
+        in_lnp2, in_p2 = self.regimes(frontier + 0.01, 1.0, p, eta=1e-9)
         assert not in_lnp2 and in_p2
 
+    def test_report_is_the_finite_p_count(self):
+        rep = sublog_regime_check(1.49, 1.0, 10_000, eta=1e-9)
+        count = expected_projections_spherical(1.49, 1.0, 10_000)
+        assert rep.value == count.value
+        assert rep.citation == "sublog-regime" and rep.inputs["eta"] == 1e-9
+
     def test_sqrt_ln_p_only_in_o_p(self):
-        in_lnp, in_p, _ = sublog_regime_check(3.03, 1.0, 10_000, eta=1e-9)
+        in_lnp, in_p = self.regimes(3.03, 1.0, 10_000, eta=1e-9)
         assert not in_lnp and in_p
 
     def test_gamma_zero_in_both(self):
-        in_lnp, in_p, _ = sublog_regime_check(0.0, 1.0, 100, eta=0.5)
+        in_lnp, in_p = self.regimes(0.0, 1.0, 100, eta=0.5)
         assert in_lnp and in_p
 
     def test_small_p_rejected(self):
@@ -381,8 +391,8 @@ class TestExpectedProjectionsNonspherical:
     def test_regime_flag(self):
         spec = make_spherical_spec(10_000, 1.0)
         beta = beta_full_rank(spec, 0.5)
-        in_o_ln_p, _, _ = sublog_regime_check(math.sqrt(beta), 1.0, spec.p, eta=0.1)
-        assert in_o_ln_p
+        rep = sublog_regime_check(math.sqrt(beta), 1.0, spec.p, eta=0.1)
+        assert rep.inputs["o_ln_p_regime"]
 
 
 class TestNonsphericalInputChecks:

@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projclust.bounds import BoundReport
+from projclust.bounds import BoundReport, nonspherical_direction_prob
 from projclust.cli import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_OK,
     EXIT_USAGE_OR_IO,
     main,
 )
+from projclust.datagen import RANK_SPEC_STREAM, make_rank_spec
+from projclust.mathkit import RngStream
 
 
 def run_main(capsys, *argv):
@@ -354,6 +356,22 @@ class TestBounds:
         )
         assert code == EXIT_OK
         assert json.loads(stdout)["value"] > 0.0
+
+    def test_rank_bound_picks_its_own_tau(self, capsys):
+        # Without --tau the CLI prints the library's tau=None report, as
+        # rank_proj's bound_projections column uses it.
+        argv = ["bounds", "rank", "--p", "1000", "--c", "0.5", "--zeta", "0.0334",
+                "--gamma", "1.75"]
+        code, stdout, _ = run_main(capsys, *argv)
+        assert code == EXIT_OK
+        spec, _ = make_rank_spec(1000, 0.5, 0.0334, RngStream(0, RANK_SPEC_STREAM))
+        expected = nonspherical_direction_prob(spec, 1.75, None, mode="rank",
+                                               tau1=0.2, tau2=0.5)
+        assert json.loads(stdout)["value"] == expected.value
+        assert json.loads(stdout)["inputs"]["tau"] == expected.inputs["tau"]
+        _, fixed, _ = run_main(capsys, *argv, "--tau", "0.1")
+        assert json.loads(fixed)["inputs"]["tau"] == 0.1
+        assert expected.value >= json.loads(fixed)["value"]
 
     def test_kgmm_projections_stdout_bytes(self, capsys):
         # The bound takes no libm function (sqrt is correctly rounded), so

@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1244,6 +1246,62 @@ class TestBayesThresholds:
         a = bayes_thresholds(mix)
         b = bayes_thresholds(_swapped(mix))
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _exact_ln(x):
+    """ln of a positive Fraction to 60 significant digits, as a Fraction."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction(Decimal(x.numerator).ln() - Decimal(x.denominator).ln())
+
+
+def _exact_newton_distance(mix, t):
+    """Oracle: |g(t)/g'(t)| / max(|t|, scale) in exact rational arithmetic,
+    g the log-density gap ln(w phi1(t)) - ln((1-w) phi2(t)).
+
+    g is taken at the precisions 1/sigma^2 rounded to doubles, the
+    coefficients the rule is solved with: where the sigmas nearly agree,
+    the outer root moves with their last bit, so this checks that each
+    root is the exact zero of its own problem, to a few ulps.
+    """
+    mu1, mu2, w, t = map(Fraction, (mix.mu1, mix.mu2, mix.w, t))
+    s1, s2 = Fraction(1.0 / mix.sigma1**2), Fraction(1.0 / mix.sigma2**2)
+    g = (_exact_ln(w / (1 - w)) + _exact_ln(s1 / s2) / 2
+         - s1 * (t - mu1) ** 2 / 2 + s2 * (t - mu2) ** 2 / 2)
+    dg = -(t - mu1) * s1 + (t - mu2) * s2
+    scale = max(abs(mix.mu1), abs(mix.mu2), mix.sigma1, mix.sigma2)
+    return float(abs(g / dg)) / max(abs(float(t)), scale)
+
+
+class TestBayesThresholdsExact:
+    """Both unequal-sigma thresholds are the exact roots to a few ulps.
+
+    Where the sigmas nearly agree, g evaluated in floats loses its digits
+    to cancellation, so a refinement step driven by it (Newton's, say)
+    moves the outer root off the exact one, here to 1.2e-13 relative."""
+
+    def test_near_equal_sigmas_outer_root(self):
+        mix = Mixture1D(-0.0646386525354048, 0.4997513195505952,
+                        0.9816392408714334, 0.9798106938493079, 0.5177453778427981)
+        ts = bayes_thresholds(mix)
+        assert ts.size == 2 and 300.0 < ts[1] < 305.0
+        for t in ts:
+            assert _exact_newton_distance(mix, t) <= 1e-15
+
+    def test_scan_corpus(self):
+        fits = []
+        for p, c, sigma in ((10, 0.3, 1.0), (10, 1.0, 2.0), (100, 0.6, 1.0)):
+            for seed in (1, 2):
+                data = sample_dataset(make_spherical_spec(p, c, sigma), 2000,
+                                      RngStream(seed, 0))
+                for learner in ("em", "mom+em"):
+                    cfg = ClusterConfig(0.01, 12, learner, seed)
+                    fits += [s.fit.fitted for s in scan_directions(data, cfg)
+                             if s.boundary is not None and s.boundary.thresholds.size == 2]
+        assert len(fits) >= 40
+        for mix in fits:
+            for t in bayes_thresholds(mix):
+                assert _exact_newton_distance(mix, t) <= 2e-15, mix
 
 
 def _log_density_ratio(mix, x):
