@@ -22,7 +22,6 @@ from .model import (
     Dataset,
     Mixture1D,
     MixtureSpec,
-    Provenance,
 )
 from .projection import (
     projected_mixture,

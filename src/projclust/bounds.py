@@ -51,6 +51,8 @@ from .mathkit import (
 from .model import MixtureSpec
 
 TAU_GRID = tuple(np.geomspace(1e-4, 10.0, 64).tolist())
+# The rank bound's concentration slack (tau1, tau2) wherever none is given.
+RANK_TAU1, RANK_TAU2 = 0.2, 0.5
 
 _PROB_KINDS = ("probability_lower", "probability_upper", "error_upper")
 _COUNT_KINDS = ("count_upper",)
@@ -58,7 +60,7 @@ _COUNT_KINDS = ("count_upper",)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed bound with its inputs and provenance tag."""
+    """A computed bound with its inputs and citation tag."""
 
     value: float
     kind: str
@@ -111,14 +113,6 @@ def _direction_prob(
                        citation, clamped, note)
 
 
-def _square(v: float) -> float:
-    """v**2, or inf where float ** raises OverflowError instead."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
 def _count_bound(prob: float, inputs: dict, citation: str) -> BoundReport:
     """The count bound 1/prob (at least 1), unbounded when prob is zero."""
     if prob <= 0.0:
@@ -165,7 +159,8 @@ def spherical_direction_prob(
         raise DomainError("c must be positive and finite")
     if p < 2:
         raise DomainError("p must be >= 2")
-    alpha = _square(gamma / c)
+    ratio = gamma / c
+    alpha = ratio * ratio
     inputs = {"gamma": gamma, "c": c, "p": p, "tau": tau, "alpha": alpha}
     return _direction_prob(alpha, p, tau, inputs, "spherical-direction-prob", "alpha")
 
@@ -234,10 +229,11 @@ def kgmm_failure_bound(
         raise DomainError("k must be >= 2")
     if p < 1:
         raise DomainError("p must be >= 1")
-    ratio_sq = _square(gamma_min / c_min)
+    ratio = gamma_min / c_min
+    ratio_sq = ratio * ratio
     if ratio_sq >= p:
         raise DomainError("requires gamma_min^2 / c_min^2 < p")
-    arg = (gamma_min / c_min) * math.sqrt(1.1 / (1.0 - ratio_sq / p))
+    arg = ratio * math.sqrt(1.1 / (1.0 - ratio_sq / p))
     raw = 0.5 * k * k * (
         1.0 - 2.0 * q_function(arg) * (1.0 - math.exp(-0.002 * p))
     )
@@ -409,7 +405,7 @@ def error_gap_bound(
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
     log_odds = math.log((1.0 - w_min) / w_min)
-    gate = (16.0 * _square(gamma_max) + 8.0 * gamma_max * log_odds
+    gate = (16.0 * gamma_max * gamma_max + 8.0 * gamma_max * log_odds
             + 2.0 * gamma_max * epsilon) * epsilon
     if gate >= 0.5:
         raise DomainError(

@@ -117,8 +117,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--gamma", type=float, required=True)
     b.add_argument("--tau", type=float, default=None,
                    help="default: optimised on the standard grid")
-    b.add_argument("--tau1", type=float, default=0.2)
-    b.add_argument("--tau2", type=float, default=0.5)
+    b.add_argument("--tau1", type=float, default=bnd.RANK_TAU1)
+    b.add_argument("--tau2", type=float, default=bnd.RANK_TAU2)
     b.add_argument("--seed", type=int, default=0)
     _bound(b, _rank_bound)
 
@@ -173,10 +173,11 @@ def _cmd_gen(args) -> int:
         )
     else:
         spec, rank = datagen.make_spherical_spec(args.p, args.c, sigma, w), None
+    rank_notes = {} if rank is None else {"r": rank, "zeta": args.zeta}
     data = datagen.sample_dataset(spec, args.n, RngStream(args.seed, 0), args.shape)
     bin_path, json_path = datagen.write_dataset(
-        data, args.out, k=spec.k, r=rank, zeta=args.zeta
-    )
+        data, args.out, k=spec.k, seed=args.seed,
+        generator=f"{args.shape}:stream=0", **rank_notes)
     if args.csv:
         datagen.export_csv(data, args.csv)
     echo = {

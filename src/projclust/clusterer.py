@@ -3,7 +3,8 @@
 The scan draws directions from per-index random streams (stream i for
 the i-th direction) and projects the data in O(np); ``score_direction``
 fits a two-component 1-D mixture to the projected values and evaluates
-the fit's plug-in error estimate, which sets the direction's verdict.
+the fit's plug-in error estimate, which sets the direction's verdict;
+a fit whose lighter component weighs under ``W_MIN`` is rejected.
 The first direction whose verdict is ``"pass"`` wins; if the budget M is
 exhausted the best direction found is returned with ``achieved=False``.
 
@@ -60,6 +61,11 @@ B_MAX = 64
 # recorded with this estimated error so they never win a scan.
 NO_BOUNDARY_ERROR = 0.5
 
+# A fit whose lighter component weighs less than this is rejected: one far
+# outlier makes a component of its own, whose plug-in error reads near 0.
+# 0.01 keeps true weights of 0.05, which 0.1 would reject.
+W_MIN = 0.01
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -94,7 +100,7 @@ class DirectionScan:
     gamma_hat: float
     estimated_error: float
     boundary: Boundary1D | None      # the fit's Bayes rule; None if it has none
-    verdict: str                     # "pass" or "above-target"
+    verdict: str                     # "pass", "above-target" or "rejected:w-min"
 
 
 def _block_ranges(budget: int):
@@ -111,28 +117,27 @@ def score_direction(index: int, direction: np.ndarray, values: np.ndarray,
                     cfg: ClusterConfig) -> DirectionScan:
     """Fit the values along a unit direction, neither copied nor normalised
     here, and score it: the fit's Bayes rule, estimated error and verdict.
-    The only place a direction is scored, drawn by the scan or not; a fit
-    without a boundary gets ``boundary=None`` and ``NO_BOUNDARY_ERROR``."""
+    The only place a direction is scored, drawn by the scan or not.  A fit
+    without a boundary gets ``boundary=None`` and ``NO_BOUNDARY_ERROR``; a
+    fit with one and min(w, 1 - w) < ``W_MIN`` keeps it, and gets
+    ``NO_BOUNDARY_ERROR`` with the verdict ``"rejected:w-min"``."""
     fit = fit_mixture(values, cfg.learner)
     gamma_hat = separability_1d(fit.fitted)
     try:
         thresholds = bayes_thresholds(fit.fitted)
     except NoBoundaryError:
-        boundary, est_error = None, NO_BOUNDARY_ERROR
+        boundary, est_error, verdict = None, NO_BOUNDARY_ERROR, "above-target"
     else:
-        est_error = bayes_error(fit.fitted, thresholds)
         boundary = Boundary1D(
             direction, thresholds, bayes_orientation(fit.fitted, thresholds))
-    return DirectionScan(
-        index=index,
-        direction=direction,
-        values=values,
-        fit=fit,
-        gamma_hat=gamma_hat,
-        estimated_error=est_error,
-        boundary=boundary,
-        verdict="pass" if est_error < cfg.target_error else "above-target",
-    )
+        if min(fit.fitted.w, 1.0 - fit.fitted.w) < W_MIN:
+            est_error, verdict = NO_BOUNDARY_ERROR, "rejected:w-min"
+        else:
+            est_error = bayes_error(fit.fitted, thresholds)
+            verdict = "pass" if est_error < cfg.target_error else "above-target"
+    return DirectionScan(index=index, direction=direction, values=values, fit=fit,
+                         gamma_hat=gamma_hat, estimated_error=est_error,
+                         boundary=boundary, verdict=verdict)
 
 
 def scan_directions(data: Dataset, cfg: ClusterConfig):
@@ -163,8 +168,9 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
     Stops at the first ``"pass"`` verdict and describes ``best``, the
     direction with the lowest estimated error (earliest on ties).  A passer
     is always ``best``, so ``achieved == (estimated_error < target_error)``,
-    which the benchmark's outcome check enforces; a rule that rejects a
-    direction below the target must keep it from becoming ``best``.
+    which the benchmark's outcome check enforces; a rejected direction
+    scores ``NO_BOUNDARY_ERROR``, so it is ``best`` only when every
+    scanned direction scored that.
     Deterministic given (data, cfg) and the BLAS thread count.
     """
     gammas = []
@@ -179,7 +185,7 @@ def cluster_gmm(data: Dataset, cfg: ClusterConfig) -> ClusterOutcome:
 
     boundary = best.boundary
     if boundary is None:
-        # No scanned fit admitted a boundary; fall back to the sample
+        # The best fit admitted no boundary; fall back to the sample
         # median on the best direction so the outcome stays usable.
         boundary = Boundary1D(best.direction, np.array([np.median(best.values)]), 1)
     return ClusterOutcome(
@@ -224,7 +230,8 @@ def clustering_error(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 
 def estimate_c_hat(gamma_hats: np.ndarray) -> float:
-    """Root mean square of the scanned 1-D separations."""
+    """Root mean square of the scanned 1-D separations, biased low at weak
+    separation: a single-Gaussian fallback scores 0 (0.135 where c = 0.3)."""
     gamma_hats = np.asarray(gamma_hats, dtype=float).ravel()
     if gamma_hats.size == 0:
         raise DomainError("need at least one scanned direction")

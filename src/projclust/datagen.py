@@ -19,13 +19,15 @@ own component's standard deviations and mean, ROW_BLOCK rows at a time,
 so a sample holds that buffer plus two blocks whatever the spec.
 
 Dataset files are a raw little-endian float64 row-major payload plus a
-JSON sidecar header ``{n, p, k, seed, generator, labels?}``.  Both the
-write and the read stream the payload ROW_BLOCK rows at a time.  Writing
-row-major points copies nothing; points of any other layout are copied
-one block at a time.  Reading returns column-major (Fortran-order)
-points, the layout the scan's projection kernel reads fastest: each
-block read from the file is stored into the preallocated n x p result,
-so a read holds that buffer plus one block.
+JSON sidecar header ``{n, p, labels?}`` with the writer's JSON notes
+(the CLI's ``gen`` notes k, seed and generator, and r and zeta for a
+rank spec), which a read skips.  Both the write and the read stream the
+payload ROW_BLOCK rows at a time.  Writing row-major points copies
+nothing; points of any other layout are copied one block at a time.
+Reading returns column-major (Fortran-order) points, the layout the
+scan's projection kernel reads fastest: each block read from the file
+is stored into the preallocated n x p result, so a read holds that
+buffer plus one block.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .mathkit import RngStream
-from .model import Dataset, MixtureSpec, Provenance
+from .model import Dataset, MixtureSpec
 
 # Coordinate shapes that ``sample_dataset`` draws.
 SHAPES = ("gaussian", "uniform", "laplace", "rademacher")
@@ -143,8 +145,7 @@ def sample_dataset(
         block_labels = labels[start:start + ROW_BLOCK]
         rows *= sd[block_labels]
         rows += spec.means[block_labels]
-    generator_id = f"{shape}:stream={rng.stream_index}"
-    return Dataset(points, labels, Provenance(seed=rng.master_seed, generator=generator_id))
+    return Dataset(points, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +156,22 @@ def _base_path(path: str) -> str:
     return path[:-4] if path.endswith(".bin") else path
 
 
-def write_dataset(
-    dataset: Dataset, path: str, k: int | None = None,
-    r: int | None = None, zeta: float | None = None,
-) -> tuple[str, str]:
+def write_dataset(dataset: Dataset, path: str, **notes) -> tuple[str, str]:
     """Write ``<path>.bin`` (little-endian float64, row-major) and
-    ``<path>.json`` (sidecar header, with the rank ``r`` and ``zeta`` of a
-    rank-controlled spec when given).  Returns the two file names."""
+    ``<path>.json`` (sidecar header: n, p, the labels if any, and the
+    JSON-serialisable ``notes``).  Returns the two file names."""
+    reserved = sorted({"n", "p", "labels"} & notes.keys())
+    if reserved:
+        raise DomainError(f"sidecar notes may not be named {', '.join(reserved)}")
     base = _base_path(path)
     bin_path, json_path = base + ".bin", base + ".json"
     with open(bin_path, "wb") as fh:
         for start in range(0, dataset.n, ROW_BLOCK):
             rows = dataset.points[start:start + ROW_BLOCK]
             np.ascontiguousarray(rows, dtype="<f8").tofile(fh)
-    if k is None:
-        k = int(dataset.labels.max()) + 1 if dataset.labels is not None else 2
-    header = {
-        "n": dataset.n,
-        "p": dataset.p,
-        "k": k,
-        "seed": dataset.provenance.seed if dataset.provenance else None,
-        "generator": dataset.provenance.generator if dataset.provenance else None,
-    }
+    header = {"n": dataset.n, "p": dataset.p, **notes}
     if dataset.labels is not None:
         header["labels"] = dataset.labels.tolist()
-    if r is not None:
-        header["r"] = r
-    if zeta is not None:
-        header["zeta"] = zeta
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
     return bin_path, json_path
@@ -215,11 +204,7 @@ def read_dataset(path: str) -> Dataset:
             points[start:start + len(rows)] = rows
     labels = header.get("labels")
     labels = None if labels is None else np.asarray(labels, dtype=int)
-    seed = header.get("seed")
-    provenance = None
-    if seed is not None:
-        provenance = Provenance(seed=int(seed), generator=header.get("generator") or "")
-    return Dataset(points, labels, provenance)
+    return Dataset(points, labels)
 
 
 def export_csv(dataset: Dataset, path: str) -> str:

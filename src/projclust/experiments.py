@@ -64,15 +64,14 @@ def _realized_error(scan, labels) -> float:
 
 
 def _population_error(spec, scan) -> float:
-    """Exact error of the scanned boundary under the generating mixture.
+    """Exact error of a ``"pass"`` scan's boundary, which it always has,
+    under the generating mixture.
 
     The scan projects onto unit directions, matching the normalisation of
     :func:`projected_mixture`, so the thresholds apply directly to the
     exact projected component parameters.
     """
     b = scan.boundary
-    if b is None:
-        return NO_BOUNDARY_ERROR
     err = rule_error(projected_mixture(spec, scan.direction), b.thresholds,
                      b.orientation)
     return min(err, 1.0 - err)
@@ -318,10 +317,11 @@ RANK_PROJ_FIELDS = (
 
 def rank_proj(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
               n: int = 5000, target_error: float = 0.04, repeats: int = 20,
-              seed: int = 0, max_budget: int = 2000, tau1: float = 0.2,
-              tau2: float = 0.5, learner: str = HARNESS_LEARNER) -> list[dict]:
+              seed: int = 0, max_budget: int = 2000,
+              learner: str = HARNESS_LEARNER) -> list[dict]:
     """Directions needed for a prescribed error as the rank varies, next
-    to the rank-mode inverse probability bound at the given (tau1, tau2).
+    to the rank-mode inverse probability bound at
+    (``bounds.RANK_TAU1``, ``bounds.RANK_TAU2``).
     An infinite bound means the concentration terms swallow the main term
     at this scale."""
     gamma = q_inverse(target_error)
@@ -329,7 +329,7 @@ def rank_proj(p: int = 200, c: float = 0.5, zeta_list=(0.035, 0.1, 0.335),
     for zeta in zeta_list:
         spec, rank = make_rank_spec(p, c, zeta, RngStream(seed, RANK_SPEC_STREAM))
         bound = bnd.expected_projections_nonspherical(
-            spec, gamma, mode="rank", tau1=tau1, tau2=tau2
+            spec, gamma, mode="rank", tau1=bnd.RANK_TAU1, tau2=bnd.RANK_TAU2
         )
         cells.append((zeta, spec, rank, bound.value))
     rows = []

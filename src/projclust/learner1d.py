@@ -51,7 +51,7 @@ rule whose thresholds it is given, with no fallback when there are none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,10 +81,9 @@ _EQUAL_SIGMA_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """A fitted 1-D mixture plus how it was obtained."""
+    """A fitted 1-D mixture plus the EM passes that produced it."""
 
     fitted: Mixture1D
-    method: str
     iterations: int
     loglik_trace: np.ndarray | None = None
     capped: bool = False
@@ -173,7 +172,7 @@ def fit_mom_from_moments(moments: np.ndarray, n: int) -> FitReport:
     mu2 = mean + s * (w * delta)
     sigma = s * max(math.sqrt(var_within), SIGMA_FLOOR_REL)
     fitted = Mixture1D(mu1, mu2, sigma, sigma, min(max(w, W_FLOOR), 1.0 - W_FLOOR))
-    return FitReport(fitted=fitted, method="mom", iterations=0)
+    return FitReport(fitted=fitted, iterations=0)
 
 
 def _largest_cubic_root(p: float, q: float) -> float:
@@ -204,7 +203,7 @@ def _newton_cubic(t: float, p: float, q: float) -> float:
 def _single_gaussian_report(mean: float, s: float) -> FitReport:
     sigma = max(s, SIGMA_FLOOR_REL)
     fitted = Mixture1D(mean, mean, sigma, sigma, 0.5)
-    return FitReport(fitted=fitted, method="mom", iterations=0)
+    return FitReport(fitted=fitted, iterations=0)
 
 
 class _Histogram(NamedTuple):
@@ -491,8 +490,8 @@ def fit_em(samples: np.ndarray, init: Mixture1D) -> FitReport:
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
-        iterations=iterations, loglik_trace=np.array(trace), capped=capped,
+        fitted=Mixture1D(mu1, mu2, s1, s2, w), iterations=iterations,
+        loglik_trace=np.array(trace), capped=capped,
     )
 
 
@@ -525,16 +524,11 @@ def fit_mixture(samples: np.ndarray, method: str) -> FitReport:
         # Identical components (a single-Gaussian fallback) are EM's fixed point.
         if method == "mom+em" and report.fitted.mu1 != report.fitted.mu2:
             report = fit_em(z, report.fitted)
-    f = report.fitted
-    trace = report.loglik_trace
+    f, trace = report.fitted, report.loglik_trace
     if trace is not None:
-        trace -= z.size * math.log(unit)
-    return FitReport(
-        fitted=Mixture1D(loc + unit * f.mu1, loc + unit * f.mu2,
-                         unit * f.sigma1, unit * f.sigma2, f.w),
-        method=method, iterations=report.iterations, loglik_trace=trace,
-        capped=report.capped,
-    )
+        trace -= z.size * math.log(unit)   # in place, in the report
+    return replace(report, fitted=Mixture1D(loc + unit * f.mu1, loc + unit * f.mu2,
+                                            unit * f.sigma1, unit * f.sigma2, f.w))
 
 
 # ---------------------------------------------------------------------------

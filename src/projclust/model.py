@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
@@ -74,14 +72,9 @@ class MixtureSpec:
             raise DomainError("weights must sum to 1 within 1e-12")
 
 
-class Provenance(NamedTuple):
-    seed: int
-    generator: str
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n points in R^p with optional true labels and generation provenance.
+    """n points in R^p with optional true labels.
 
     ``points`` may have any memory layout.  ``datagen.read_dataset``
     returns it column-major, because the scan's projection kernel reads
@@ -94,7 +87,6 @@ class Dataset:
 
     points: np.ndarray                 # (n, p)
     labels: np.ndarray | None = None   # (n,) ints in [0, k)
-    provenance: Provenance | None = None
     n: int = field(init=False)
     p: int = field(init=False)
 

@@ -170,7 +170,7 @@ def test_criterion_6_rank_scan():
     zetas = (0.035, 0.1, 0.335)   # ranks 21, 60, 200 at p=200
     rows = rank_proj(
         p=200, c=0.5, zeta_list=zetas, n=5000, target_error=0.04,
-        repeats=20, seed=SEED, max_budget=2000, tau1=0.2, tau2=0.5,
+        repeats=20, seed=SEED, max_budget=2000,
     )
     means, bounds, ranks = [], [], []
     for z in zetas:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projclust.bounds import BoundReport, nonspherical_direction_prob
+from projclust.bounds import (RANK_TAU1, RANK_TAU2, BoundReport,
+                              nonspherical_direction_prob)
 from projclust.cli import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_OK,
@@ -39,6 +40,10 @@ class TestGen:
         echo = json.loads(stdout)
         assert echo["p"] == 100 and echo["n"] == 1000 and echo["seed"] == 7
         assert os.path.exists(out + ".bin") and os.path.exists(out + ".json")
+        header = json.loads(Path(out + ".json").read_text())
+        assert len(header.pop("labels")) == 1000
+        assert header == {"n": 1000, "p": 100, "k": 2, "seed": 7,
+                          "generator": "gaussian:stream=0"}
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a = os.path.join(tmp_path, "a")
@@ -149,9 +154,9 @@ class TestCluster:
     @pytest.mark.xfail(strict=True, reason=(
         "em false success on weakly separated data: the quartile-start fit "
         "(w 0.33) reads its plug-in error 0.189 below the 0.2 target while "
-        "the clustering error is 0.382; the acceptance guards of ROADMAP "
-        "items 2 (w_min, goodness of fit) and 3 (upper confidence bound) "
-        "are not in place yet"))
+        "the clustering error is 0.382; W_MIN (0.01) does not reach w 0.33, "
+        "and the acceptance guards of ROADMAP items 2 (goodness of fit) and "
+        "3 (upper confidence bound) are not in place yet"))
     def test_em_achieved_means_target_met(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "weak")
         main(["gen", "--p", "10", "--n", "1000", "--c", "0.3", "--seed", "4",
@@ -366,7 +371,7 @@ class TestBounds:
         assert code == EXIT_OK
         spec, _ = make_rank_spec(1000, 0.5, 0.0334, RngStream(0, RANK_SPEC_STREAM))
         expected = nonspherical_direction_prob(spec, 1.75, None, mode="rank",
-                                               tau1=0.2, tau2=0.5)
+                                               tau1=RANK_TAU1, tau2=RANK_TAU2)
         assert json.loads(stdout)["value"] == expected.value
         assert json.loads(stdout)["inputs"]["tau"] == expected.inputs["tau"]
         _, fixed, _ = run_main(capsys, *argv, "--tau", "0.1")

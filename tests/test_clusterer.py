@@ -8,12 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projclust import clusterer
 from projclust.bounds import expected_projections_spherical
 from projclust.clusterer import (
     B_MAX,
     NO_BOUNDARY_ERROR,
+    W_MIN,
     ClusterConfig,
     _block_ranges,
     classify,
@@ -395,6 +397,40 @@ class TestScoreDirection:
         assert scan.boundary.direction.tobytes() == e1.tobytes()
         assert scan.direction is e1 and scan.values is values
 
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
+    def test_light_component_is_rejected_and_keeps_its_boundary(self, learner):
+        # One value at 1e6 among 499 standard normals becomes a component
+        # of its own, with w about 0.002.
+        values = np.random.default_rng(0).standard_normal(500)
+        values[0] = 1e6
+        scan = score_direction(0, np.array([1.0]), values,
+                               ClusterConfig(0.05, 1, learner))
+        assert min(scan.fit.fitted.w, 1.0 - scan.fit.fitted.w) < W_MIN
+        assert scan.verdict == "rejected:w-min"
+        assert scan.estimated_error == NO_BOUNDARY_ERROR
+        assert scan.boundary is not None
+
+    @given(p=st.integers(2, 8), c=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           n=st.integers(40, 300), data_seed=st.integers(0, 2**32 - 1),
+           outlier=st.booleans(), learner=st.sampled_from(["mom", "mom+em", "em"]),
+           target=st.sampled_from([0.05, 0.2]))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_verdicts_keep_the_gate(self, p, c, n, data_seed, outlier, learner,
+                                    target):
+        data = sample_dataset(make_spherical_spec(p, c), n, RngStream(data_seed, 0))
+        if outlier:
+            points = data.points.copy()
+            points[0] = 1e8
+            data = Dataset(points, data.labels)
+        for scan in scan_directions(data, ClusterConfig(target, 6, learner, seed=1)):
+            w = scan.fit.fitted.w
+            if scan.verdict == "pass":
+                assert scan.boundary is not None and min(w, 1.0 - w) >= W_MIN
+                assert scan.estimated_error < target
+            if scan.boundary is None or scan.verdict == "rejected:w-min":
+                assert scan.estimated_error == NO_BOUNDARY_ERROR
+            assert scan.verdict in ("pass", "above-target", "rejected:w-min")
+
 
 class TestEndToEnd:
     def test_separated_case_fast_and_accurate(self):
@@ -434,26 +470,21 @@ def _achieved_means_target_met(data, cfg):
         assert err <= cfg.target_error + 0.02
 
 
-_OUTLIER_REASON = (
-    "false success on one outlier: with row 0 at 1e8 the fit at direction 1 "
-    "puts w 0.9995 on the bulk and reads its plug-in error as 0.0 while the "
-    "clustering error is 0.4955; ROADMAP item 2's w_min gate is not in place yet")
-
 _NO_STRUCTURE_REASON = (
     "em false success on data with no structure (c=0): the quartile-start fit "
-    "(w 0.0903) reads its plug-in error as 0.0874, below the 0.1 target, while "
-    "the clustering error is 0.476; ROADMAP item 2's gates are not in place yet")
+    "(w 0.0903, above W_MIN) reads its plug-in error as 0.0874, below the 0.1 "
+    "target, while the clustering error is 0.476; ROADMAP item 2's fit gate "
+    "is not in place yet")
 
 
 class TestFalseSuccess:
     """ROADMAP item 2's repros: an achieved outcome must cluster within
     0.02 of its target."""
 
-    @pytest.mark.parametrize("learner", [
-        pytest.param(learner, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason=_OUTLIER_REASON))
-        for learner in ("mom", "mom+em", "em")])
+    @pytest.mark.parametrize("learner", ["mom", "mom+em", "em"])
     def test_one_outlier(self, learner):
+        # Direction 1's fit gives the outlier alone w 0.0005 and an estimated
+        # error of 0.0; W_MIN rejects it.
         base = sample_dataset(make_spherical_spec(20, 2.0), 2000, RngStream(3, 0))
         points = base.points.copy()
         points[0] = 1e8

@@ -25,7 +25,7 @@ from projclust.datagen import (
 )
 from projclust.errors import DimensionMismatchError, DomainError
 from projclust.mathkit import RngStream
-from projclust.model import Dataset, MixtureSpec, Provenance
+from projclust.model import Dataset, MixtureSpec
 from projclust.projection import project_block
 
 
@@ -133,12 +133,6 @@ class TestSampleDataset:
             var = rows.var(axis=0, ddof=1)
             assert np.all(np.abs(var - sigma2) <= 0.1 * sigma2)
 
-    def test_provenance(self):
-        spec = make_spherical_spec(4, 1.0)
-        data = sample_dataset(spec, 10, RngStream(99, 3))
-        assert data.provenance.seed == 99
-        assert "stream=3" in data.provenance.generator
-
     def test_n_validation(self):
         spec = make_spherical_spec(4, 1.0)
         with pytest.raises(DomainError):
@@ -198,16 +192,27 @@ class TestFiles:
         back = read_dataset(base)
         np.testing.assert_array_equal(back.points, data.points)
         np.testing.assert_array_equal(back.labels, data.labels)
-        assert back.provenance.seed == 20
 
     def test_header_contents(self, tmp_path):
         spec = make_spherical_spec(3, 1.0)
         data = sample_dataset(spec, 5, RngStream(21, 0))
-        _, json_path = write_dataset(data, os.path.join(tmp_path, "d"), k=2)
+        _, json_path = write_dataset(data, os.path.join(tmp_path, "d"), k=2, seed=21)
         header = json.loads(Path(json_path).read_text())
         assert header["n"] == 5 and header["p"] == 3 and header["k"] == 2
         assert header["seed"] == 21
         assert len(header["labels"]) == 5
+
+    def test_header_without_notes_or_labels(self, tmp_path):
+        _, json_path = write_dataset(Dataset(np.zeros((2, 3))),
+                                     os.path.join(tmp_path, "bare"))
+        assert Path(json_path).read_bytes() == b'{"n": 2, "p": 3}\n'
+
+    @pytest.mark.parametrize("name", ["n", "p", "labels"])
+    def test_reserved_note_raises(self, tmp_path, name):
+        base = os.path.join(tmp_path, "r")
+        with pytest.raises(DomainError, match=f"named {name}$"):
+            write_dataset(Dataset(np.zeros((2, 1))), base, **{name: 1})
+        assert not os.path.exists(base + ".bin")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         spec = make_spherical_spec(4, 1.0)
@@ -218,9 +223,9 @@ class TestFiles:
         assert Path(j1).read_text() == Path(j2).read_text()
 
     def test_sidecar_bytes(self, tmp_path):
-        data = Dataset(np.zeros((2, 1)), labels=np.array([1, 0]),
-                       provenance=Provenance(7, "spherical"))
-        _, json_path = write_dataset(data, os.path.join(tmp_path, "s"), r=3, zeta=0.25)
+        data = Dataset(np.zeros((2, 1)), labels=np.array([1, 0]))
+        _, json_path = write_dataset(data, os.path.join(tmp_path, "s"), k=2, seed=7,
+                                     generator="spherical", r=3, zeta=0.25)
         with open(json_path, "rb") as fh:
             assert fh.read() == (
                 b'{"generator": "spherical", "k": 2, "labels": [1, 0], "n": 2, '

@@ -312,10 +312,7 @@ def _reference_em(samples, init, max_iter=EM_MAX_ITER, tol=1e-8):
         fitted = Mixture1D(mu[0], mu[1], sig[0], sig[1], w)
     else:
         fitted = Mixture1D(mu[1], mu[0], sig[1], sig[0], 1.0 - w)
-    return FitReport(
-        fitted=fitted, method="em", iterations=iterations,
-        loglik_trace=np.array(trace),
-    )
+    return FitReport(fitted=fitted, iterations=iterations, loglik_trace=np.array(trace))
 
 
 def _mom_start(z):
@@ -385,8 +382,7 @@ def _plain_em(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
         capped = True
     fitted = Mixture1D(*theta)
     return FitReport(fitted=_swapped(fitted) if fitted.mu1 > fitted.mu2 else fitted,
-                     method="em", iterations=iterations,
-                     loglik_trace=np.array(trace), capped=capped)
+                     iterations=iterations, loglik_trace=np.array(trace), capped=capped)
 
 
 def _reference_point(t0, t1, t2):
@@ -453,7 +449,7 @@ def _reference_squarem(samples, init, max_iter=EM_MAX_ITER, tol=EM_TOL):
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
+        fitted=Mixture1D(mu1, mu2, s1, s2, w),
         iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 
@@ -577,7 +573,7 @@ def _raw_fit_em(
     if mu1 > mu2:
         mu1, mu2, s1, s2, w = mu2, mu1, s2, s1, 1.0 - w
     return FitReport(
-        fitted=Mixture1D(mu1, mu2, s1, s2, w), method="em",
+        fitted=Mixture1D(mu1, mu2, s1, s2, w),
         iterations=iterations, loglik_trace=np.array(trace), capped=capped,
     )
 
@@ -1072,7 +1068,6 @@ class TestFitMixtureDispatcher:
         x = sample_mixture(0.0, 4.0, 1.0, 1.0, 0.5, 5_000, seed=8)
         for method in ("mom", "em", "mom+em"):
             rep = fit_mixture(x, method)
-            assert rep.method == method
             assert separability_1d(rep.fitted) > 1.0
 
     def test_unknown_method(self):
@@ -1087,7 +1082,7 @@ class TestFitMixtureDispatcher:
         for scan in fallbacks:
             start = fit_mixture(scan.values, "mom").fitted
             assert start.mu1 == start.mu2
-            assert scan.fit.method == "mom+em" and not scan.fit.capped
+            assert not scan.fit.capped
             assert scan.boundary is None and scan.estimated_error == 0.5
             # EM from that start keeps the two components identical.
             z = _unit_coordinates(scan.values)[0]

@@ -14,7 +14,6 @@ from projclust.model import (
     Dataset,
     Mixture1D,
     MixtureSpec,
-    Provenance,
     to_json,
 )
 
@@ -232,8 +231,3 @@ class TestJson:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError, match="set"):
             to_json({"s": {1}})
-
-    def test_dataset_provenance(self):
-        ds = Dataset(np.zeros((1, 2)),
-                     provenance=Provenance(seed=7, generator="gaussian:stream=0"))
-        assert ds.provenance.seed == 7
