@@ -47,11 +47,12 @@ SCAN_LEARNER = "mom+em"
 
 # Rows of the first projection block.  A block product streams the n x p
 # data once, so its cost grows far slower than its row count (n=50,000,
-# p=1000, column-major points, one thread: 28 ms for 1 row, a GEMV, then
-# 43, 40, 45, 70 and 136 ms for 2, 4, 8, 21 and 64 rows).  Two rows cost
-# as much as 8, so smaller first blocks (1, 1, 2, 4) would slow a scan
-# that stops at its second direction.  Later blocks double to cut the
-# passes of a long scan, while an early stop still pays for at most 8 rows.
+# p=1000, column-major points, one BLAS thread, split over two threads:
+# 17 ms for 1 row, a GEMV, then 22, 24, 27, 37 and 76 ms for 2, 4, 8, 21
+# and 64 rows).  Two rows cost nearly as much as 8, so smaller first
+# blocks (1, 1, 2, 4) would slow a scan that stops at its second
+# direction.  Later blocks double to cut the passes of a long scan, while
+# an early stop still pays for at most 8 rows.
 B = 8
 # Rows of the largest block: a block holds B_MAX * n floats, and a scan
 # keeps at most two blocks alive.

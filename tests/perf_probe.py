@@ -7,7 +7,9 @@ moment learner on three views of its buffer: the first 100,000 rows
 shapes are timed in interleaved rounds, so a change in host speed during
 the run hits all three alike, and the best of 7 rounds per shape is
 printed as JSON {"base": s, "2n": s, "2p": s}.  Run with BLAS thread caps
-in the environment so timings reflect single-thread arithmetic.
+in the environment: BLAS then runs on one thread, and at these shapes
+the projection kernel splits each block product over two threads of its
+own, so the timings use both cores of a two-core host.
 """
 
 import json

@@ -1,10 +1,16 @@
 """Projection operations: exactness, determinism, distributional laws."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from projclust import projection
 from projclust.bounds import spherical_direction_prob
 from projclust.datagen import make_spherical_spec
 from projclust.errors import DimensionMismatchError, DomainError
@@ -85,6 +91,112 @@ class TestProject:
         expected = float(mean @ direction)
         slack = 4.0 * sigma * float(np.linalg.norm(direction)) / math.sqrt(n)
         assert abs(float(np.mean(values)) - expected) <= slack
+
+
+# Child run at one BLAS thread: the split of each block is forced, and
+# every product must equal the unsplit one byte for byte.  At n=5,000,
+# p=200 a split at row 2,500 changes bits for 2-, 13- and 64-row blocks.
+SPLIT_PROBE = """
+import json, os
+import numpy as np
+from projclust import projection
+from projclust.model import Dataset
+projection.SPLIT_MIN_WORK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+gen = np.random.default_rng(0)
+mismatches = []
+for n, p in ((5000, 200), (4001, 333)):
+    full = gen.standard_normal((2 * n, p))
+    views = {"C": full[:n].copy(), "F": np.asfortranarray(full[:n]),
+             "row-slice": full[:n], "reshape": full.reshape(n, 2 * p)}
+    for layout, points in views.items():
+        for rows in (1, 2, 13, 64):
+            dirs = gen.standard_normal((rows, points.shape[1]))
+            split = projection.project_block(Dataset(points), dirs)
+            if split.tobytes() != (dirs @ points.T).tobytes():
+                mismatches.append([n, p, layout, rows])
+print(json.dumps(mismatches))
+"""
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Split every block product: no work floor and two usable cores."""
+    monkeypatch.setattr(projection, "SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("project_block started a thread")
+
+
+def integer_block(n=300, p=7, rows=3):
+    """Small-integer points and directions: every partial sum is exact, so
+    any summation order gives the same bits."""
+    gen = np.random.default_rng(8)
+    points = gen.integers(-8, 9, size=(n, p)).astype(float)
+    return Dataset(points), gen.integers(-8, 9, size=(rows, p)).astype(float)
+
+
+class TestSplit:
+    def test_byte_identical_to_one_product_at_one_blas_thread(self, child_env):
+        env = child_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                        MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", SPLIT_PROBE], capture_output=True,
+            text=True, env=env, timeout=300, check=True,
+        )
+        assert json.loads(proc.stdout) == []
+
+    def test_split_joins_its_thread(self, monkeypatch, two_cores):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        data, dirs = integer_block()
+        before = threading.active_count()
+        out = project_block(data, dirs)
+        assert len(started) == 1
+        assert threading.active_count() == before
+        assert out.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(out, dirs @ data.points.T)
+
+    def test_one_core_starts_no_thread(self, monkeypatch, two_cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        data, dirs = integer_block()
+        np.testing.assert_array_equal(project_block(data, dirs), dirs @ data.points.T)
+
+    def test_below_the_floor_starts_no_thread(self, monkeypatch, two_cores):
+        data, dirs = integer_block()
+        monkeypatch.setattr(projection, "SPLIT_MIN_WORK", data.n * data.p + 1)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        np.testing.assert_array_equal(project_block(data, dirs), dirs @ data.points.T)
+
+    def test_dimension_mismatch_before_any_thread(self, monkeypatch, two_cores):
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        data, _ = integer_block()
+        with pytest.raises(DimensionMismatchError):
+            project_block(data, np.ones((1, data.p + 1)))
+
+    def test_upper_half_error_raised_to_the_caller(self, monkeypatch, two_cores):
+        matmul = np.matmul
+
+        def upper_fails(a, b, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("upper half")
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", upper_fails)
+        data, dirs = integer_block()
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="upper half"):
+            project_block(data, dirs)
+        assert threading.active_count() == before
 
 
 class TestProjectedMixture:
